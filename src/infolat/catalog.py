@@ -1,9 +1,9 @@
-"""Bundled worked examples.
+"""Workspaces and the bundled worked examples.
 
-Each bundle is a named workspace of posets, function tables and
-relations that the tests and the CLI share.  Integer-like carriers take
-a size parameter n (default 10).  Everything is rebuilt and therefore
-revalidated on every lookup.
+A workspace holds named posets, function tables and relations.  Each
+bundle is a workspace with a name and notes that the tests and the CLI
+share.  Integer-like carriers take a size parameter n (default 10).
+Everything is rebuilt and therefore revalidated on every lookup.
 """
 
 from dataclasses import dataclass, field
@@ -15,21 +15,48 @@ from .powerdomain import plotkin
 from .relation import Rel, equivalence_from_blocks, preorder_from_blocks
 
 
-@dataclass(frozen=True)
-class ExampleBundle:
-    name: str
+@dataclass
+class Workspace:
+    """Named definitions; names are unique across all three kinds."""
+
     posets: dict[str, Poset] = field(default_factory=dict)
     functions: dict[str, FnTable] = field(default_factory=dict)
     relations: dict[str, Rel] = field(default_factory=dict)
+    name: str = ""
     notes: str = ""
 
+    def _claim(self, name: str) -> None:
+        if name in self.posets or name in self.functions or name in self.relations:
+            raise ValidationError(f"name {name!r} is already defined")
 
-def _vee() -> ExampleBundle:
+    def add_poset(self, name: str, p: Poset) -> None:
+        self._claim(name)
+        self.posets[name] = p
+
+    def add_function(self, name: str, f: FnTable) -> None:
+        self._claim(name)
+        self.functions[name] = f
+
+    def add_relation(self, name: str, r: Rel) -> None:
+        self._claim(name)
+        self.relations[name] = r
+
+    def merge(self, other: "Workspace") -> None:
+        """Add every definition of ``other``; name and notes stay."""
+        for name, p in other.posets.items():
+            self.add_poset(name, p)
+        for name, f in other.functions.items():
+            self.add_function(name, f)
+        for name, r in other.relations.items():
+            self.add_relation(name, r)
+
+
+def _vee() -> Workspace:
     v = build_poset(("⊥", "c", "a", "b"), (("⊥", "c"), ("c", "a"), ("c", "b")))
     f1 = check_monotone(v, v, {x: "a" for x in v.elements})
     f2 = check_monotone(v, v, {"⊥": "⊥", "c": "c", "a": "a", "b": "c"})
-    return ExampleBundle(
-        "V",
+    return Workspace(
+        name="V",
         posets={"V": v},
         functions={"f1": f1, "f2": f2},
         notes=("Four-point domain: bottom below c, with incomparable a and b "
@@ -37,7 +64,7 @@ def _vee() -> ExampleBundle:
                "ordered kernel of f2 is the chain {⊥} <= {c b} <= {a}."))
 
 
-def _parity(n: int) -> ExampleBundle:
+def _parity(n: int) -> Workspace:
     z = discrete(str(i) for i in range(n))
     out = lift(discrete(("0", "1")))
     out_str = lift(discrete(("Even", "Odd")))
@@ -47,8 +74,8 @@ def _parity(n: int) -> ExampleBundle:
                                  for i in range(n)})
     f2 = check_monotone(z, out_str, {str(i): "Even" if i % 2 == 0 else "Odd"
                                      for i in range(n)})
-    return ExampleBundle(
-        "parity",
+    return Workspace(
+        name="parity",
         posets={"Z": z, "Out": out, "OutStr": out_str},
         functions={"f0": f0, "f1": f1, "f2": f2},
         notes=("Parity observers on a discrete integer carrier. f0 diverges "
@@ -57,7 +84,7 @@ def _parity(n: int) -> ExampleBundle:
                "through its ordered kernel."))
 
 
-def _colours() -> ExampleBundle:
+def _colours() -> Workspace:
     colour = discrete(("Red", "Orange", "Green", "Blue"))
     booln = discrete(("True", "False"))
     answer = discrete(("PrimaryRed", "PrimaryBlue", "NotPrimary"))
@@ -68,8 +95,8 @@ def _colours() -> ExampleBundle:
     primary = check_monotone(colour, answer, {
         "Red": "PrimaryRed", "Blue": "PrimaryBlue",
         "Orange": "NotPrimary", "Green": "NotPrimary"})
-    return ExampleBundle(
-        "colours",
+    return Workspace(
+        name="colours",
         posets={"Colour": colour, "Bool": booln, "Answer": answer},
         functions={"isPrimary": is_primary, "isTrafficLight": is_traffic,
                    "primary": primary},
@@ -78,7 +105,7 @@ def _colours() -> ExampleBundle:
                "their join."))
 
 
-def _kite() -> ExampleBundle:
+def _kite() -> Workspace:
     kite = build_poset(
         ("⊥", "Body⊥⊥", "Body*⊥", "Body⊥*", "Body**", "Tail"),
         (("⊥", "Body⊥⊥"), ("⊥", "Tail"), ("Body⊥⊥", "Body*⊥"),
@@ -87,8 +114,8 @@ def _kite() -> ExampleBundle:
     f = check_monotone(booln, kite, {"True": "Body*⊥", "False": "Body⊥*"})
     g = check_monotone(booln, kite, {"True": "Body*⊥", "False": "Tail"})
     g_flip = check_monotone(booln, kite, {"True": "Body⊥*", "False": "Tail"})
-    return ExampleBundle(
-        "kite",
+    return Workspace(
+        name="kite",
         posets={"Kite": kite, "Bool": booln},
         functions={"f_kite": f, "g_kite": g, "g_kite_flip": g_flip},
         notes=("Six-point codomain with two constructors: a bare Tail and a "
@@ -99,14 +126,14 @@ def _kite() -> ExampleBundle:
                "separates f_kite from both orientations of g_kite."))
 
 
-def _diamond_counterexample() -> ExampleBundle:
+def _diamond_counterexample() -> Workspace:
     a = build_poset(("⊥", "0", "1", "2"),
                     (("⊥", "0"), ("⊥", "1"), ("⊥", "2")))
     g = check_monotone(a, a, {"⊥": "⊥", "0": "0", "1": "1", "2": "⊥"})
     q = preorder_from_blocks(a, [["⊥"], ["0"], ["1"], ["2"]],
                              [(0, 1), (0, 2), (1, 3), (2, 3)])
-    return ExampleBundle(
-        "diamond-counterexample",
+    return Workspace(
+        name="diamond-counterexample",
         posets={"A": a},
         functions={"g_dia": g, "id_A": identity_fn(a)},
         relations={"Q_dia": q},
@@ -117,7 +144,7 @@ def _diamond_counterexample() -> ExampleBundle:
                "candidate for termination-insensitive checking."))
 
 
-def _iseven(n: int) -> ExampleBundle:
+def _iseven(n: int) -> Workspace:
     nats = discrete(str(i) for i in range(n))
     bool_bot = lift(discrete(("T", "F")))
     two = lift(discrete(("*",)))
@@ -128,8 +155,8 @@ def _iseven(n: int) -> ExampleBundle:
     even2 = check_monotone(nats, diamond,
                            {str(i): "*.⊥" if i % 2 == 0 else "⊥.*"
                             for i in range(n)})
-    return ExampleBundle(
-        "iseven",
+    return Workspace(
+        name="iseven",
         posets={"N": nats, "Bool_bot": bool_bot, "D": diamond},
         functions={"isEven1": even1, "isEven2": even2},
         notes=("Two parity observers with the same kernel and ordered "
@@ -139,7 +166,7 @@ def _iseven(n: int) -> ExampleBundle:
                "T -> *.⊥, F -> ⊥.*."))
 
 
-def _omega(n: int) -> ExampleBundle:
+def _omega(n: int) -> Workspace:
     z = discrete(str(i) for i in range(n))
     omega = chain(tuple(str(i) for i in range(n)) + ("ω",))
     s1 = check_monotone(z, omega,
@@ -147,8 +174,8 @@ def _omega(n: int) -> ExampleBundle:
                          for i in range(n)})
     s2 = check_monotone(z, omega,
                         {str(i): "ω" if i == 0 else "0" for i in range(n)})
-    return ExampleBundle(
-        "omega",
+    return Workspace(
+        name="omega",
         posets={"Z": z, "Omega": omega},
         functions={"S1": s1, "S2": s2},
         notes=("Finite truncation of the vertical-natural-numbers codomain: "
@@ -159,11 +186,11 @@ def _omega(n: int) -> ExampleBundle:
                "of scope here."))
 
 
-def _three_chain() -> ExampleBundle:
+def _three_chain() -> Workspace:
     c3 = chain(("0", "1", "2"))
     s = equivalence_from_blocks(c3, [["0", "2"], ["1"]])
-    return ExampleBundle(
-        "three-chain",
+    return Workspace(
+        name="three-chain",
         posets={"C3": c3},
         functions={"id_C3": identity_fn(c3)},
         relations={"S": s},
@@ -173,13 +200,13 @@ def _three_chain() -> ExampleBundle:
                "this kernel."))
 
 
-def _nd_bool() -> ExampleBundle:
+def _nd_bool() -> Workspace:
     booln = discrete(("True", "False"))
     bool_bot = lift(discrete(("T", "F")))
     pbool = plotkin(bool_bot)
     c = check_monotone(booln, pbool, {"True": "⊥+T", "False": "⊥+F"})
-    return ExampleBundle(
-        "nd-bool",
+    return Workspace(
+        name="nd-bool",
         posets={"Bool": booln, "Bool_bot": bool_bot, "PBool": pbool},
         functions={"C": c},
         notes=("Nondeterministic leak: C returns its input or diverges, "
@@ -203,7 +230,7 @@ def list_examples() -> list[str]:
     return sorted(_SIZED | _FIXED)
 
 
-def get_example(name: str, n: int = 10) -> ExampleBundle:
+def get_example(name: str, n: int = 10) -> Workspace:
     """Build the named bundle; integer-like carriers get size ``n``."""
     if name in _SIZED:
         if n < 2:

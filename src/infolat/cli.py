@@ -15,19 +15,18 @@ violated (witness printed), 2 = input error (message on stderr).
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .catalog import ExampleBundle, get_example, list_examples
+from .catalog import Workspace, get_example, list_examples
 from .errors import InfolatError, ParseError, ValidationError
-from .loci import (cp, enumerate_loci, enumerate_loi, er,
-                   is_complete_preorder, ordered_kernel,
+from .loci import (cp, enumerate_loci, enumerate_loi, er, ordered_kernel,
                    ordered_knowledge_set, phi_realisability)
 from .loi import flow_check, kernel, knowledge_set
 from .poset import FnTable, Poset, build_poset, check_monotone
 from .powerdomain import plotkin
 from .relation import (OrderedPartition, Rel, all_rel, block_label, close,
                        format_relation, identity_rel, order_rel,
-                       rel_from_pairs, to_ordered_partition)
+                       rel_from_pairs, require, to_ordered_partition)
 from .tini import ti_flow_check
 
 RESERVED = set("{};:,=")
@@ -73,50 +72,6 @@ def _tokenize(source: str) -> list[Token]:
             i += 1
         flush()
     return tokens
-
-
-@dataclass
-class Workspace:
-    """Named definitions; names are unique across all three kinds."""
-
-    posets: dict[str, Poset] = field(default_factory=dict)
-    functions: dict[str, FnTable] = field(default_factory=dict)
-    relations: dict[str, Rel] = field(default_factory=dict)
-
-    def _claim(self, name: str) -> None:
-        if name in self.posets or name in self.functions or name in self.relations:
-            raise ValidationError(f"name {name!r} is already defined")
-
-    def add_poset(self, name: str, p: Poset) -> None:
-        self._claim(name)
-        self.posets[name] = p
-
-    def add_function(self, name: str, f: FnTable) -> None:
-        self._claim(name)
-        self.functions[name] = f
-
-    def add_relation(self, name: str, r: Rel) -> None:
-        self._claim(name)
-        self.relations[name] = r
-
-    def merge(self, other: "Workspace") -> None:
-        for name, p in other.posets.items():
-            self.add_poset(name, p)
-        for name, f in other.functions.items():
-            self.add_function(name, f)
-        for name, r in other.relations.items():
-            self.add_relation(name, r)
-
-
-def bundle_workspace(bundle: ExampleBundle) -> Workspace:
-    ws = Workspace()
-    for name, p in bundle.posets.items():
-        ws.add_poset(name, p)
-    for name, f in bundle.functions.items():
-        ws.add_function(name, f)
-    for name, r in bundle.relations.items():
-        ws.add_relation(name, r)
-    return ws
 
 
 class _Parser:
@@ -353,11 +308,13 @@ def emit_dot(obj: Poset | OrderedPartition, full: bool = False) -> str:
 def _load_workspace(args: argparse.Namespace) -> Workspace:
     ws = Workspace()
     for name in args.example:
-        ws.merge(bundle_workspace(get_example(name, n=args.n)))
+        ws.merge(get_example(name, n=args.n))
     for path in args.file:
         try:
-            text = open(path, encoding="utf-8").read()
-        except OSError as exc:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        # ValueError: undecodable bytes, or a NUL in the path
+        except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read {path}: {exc}") from exc
         parse_workspace(text, into=ws)
     return ws
@@ -397,16 +354,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 "termination-insensitive checking requires loci mode")
         violation = ti_flow_check(f, pre, post)
     else:
-        if args.mode == "loi":
-            for rel, what in ((pre, "precondition"), (post, "postcondition")):
-                if not rel.is_equivalence:
-                    raise ValidationError(
-                        f"{what} must be an equivalence relation in loi mode")
-        elif args.mode == "loci":
-            for rel, what in ((pre, "precondition"), (post, "postcondition")):
-                if not is_complete_preorder(rel):
-                    raise ValidationError(
-                        f"{what} must be a complete preorder in loci mode")
+        if args.mode is not None:
+            cls = "equivalence" if args.mode == "loi" else "complete"
+            require(pre, cls, f"precondition in {args.mode} mode")
+            require(post, cls, f"postcondition in {args.mode} mode")
         violation = flow_check(f, pre, post)
     if violation is None:
         print("HOLDS")
@@ -491,9 +442,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
     if (args.poset is None) == (args.rel is None):
         raise ValidationError("give exactly one of --poset or --rel")
     if args.poset is not None:
-        if args.poset not in ws.posets:
-            raise ValidationError(f"unknown poset {args.poset!r}")
-        text = emit_dot(ws.posets[args.poset], full=args.full)
+        text = emit_dot(_single_poset(ws, args.poset), full=args.full)
     else:
         partition = to_ordered_partition(_named_relation(ws, args.rel))
         text = emit_dot(partition, full=args.full)
@@ -516,20 +465,19 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         return 0
     if args.name is None:
         raise ValidationError("give --list or --name NAME")
-    bundle = get_example(args.name, n=args.n)
-    ws = bundle_workspace(bundle)
+    ws = get_example(args.name, n=args.n)
     if args.export:
         sys.stdout.write(export_workspace(ws))
         return 0
-    print(f"example {bundle.name}")
+    print(f"example {ws.name}")
     for name, p in ws.posets.items():
         print(f"poset {name}: {len(p.elements)} elements")
     for name, f in ws.functions.items():
         print(f"fn {name} : {_poset_name(ws, f.dom)} -> {_poset_name(ws, f.cod)}")
     for name, r in ws.relations.items():
         print(f"rel {name} on {_poset_name(ws, r.carrier)}: {format_relation(r)}")
-    if bundle.notes:
-        print(f"notes: {bundle.notes}")
+    if ws.notes:
+        print(f"notes: {ws.notes}")
     return 0
 
 

@@ -1,81 +1,42 @@
 """Complete preorders on a poset: the order-aware information lattice.
 
 A complete preorder respects the carrier's suprema of directed subsets;
-on a finite poset that is the same as containing the carrier order, and
-that fast test is the production path (`is_complete_preorder`), with the
-directed-suprema definition kept alongside as a cross-check.  The
-lattice is ordered by reverse inclusion with the carrier order itself at
-the top.  This module also houses the round trip to the equivalence
-world: underlying equivalence (`er`), completion (`cp`), realisability,
-and the quotient construction witnessing that complete preorders are
-exactly the ordered kernels of monotone tables.
+on a finite poset that is the same as containing the carrier order.
+That test is `is_complete_preorder`, defined in `relation` and
+re-exported here; the tests check it against the directed-suprema
+definition.  The lattice is ordered by reverse inclusion with the
+carrier order itself at the top.  This module also houses the round
+trip to the equivalence world: underlying equivalence (`er`),
+completion (`cp`), realisability, and the quotient construction
+witnessing that complete preorders are exactly the ordered kernels of
+monotone tables.
 """
 
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CapExceededError, ValidationError
-from .loi import pullback
-from .poset import FnTable, Poset, bits, close_rows
-from .relation import (Rel, close, intersect, invert, order_rel,
-                       rel_from_pairs, to_ordered_partition, union)
+from .loi import _image_closure, pullback
+from .poset import FnTable, Poset, _monotone_tables, bits, close_rows
+from .relation import (Rel, close, intersect, invert, order_rel, require,
+                       to_ordered_partition, union)
+from .relation import is_complete_preorder  # noqa: F401  (re-exported)
 
 DEFAULT_ENUMERATION_CAP = 6
 DEFAULT_SEARCH_BOUND = 10_000_000
 
 
-def _require_on(r: Rel, carrier: Poset, what: str) -> None:
-    if r.carrier != carrier:
-        raise ValidationError(f"{what} lives on the wrong carrier")
-
-
-def _require_complete(q: Rel, what: str) -> None:
-    if not is_complete_preorder(q):
-        raise ValidationError(f"{what} must be a complete preorder")
-
-
-def is_complete_preorder(q: Rel) -> bool:
-    """Fast path: a preorder containing the carrier order.
-
-    On finite posets this coincides with the directed-suprema
-    definition; `is_complete_preorder_exhaustive` checks that
-    definition literally and the two are asserted to agree in tests.
-    """
-    return q.is_preorder and order_rel(q.carrier).subset_of(q)
-
-
-def is_complete_preorder_exhaustive(q: Rel) -> bool:
-    """Directed-suprema definition, checked subset by subset.
-
-    For every directed subset X with supremum s: every member of X is
-    below s in q, and any q-upper bound of all of X is above s in q.
-    Exponential; intended for small carriers and as a test oracle.
-    """
-    if not q.is_preorder:
-        return False
-    n = len(q.carrier.elements)
-    for mask, top in q.carrier.directed_subsets():
-        for x in bits(mask):
-            if not q.holds_idx(x, top):
-                return False
-        for a in range(n):
-            if all(q.holds_idx(x, a) for x in bits(mask)):
-                if not q.holds_idx(top, a):
-                    return False
-    return True
-
-
 def loci_leq(p: Rel, q: Rel) -> bool:
     """p below q (q more revealing): q contained in p."""
-    _require_complete(p, "left argument")
-    _require_complete(q, "right argument")
+    require(p, "complete", "left argument")
+    require(q, "complete", "right argument")
     return q.subset_of(p)
 
 
 def loci_join(p: Rel, q: Rel) -> Rel:
     """Least upper bound: the intersection."""
-    _require_complete(p, "left argument")
-    _require_complete(q, "right argument")
+    require(p, "complete", "left argument")
+    require(q, "complete", "right argument")
     return intersect(p, q)
 
 
@@ -84,8 +45,8 @@ def loci_meet(p: Rel, q: Rel) -> Rel:
 
     The closure already contains the carrier order, so it is complete.
     """
-    _require_complete(p, "left argument")
-    _require_complete(q, "right argument")
+    require(p, "complete", "left argument")
+    require(q, "complete", "right argument")
     return close(union(p, q), "refl_trans")
 
 
@@ -107,8 +68,7 @@ def ordered_knowledge_set(f: FnTable, a: str) -> frozenset[str]:
 
 def loci_pullback(f: FnTable, q: Rel) -> Rel:
     """Inverse image of a complete preorder; again complete for monotone f."""
-    _require_complete(q, "relation")
-    _require_on(q, f.cod, "relation")
+    require(q, "complete", "relation", f.cod)
     return pullback(f, q)
 
 
@@ -117,19 +77,13 @@ def loci_pushforward(f: FnTable, p: Rel) -> Rel:
 
     Closure of the image pairs together with the codomain order.
     """
-    _require_complete(p, "precondition")
-    _require_on(p, f.dom, "precondition")
-    image_pairs = rel_from_pairs(
-        f.cod,
-        ((f.cod.elements[f.images[i]], f.cod.elements[f.images[j]])
-         for i, row in enumerate(p.rows) for j in bits(row)))
-    return close(union(image_pairs, order_rel(f.cod)), "refl_trans")
+    require(p, "complete", "precondition", f.dom)
+    return _image_closure(f, p, order_rel(f.cod), "refl_trans")
 
 
 def er(p: Rel) -> Rel:
     """Underlying equivalence of a preorder: the mutually related pairs."""
-    if not p.is_preorder:
-        raise ValidationError("argument must be a preorder")
+    require(p, "preorder", "argument")
     return intersect(p, invert(p))
 
 
@@ -140,8 +94,7 @@ def cp(r: Rel) -> Rel:
     carrier order; tests cross-check this against the defining
     intersection of all complete preorders containing r.
     """
-    if not r.is_equivalence:
-        raise ValidationError("argument must be an equivalence relation")
+    require(r, "equivalence", "argument")
     return close(union(r, order_rel(r.carrier)), "refl_trans")
 
 
@@ -195,8 +148,7 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     onto the closed block order realises r; otherwise any non-trivial
     cycle is returned as the obstruction.
     """
-    if not r.is_equivalence:
-        raise ValidationError("argument must be an equivalence relation")
+    require(r, "equivalence", "argument")
     op = to_ordered_partition(r)
     blocks = op.blocks
     k = len(blocks)
@@ -211,7 +163,7 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     for b1 in range(k):
         row = 0
         for b2 in range(k):
-            if any(carrier.up_mask(x) & block_masks[b2]
+            if any(carrier.rows[x] & block_masks[b2]
                    for x in bits(block_masks[b1])):
                 row |= 1 << b2
         phi.append(row)
@@ -239,7 +191,7 @@ def quotient_map(q: Rel) -> FnTable:
     The codomain is the block order; the ordered kernel of the result
     is q itself.
     """
-    _require_complete(q, "argument")
+    require(q, "complete", "argument")
     op = to_ordered_partition(q)
     target = Poset(tuple(_block_name(b) for b in op.blocks), op.block_rows)
     images = [0] * len(q.carrier.elements)
@@ -344,28 +296,5 @@ def find_monotone_postprocessor(f: FnTable, g: FnTable,
             required[j] = v
         elif required[j] != v:
             return None
-    images: list[int] = []
-
-    def feasible(pos: int, candidate: int) -> bool:
-        for prev in range(pos):
-            if g.cod.leq_idx(prev, pos) and not f.cod.leq_idx(images[prev], candidate):
-                return False
-            if g.cod.leq_idx(pos, prev) and not f.cod.leq_idx(candidate, images[prev]):
-                return False
-        return True
-
-    def rec(pos: int) -> bool:
-        if pos == m:
-            return True
-        want = required[pos]
-        for candidate in range(k) if want is None else (want,):
-            if feasible(pos, candidate):
-                images.append(candidate)
-                if rec(pos + 1):
-                    return True
-                images.pop()
-        return False
-
-    if rec(0):
-        return FnTable(g.cod, f.cod, tuple(images))
-    return None
+    choices = [range(k) if want is None else (want,) for want in required]
+    return next(_monotone_tables(g.cod, f.cod, choices), None)

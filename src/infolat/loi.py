@@ -10,39 +10,28 @@ union.  Kernels, knowledge sets, flow checking and the two image maps
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .poset import FnTable, Poset, bits
-from .relation import (Rel, close, identity_rel, intersect, rel_from_pairs,
-                       union)
-
-
-def _require_equivalence(r: Rel, what: str) -> None:
-    if not r.is_equivalence:
-        raise ValidationError(f"{what} must be an equivalence relation")
-
-
-def _require_on(r: Rel, carrier: Poset, what: str) -> None:
-    if r.carrier != carrier:
-        raise ValidationError(f"{what} lives on the wrong carrier")
+from .poset import FnTable, bits
+from .relation import Rel, close, identity_rel, intersect, require, union
 
 
 def loi_leq(p: Rel, q: Rel) -> bool:
     """p below q (q reveals at least as much): q is a subset of p."""
-    _require_equivalence(p, "left argument")
-    _require_equivalence(q, "right argument")
+    require(p, "equivalence", "left argument")
+    require(q, "equivalence", "right argument")
     return q.subset_of(p)
 
 
 def loi_join(p: Rel, q: Rel) -> Rel:
     """Least upper bound: the intersection."""
-    _require_equivalence(p, "left argument")
-    _require_equivalence(q, "right argument")
+    require(p, "equivalence", "left argument")
+    require(q, "equivalence", "right argument")
     return intersect(p, q)
 
 
 def loi_meet(p: Rel, q: Rel) -> Rel:
     """Greatest lower bound: equivalence closure of the union."""
-    _require_equivalence(p, "left argument")
-    _require_equivalence(q, "right argument")
+    require(p, "equivalence", "left argument")
+    require(q, "equivalence", "right argument")
     return close(union(p, q), "equivalence")
 
 
@@ -81,8 +70,8 @@ def flow_check(f: FnTable, pre: Rel, post: Rel) -> Violation | None:
     Returns None when the property holds, otherwise the first violating
     pair in row-major canonical order.  Works for arbitrary relations.
     """
-    _require_on(pre, f.dom, "precondition")
-    _require_on(post, f.cod, "postcondition")
+    require(pre, None, "precondition", f.dom)
+    require(post, None, "postcondition", f.cod)
     names = f.dom.elements
     for i, row in enumerate(pre.rows):
         for j in bits(row):
@@ -99,7 +88,7 @@ def pullback(f: FnTable, r: Rel) -> Rel:
     Preserves reflexivity, transitivity and symmetry; the kernel of f
     is the pullback of the identity relation.
     """
-    _require_on(r, f.cod, "relation")
+    require(r, None, "relation", f.cod)
     rows = []
     for i in range(len(f.dom.elements)):
         row = 0
@@ -117,13 +106,18 @@ def pushforward(f: FnTable, p: Rel) -> Rel:
     Equivalence closure over the codomain of the image pairs of p; the
     least Q (most revealing) with f carrying p to Q.
     """
-    _require_equivalence(p, "precondition")
-    _require_on(p, f.dom, "precondition")
-    image_pairs = rel_from_pairs(
-        f.cod,
-        ((f.cod.elements[f.images[i]], f.cod.elements[f.images[j]])
-         for i, row in enumerate(p.rows) for j in bits(row)))
-    return close(union(image_pairs, identity_rel(f.cod)), "equivalence")
+    require(p, "equivalence", "precondition", f.dom)
+    return _image_closure(f, p, identity_rel(f.cod), "equivalence")
+
+
+def _image_closure(f: FnTable, p: Rel, base: Rel, kind: str) -> Rel:
+    """Closure of ``kind`` over the image pairs of p added to ``base``,
+    a relation on the codomain of f."""
+    rows = list(base.rows)
+    for i, row in enumerate(p.rows):
+        for j in bits(row):
+            rows[f.images[i]] |= 1 << f.images[j]
+    return close(Rel(f.cod, tuple(rows)), kind)
 
 
 def find_postprocessor(f: FnTable, g: FnTable) -> FnTable | None:

@@ -9,7 +9,7 @@ per element; bit ``j`` of ``rows[i]`` is set iff
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotMonotoneError, OrderCycleError, ValidationError
 
@@ -35,6 +35,15 @@ def close_rows(rows: Iterable[int]) -> list[int]:
             if out[i] & bit_k:
                 out[i] |= row_k
     return out
+
+
+def transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """Converse of bitmask rows: bit i of ``out[j]`` iff bit j of ``rows[i]``."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            cols[j] |= 1 << i
+    return tuple(cols)
 
 
 def _check_names(names: tuple[str, ...]) -> None:
@@ -95,12 +104,7 @@ class Poset:
     @cached_property
     def cols(self) -> tuple[int, ...]:
         """Transposed rows: bit i of ``cols[j]`` iff element i <= element j."""
-        n = len(self.elements)
-        cols = [0] * n
-        for i, row in enumerate(self.rows):
-            for j in bits(row):
-                cols[j] |= 1 << i
-        return tuple(cols)
+        return transpose(self.rows)
 
     def index(self, name: str) -> int:
         try:
@@ -113,12 +117,6 @@ class Poset:
 
     def leq_idx(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
-
-    def up_mask(self, i: int) -> int:
-        return self.rows[i]
-
-    def down_mask(self, i: int) -> int:
-        return self.cols[i]
 
     def minimum(self) -> int | None:
         """Index of the global least element, if there is one."""
@@ -138,41 +136,6 @@ class Poset:
                 if not between:
                     out.append((i, j))
         return out
-
-    def is_directed(self, mask: int) -> bool:
-        """Is the subset given by ``mask`` non-empty and directed?"""
-        if not mask:
-            return False
-        members = list(bits(mask))
-        for a in members:
-            for b in members:
-                if not (self.rows[a] & self.rows[b] & mask):
-                    return False
-        return True
-
-    def greatest_of(self, mask: int) -> int | None:
-        """Index of the greatest element of the subset, if any."""
-        common = (1 << len(self.elements)) - 1
-        for i in bits(mask):
-            common &= self.rows[i]
-        common &= mask
-        if common:
-            return next(bits(common))
-        return None
-
-    def directed_subsets(self) -> Iterator[tuple[int, int]]:
-        """Yield (mask, greatest index) for every directed subset.
-
-        Exponential in the carrier size; meant for small carriers and
-        test oracles.
-        """
-        for mask in range(1, 1 << len(self.elements)):
-            if self.is_directed(mask):
-                top = self.greatest_of(mask)
-                if top is None:
-                    # cannot happen in a finite poset; fail loudly if it does
-                    raise AssertionError("directed subset without greatest element")
-                yield mask, top
 
 
 def build_poset(names: Iterable[str], covers: Iterable[tuple[str, str]]) -> Poset:
@@ -255,9 +218,6 @@ class FnTable:
     def __call__(self, name: str) -> str:
         return self.cod.elements[self.images[self.dom.index(name)]]
 
-    def image_idx(self, i: int) -> int:
-        return self.images[i]
-
     def mapping(self) -> dict[str, str]:
         return {x: self.cod.elements[v]
                 for x, v in zip(self.dom.elements, self.images)}
@@ -320,8 +280,15 @@ def iter_monotone_tables(dom: Poset, cod: Poset) -> Iterator[FnTable]:
     Depth-first with partial-monotonicity pruning; exponential in the
     domain size.
     """
+    every = range(len(cod.elements))
+    return _monotone_tables(dom, cod, [every] * len(dom.elements))
+
+
+def _monotone_tables(dom: Poset, cod: Poset,
+                     choices: Sequence[Iterable[int]]) -> Iterator[FnTable]:
+    """Monotone tables whose image at position i is drawn from
+    ``choices[i]``, in the order the choices give."""
     n = len(dom.elements)
-    k = len(cod.elements)
     images: list[int] = []
 
     def feasible(pos: int, candidate: int) -> bool:
@@ -336,7 +303,7 @@ def iter_monotone_tables(dom: Poset, cod: Poset) -> Iterator[FnTable]:
         if pos == n:
             yield FnTable(dom, cod, tuple(images))
             return
-        for candidate in range(k):
+        for candidate in choices[pos]:
             if feasible(pos, candidate):
                 images.append(candidate)
                 yield from rec(pos + 1)

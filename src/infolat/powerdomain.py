@@ -1,11 +1,11 @@
 """Finite convex (Plotkin) powerdomains.
 
 Elements are non-empty convex subsets of a base poset, ordered by the
-Egli-Milner extension of the base order; the extension of an arbitrary
-relation to subsets is exposed separately so order-aware relations can
-be lifted alongside.  Union-then-convex-closure gives the binary
-nondeterministic choice, and the Kleisli extension/composition wire
-set-valued tables together.
+Egli-Milner extension of the base order; `pd_lift_relation` extends a
+complete preorder the same way, so order-aware relations can be lifted
+alongside.  Union-then-convex-closure gives the binary nondeterministic
+choice, and the Kleisli extension/composition wire set-valued tables
+together.
 """
 
 from dataclasses import dataclass
@@ -13,9 +13,8 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import CapExceededError, ValidationError
-from .loci import is_complete_preorder
-from .poset import FnTable, Poset, bits
-from .relation import Rel, order_rel
+from .poset import FnTable, Poset, bits, transpose
+from .relation import Rel, order_rel, require
 
 DEFAULT_POWERDOMAIN_CAP = 5
 
@@ -39,7 +38,7 @@ def subset_name(base: Poset, mask: int) -> str:
 def _convex_mask(base: Poset, mask: int) -> int:
     out = 0
     for b in range(len(base.elements)):
-        if base.down_mask(b) & mask and base.up_mask(b) & mask:
+        if base.cols[b] & mask and base.rows[b] & mask:
             out |= 1 << b
     return out
 
@@ -98,11 +97,7 @@ def pd_union(x: PdElement, y: PdElement) -> PdElement:
 
 def _em_rows(r: Rel, masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """Egli-Milner extension of r, restricted to the given subset masks."""
-    n = len(r.carrier.elements)
-    cols = [0] * n
-    for i, row in enumerate(r.rows):
-        for j in bits(row):
-            cols[j] |= 1 << i
+    cols = transpose(r.rows)
     rows = []
     for xm in masks:
         row = 0
@@ -112,24 +107,6 @@ def _em_rows(r: Rel, masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
                 row |= 1 << t
         rows.append(row)
     return tuple(rows)
-
-
-def subset_space(base: Poset) -> Poset:
-    """Discrete carrier of every non-empty subset, canonical order."""
-    masks = _all_subset_masks(base)
-    names = tuple(subset_name(base, m) for m in masks)
-    return Poset(names, tuple(1 << i for i in range(len(names))))
-
-
-def em_extension(r: Rel) -> Rel:
-    """Egli-Milner extension of a relation, over all non-empty subsets.
-
-    Both clauses at once: every member of the left set reaches into the
-    right set, and every member of the right set is reached from the
-    left set.
-    """
-    masks = _all_subset_masks(r.carrier)
-    return Rel(subset_space(r.carrier), _em_rows(r, masks))
 
 
 @dataclass(frozen=True, repr=False)
@@ -196,7 +173,6 @@ def kleisli_compose(f: FnTable, g: FnTable,
 
 def pd_lift_relation(p: Rel, cap: int = DEFAULT_POWERDOMAIN_CAP) -> Rel:
     """Egli-Milner extension of a complete preorder, on the powerdomain carrier."""
-    if not is_complete_preorder(p):
-        raise ValidationError("argument must be a complete preorder")
+    require(p, "complete", "argument")
     carrier = plotkin(p.carrier, cap)
     return Rel(carrier, _em_rows(p, list(carrier.masks)))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
-from .poset import Poset, bits, close_rows
+from .poset import Poset, bits, close_rows, transpose
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ class Rel:
 
     @property
     def is_symmetric(self) -> bool:
-        return all(self.holds_idx(j, i)
-                   for i, row in enumerate(self.rows) for j in bits(row))
+        return transpose(self.rows) == self.rows
 
     @property
     def is_transitive(self) -> bool:
@@ -112,6 +111,36 @@ def order_rel(carrier: Poset) -> Rel:
     return Rel(carrier, carrier.rows)
 
 
+def is_complete_preorder(q: Rel) -> bool:
+    """A preorder containing the carrier order.
+
+    On finite posets this coincides with the definition by suprema of
+    directed subsets; the tests check that definition literally and
+    assert that the two agree.
+    """
+    return q.is_preorder and order_rel(q.carrier).subset_of(q)
+
+
+_CLASSES = {
+    "preorder": (lambda r: r.is_preorder, "a preorder"),
+    "equivalence": (lambda r: r.is_equivalence, "an equivalence relation"),
+    "complete": (is_complete_preorder, "a complete preorder"),
+}
+
+
+def require(r: Rel, cls: str | None, what: str,
+            carrier: Poset | None = None) -> None:
+    """Reject ``r`` unless it is in ``cls`` ('preorder', 'equivalence',
+    'complete' or None for any relation) and, when given, lives on
+    ``carrier``.  ``what`` names the argument in the error message."""
+    if cls is not None:
+        test, noun = _CLASSES[cls]
+        if not test(r):
+            raise ValidationError(f"{what} must be {noun}")
+    if carrier is not None and r.carrier != carrier:
+        raise ValidationError(f"{what} lives on the wrong carrier")
+
+
 CLOSURE_KINDS = ("refl_trans", "equivalence")
 
 
@@ -119,12 +148,9 @@ def close(r: Rel, kind: str) -> Rel:
     """Reflexive-transitive or full equivalence closure."""
     if kind not in CLOSURE_KINDS:
         raise ValidationError(f"unknown closure kind {kind!r}")
-    rows = list(r.rows)
+    rows = r.rows
     if kind == "equivalence":
-        n = len(rows)
-        for i in range(n):
-            for j in bits(rows[i]):
-                rows[j] |= 1 << i
+        rows = [a | b for a, b in zip(rows, transpose(rows))]
     return Rel(r.carrier, tuple(close_rows(rows)))
 
 
@@ -139,12 +165,7 @@ def union(r: Rel, s: Rel) -> Rel:
 
 
 def invert(r: Rel) -> Rel:
-    n = len(r.rows)
-    rows = [0] * n
-    for i, row in enumerate(r.rows):
-        for j in bits(row):
-            rows[j] |= 1 << i
-    return Rel(r.carrier, tuple(rows))
+    return Rel(r.carrier, transpose(r.rows))
 
 
 def compose(r: Rel, s: Rel) -> Rel:
@@ -157,18 +178,6 @@ def compose(r: Rel, s: Rel) -> Rel:
             acc |= s.rows[j]
         rows.append(acc)
     return Rel(r.carrier, tuple(rows))
-
-
-def rel_algebra(op: str, r: Rel, s: Rel | None = None) -> Rel:
-    """Dispatch on 'intersect' | 'union' | 'invert' | 'compose'."""
-    if op == "invert":
-        return invert(r)
-    if s is None:
-        raise ValidationError(f"operation {op!r} needs two relations")
-    table = {"intersect": intersect, "union": union, "compose": compose}
-    if op not in table:
-        raise ValidationError(f"unknown relation operation {op!r}")
-    return table[op](r, s)
 
 
 def restrict_rel(r: Rel, target: Poset) -> Rel:
@@ -227,6 +236,7 @@ def to_ordered_partition(q: Rel) -> OrderedPartition:
         raise ValidationError("only a preorder has an ordered partition")
     n = len(q.carrier.elements)
     names = q.carrier.elements
+    converse = transpose(q.rows)
     block_index = [-1] * n
     block_masks: list[int] = []
     blocks: list[tuple[str, ...]] = []
@@ -234,10 +244,7 @@ def to_ordered_partition(q: Rel) -> OrderedPartition:
         if block_index[i] >= 0:
             continue
         # mutual class of i: every j with i q j and j q i
-        mask = 0
-        for j in bits(q.rows[i]):
-            if q.holds_idx(j, i):
-                mask |= 1 << j
+        mask = q.rows[i] & converse[i]
         b = len(blocks)
         for j in bits(mask):
             block_index[j] = b

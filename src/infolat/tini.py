@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
-from .loci import is_complete_preorder, iter_equivalences
+from .loci import iter_equivalences
 from .loi import FnTable, Violation, flow_check, loi_join, pullback
 from .poset import Poset
-from .relation import Rel, equivalence_from_blocks
+from .relation import Rel, equivalence_from_blocks, require
 
 
 def compatible_extension(q: Rel) -> Rel:
@@ -24,8 +24,7 @@ def compatible_extension(q: Rel) -> Rel:
     Contains q, is reflexive and symmetric, and in general is not
     transitive.
     """
-    if not q.is_preorder:
-        raise ValidationError("argument must be a preorder")
+    require(q, "preorder", "argument")
     rows = tuple(
         sum(1 << j for j in range(len(q.rows)) if q.rows[i] & q.rows[j])
         for i in range(len(q.rows)))
@@ -34,10 +33,8 @@ def compatible_extension(q: Rel) -> Rel:
 
 def ti_flow_check(f: FnTable, pre: Rel, post: Rel) -> Violation | None:
     """Flow check between the compatible extensions of two complete preorders."""
-    if not is_complete_preorder(pre):
-        raise ValidationError("precondition must be a complete preorder")
-    if not is_complete_preorder(post):
-        raise ValidationError("postcondition must be a complete preorder")
+    require(pre, "complete", "precondition")
+    require(post, "complete", "postcondition")
     return flow_check(f, compatible_extension(pre), compatible_extension(post))
 
 
@@ -62,10 +59,9 @@ def flat_termination_observer(b: Poset) -> Rel:
 def ti_via_observer(f: FnTable, pre: Rel, post: Rel, t: Rel) -> Violation | None:
     """Equivalence-side encoding: strengthen the precondition with the
     pulled-back termination observer, then flow check."""
-    for r, what in ((pre, "precondition"), (post, "postcondition"),
-                    (t, "termination observer")):
-        if not r.is_equivalence:
-            raise ValidationError(f"{what} must be an equivalence relation")
+    require(pre, "equivalence", "precondition")
+    require(post, "equivalence", "postcondition")
+    require(t, "equivalence", "termination observer")
     return flow_check(f, loi_join(pre, pullback(f, t)), post)
 
 

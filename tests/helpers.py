@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from infolat import (FnTable, Poset, Rel, build_poset, chain, close,
                      discrete, iter_monotone_tables, lift, order_rel,
-                     rel_from_pairs, union)
+                     rel_from_pairs, subset_name, union)
+from infolat.poset import bits
+from infolat.powerdomain import _all_subset_masks, _em_rows
 from infolat.relation import equivalence_from_blocks
 
 # --- fixed carriers ---------------------------------------------------
@@ -95,6 +97,85 @@ def all_preorder_pair_sets(n, must_contain=frozenset()):
 def rel_of_pairs(carrier: Poset, pairs) -> Rel:
     els = carrier.elements
     return rel_from_pairs(carrier, [(els[i], els[j]) for i, j in pairs])
+
+
+# --- definitions checked literally ------------------------------------
+
+
+def is_directed(p: Poset, mask: int) -> bool:
+    """Is the subset given by ``mask`` non-empty and directed?"""
+    if not mask:
+        return False
+    members = list(bits(mask))
+    for a in members:
+        for b in members:
+            if not (p.rows[a] & p.rows[b] & mask):
+                return False
+    return True
+
+
+def greatest_of(p: Poset, mask: int) -> int | None:
+    """Index of the greatest element of the subset, if any."""
+    common = (1 << len(p.elements)) - 1
+    for i in bits(mask):
+        common &= p.rows[i]
+    common &= mask
+    if common:
+        return next(bits(common))
+    return None
+
+
+def directed_subsets(p: Poset):
+    """Yield (mask, greatest index) for every directed subset.
+
+    Exponential in the carrier size; meant for small carriers.
+    """
+    for mask in range(1, 1 << len(p.elements)):
+        if is_directed(p, mask):
+            top = greatest_of(p, mask)
+            if top is None:
+                # cannot happen in a finite poset; fail loudly if it does
+                raise AssertionError("directed subset without greatest element")
+            yield mask, top
+
+
+def is_complete_preorder_exhaustive(q: Rel) -> bool:
+    """Directed-suprema definition, checked subset by subset.
+
+    For every directed subset X with supremum s: every member of X is
+    below s in q, and any q-upper bound of all of X is above s in q.
+    Exponential; the oracle for ``is_complete_preorder``.
+    """
+    if not q.is_preorder:
+        return False
+    n = len(q.carrier.elements)
+    for mask, top in directed_subsets(q.carrier):
+        for x in bits(mask):
+            if not q.holds_idx(x, top):
+                return False
+        for a in range(n):
+            if all(q.holds_idx(x, a) for x in bits(mask)):
+                if not q.holds_idx(top, a):
+                    return False
+    return True
+
+
+def subset_space(base: Poset) -> Poset:
+    """Discrete carrier of every non-empty subset, canonical order."""
+    masks = _all_subset_masks(base)
+    names = tuple(subset_name(base, m) for m in masks)
+    return Poset(names, tuple(1 << i for i in range(len(names))))
+
+
+def em_extension(r: Rel) -> Rel:
+    """Egli-Milner extension of a relation, over all non-empty subsets.
+
+    Both clauses at once: every member of the left set reaches into the
+    right set, and every member of the right set is reached from the
+    left set.
+    """
+    masks = _all_subset_masks(r.carrier)
+    return Rel(subset_space(r.carrier), _em_rows(r, masks))
 
 
 # --- strategies -------------------------------------------------------

@@ -52,8 +52,9 @@ from infolat import (
 from infolat.loci import iter_equivalences
 from infolat.poset import (FnTable, Poset, build_poset, chain, discrete,
                            iter_monotone_tables, lift)
-from infolat.powerdomain import _all_subset_masks, _convex_mask, _em_rows, em_extension
+from infolat.powerdomain import _all_subset_masks, _convex_mask, _em_rows
 from infolat.relation import all_rel, close, identity_rel, order_rel, union
+from helpers import em_extension
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from infolat import get_example, list_examples
-from infolat.cli import (Workspace, _tokenize, bundle_workspace, emit_dot,
-                         export_poset, export_workspace, parse_workspace, run)
+from infolat.cli import (Workspace, _tokenize, emit_dot, export_poset,
+                         export_workspace, parse_workspace, run)
 from infolat.errors import ParseError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -99,7 +99,7 @@ class TestParse:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_export_round_trips(self, name):
-        ws = bundle_workspace(get_example(name))
+        ws = get_example(name)
         text = export_workspace(ws)
         assert export_workspace(parse_workspace(text)) == text
 
@@ -237,6 +237,7 @@ class TestRun:
          "--post", "All"],
         ["kernel", "--example", "V", "--fn", "missing"],
         ["kernel", "--file", "/no/such/file.ws", "--fn", "f"],
+        ["kernel", "--file", "nul\0in-path.ws", "--fn", "f"],
         ["cp", "--example", "V", "--rel", "missing"],
         ["catalog", "--name", "nope"],
         ["no-such-command"],
@@ -245,6 +246,16 @@ class TestRun:
     def test_bad_input_exits_two(self, capsys, argv):
         assert run(argv) == 2
         capsys.readouterr()
+
+    def test_undecodable_file_exits_two(self, tmp_path):
+        path = tmp_path / "latin1.ws"
+        path.write_bytes("poset A { elements: café ; order: }".encode("latin-1"))
+        proc = subprocess.run([sys.executable, "-m", "infolat", "kernel",
+                               "--file", str(path), "--fn", "f"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot read")
+        assert "Traceback" not in proc.stderr
 
 
 class TestGolden:
@@ -288,8 +299,8 @@ def test_export_poset_quotes_nothing_extra():
 
 
 def test_workspace_merge_rejects_collisions():
-    first = bundle_workspace(get_example("V"))
-    second = bundle_workspace(get_example("V"))
+    first = get_example("V")
+    second = get_example("V")
     with pytest.raises(Exception, match="already defined"):
         first.merge(second)
 

@@ -1,23 +1,27 @@
 """Complete preorders: lattice, Galois round trip, realisability, quotients."""
 
+import itertools
+import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from infolat import (CapExceededError, ValidationError, all_rel, cp,
-                     enumerate_loci, enumerate_loi, er,
-                     find_monotone_postprocessor, flow_check, get_example,
-                     identity_rel, intersect, is_complete_preorder,
-                     is_realisable, iter_equivalences, kernel, loci_join,
-                     loci_leq, loci_meet, loci_pullback, loci_pushforward, loi_leq,
-                     order_rel, ordered_kernel, ordered_knowledge_set,
-                     phi_realisability, quotient_map, rel_from_pairs)
-from infolat.loci import is_complete_preorder_exhaustive
+from infolat import (CapExceededError, FnTable, Poset, ValidationError,
+                     all_rel, build_poset, close, cp, enumerate_loci,
+                     enumerate_loi, er, find_monotone_postprocessor,
+                     flow_check, get_example, identity_rel, intersect, invert,
+                     is_complete_preorder, is_realisable, iter_equivalences,
+                     kernel, loci_join, loci_leq, loci_meet, loci_pullback,
+                     loci_pushforward, loi_leq, order_rel, ordered_kernel,
+                     ordered_knowledge_set, phi_realisability, pushforward,
+                     quotient_map, rel_from_pairs, union)
 from helpers import (BELL, BOOLBOT, CHAIN2, CHAIN3, CHAIN4, DIAMOND, DISC2,
                      DISC3, FAMILY, VEE, all_preorder_pair_sets,
                      complete_preorders, equivalences, fn_between_family,
-                     idx_pairs, monotone_fns, preorders, set_partitions)
+                     idx_pairs, is_complete_preorder_exhaustive,
+                     monotone_fns, oracle_close, preorders, rel_of_pairs,
+                     set_partitions)
 
 LOCI_VEE = enumerate_loci(VEE)
 LOI_VEE = enumerate_loi(VEE)
@@ -282,15 +286,51 @@ class TestMonotonePostprocessor:
 
     @given(monotone_fns(CHAIN3, VEE), monotone_fns(CHAIN3, DIAMOND))
     def test_found_iff_search_space_has_one(self, f, g):
-        from infolat import iter_monotone_tables
+        # every table, not just the monotone ones the search shares with
+        # iter_monotone_tables; product() yields them lexicographically
         p = find_monotone_postprocessor(f, g)
-        brute = [t for t in iter_monotone_tables(g.cod, f.cod)
-                 if g.then(t).images == f.images]
-        assert (p is not None) == bool(brute)
-        if p is not None:
-            assert g.then(p).images == f.images
+        m, k = len(g.cod.elements), len(f.cod.elements)
+        tables = (FnTable(g.cod, f.cod, images)
+                  for images in itertools.product(range(k), repeat=m))
+        brute = [t for t in tables
+                 if t.is_monotone and g.then(t).images == f.images]
+        assert p == (brute[0] if brute else None)
 
     def test_bound_enforced(self):
         f = get_example("parity", n=4).functions["f1"]
         with pytest.raises(CapExceededError):
             find_monotone_postprocessor(f, f, bound=1)
+
+
+def _seeded_poset(rng: random.Random, n: int) -> Poset:
+    names = tuple(f"e{i}" for i in range(n))
+    covers = [(names[i], names[j]) for j in range(n) for i in range(j)
+              if rng.random() < 2 / n]
+    return build_poset(names, covers)
+
+
+@settings(max_examples=25)
+@given(st.integers(10, 40), st.integers(10, 40), st.integers(0, 2 ** 32))
+def test_image_closure_and_transpose_match_pair_sets(n, m, seed):
+    """Both pushforwards, Poset.cols and invert against pair sets, on
+    carriers far larger than the drawn posets above."""
+    rng = random.Random(seed)
+    dom, cod = _seeded_poset(rng, n), _seeded_poset(rng, m)
+    f = FnTable(dom, cod, tuple(rng.randrange(m) for _ in range(n)))
+    blocks = [rng.randrange(n // 3) for _ in range(n)]
+    p = rel_of_pairs(dom, [(i, j) for i in range(n) for j in range(n)
+                           if blocks[i] == blocks[j]])
+    extra = [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]
+    q = close(union(order_rel(dom), rel_of_pairs(dom, extra)), "refl_trans")
+
+    def image(r):
+        return {(f.images[i], f.images[j]) for i, j in idx_pairs(r)}
+
+    assert idx_pairs(pushforward(f, p)) == \
+        oracle_close(image(p), m, symmetric=True)
+    assert idx_pairs(loci_pushforward(f, q)) == \
+        oracle_close(image(q) | idx_pairs(order_rel(cod)), m)
+    order = idx_pairs(order_rel(dom))
+    assert {(i, j) for j, col in enumerate(dom.cols) for i in range(n)
+            if (col >> i) & 1} == order
+    assert idx_pairs(invert(q)) == {(b, a) for a, b in idx_pairs(q)}

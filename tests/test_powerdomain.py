@@ -5,14 +5,15 @@ from hypothesis import given, strategies as st
 
 from infolat import (CapExceededError, ValidationError, all_rel, check_monotone,
                      enumerate_loci,
-                     compatible_extension, convex_closure, em_extension,
+                     compatible_extension, convex_closure,
                      flow_check, get_example, is_complete_preorder,
                      kleisli_compose, kleisli_extend, order_rel, pd_element,
                      pd_lift_relation, pd_union, pd_unit, plotkin, subset_name,
                      ti_flow_check)
 from infolat.powerdomain import _all_subset_masks, _convex_mask, _em_rows
 from helpers import (BOOLBOT, CHAIN2, CHAIN3, DIAMOND, DISC2, VEE,
-                     complete_preorders, monotone_fns, preorders)
+                     complete_preorders, em_extension, monotone_fns,
+                     preorders)
 
 ND = get_example("nd-bool")
 

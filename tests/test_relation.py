@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from infolat import (Rel, ValidationError, all_rel, block_label,
                      build_poset, close, compose, discrete, format_relation,
                      from_ordered_partition, identity_rel, intersect, invert,
-                     order_rel, rel_algebra, rel_from_pairs, restrict_rel,
+                     order_rel, rel_from_pairs, restrict_rel,
                      to_ordered_partition, union)
 from infolat.relation import equivalence_from_blocks, preorder_from_blocks
 from helpers import (CHAIN3, CHAIN4, VEE, idx_pairs, oracle_close,
@@ -67,16 +67,6 @@ def test_boolean_algebra_matches_sets(ps, qs):
     assert idx_pairs(union(r, s)) == rp | sp
     assert idx_pairs(invert(r)) == {(b, a) for a, b in rp}
     assert idx_pairs(compose(r, s)) == oracle_compose(rp, sp, 4)
-
-
-def test_rel_algebra_dispatch():
-    r = identity_rel(VEE)
-    assert rel_algebra("union", r, all_rel(VEE)) == all_rel(VEE)
-    assert rel_algebra("invert", r) == r
-    with pytest.raises(ValidationError):
-        rel_algebra("intersect", r)  # missing second argument
-    with pytest.raises(ValidationError):
-        rel_algebra("xor", r, r)
 
 
 def test_carrier_mismatch_rejected():
