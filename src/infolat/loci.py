@@ -208,20 +208,27 @@ def iter_equivalences(carrier: Poset) -> Iterator[Rel]:
     searches; counts follow the Bell numbers.
     """
     n = len(carrier.elements)
-    assignment = [0] * n
-
-    def rec(i: int, nblocks: int) -> Iterator[Rel]:
-        if i == n:
-            masks = [0] * nblocks
-            for x, b in enumerate(assignment):
-                masks[b] |= 1 << x
-            yield Rel(carrier, tuple(masks[b] for b in assignment))
+    labels = [0] * n
+    # blocks_before[i]: the number of blocks among labels[:i], so
+    # labels[i] may range over 0 .. blocks_before[i]
+    blocks_before = [0] + [1] * (n - 1)
+    while True:
+        masks = [0] * (max(labels) + 1)
+        for x, b in enumerate(labels):
+            masks[b] |= 1 << x
+        yield Rel(carrier, tuple(masks[b] for b in labels))
+        # lexicographic successor: bump the last label that can grow and
+        # reset everything after it to block 0
+        i = n - 1
+        while i > 0 and labels[i] == blocks_before[i]:
+            i -= 1
+        if i == 0:
             return
-        for b in range(nblocks + 1):
-            assignment[i] = b
-            yield from rec(i + 1, max(nblocks, b + 1))
-
-    return rec(0, 0)
+        labels[i] += 1
+        width = max(blocks_before[i], labels[i] + 1)
+        for t in range(i + 1, n):
+            labels[t] = 0
+            blocks_before[t] = width
 
 
 def enumerate_loi(carrier: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Rel]:
@@ -235,43 +242,50 @@ def enumerate_loi(carrier: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Re
 def enumerate_loci(a: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Rel]:
     """All complete preorders on the poset, sorted by canonical matrix bits.
 
-    Backtracks over candidate pairs above the carrier order, closing as
-    it goes and pruning branches whose closure hits an excluded pair;
-    each closed superset is produced exactly once.
+    Depth-first over the candidate pairs above the carrier order, in
+    row-major order, on an explicit stack.  Each node holds a closed
+    preorder and one mask of excluded pairs per row.  Including (i, j)
+    closes incrementally: the closure of a closed R plus (i, j) is R
+    together with every (x, y) where x R i and j R y, so each row that
+    contains i absorbs row j, and the branch is pruned as soon as a row
+    meets its excluded mask.  Both branches fix the candidate's bit and
+    every earlier one, and the carrier's own bits are always set, so
+    visiting the exclude branch first emits the results in increasing
+    ``bit_tuple`` order without a sort.  Each closed superset is
+    produced exactly once.
     """
     n = len(a.elements)
     if n > cap:
         raise CapExceededError(f"carrier has {n} elements, cap is {cap}")
-    base = a.rows
-    candidates = [(i, j) for i in range(n) for j in range(n)
-                  if not (base[i] >> j) & 1]
-    found: list[tuple[int, ...]] = []
-
-    def pair_bit(i: int, j: int) -> int:
-        return 1 << (i * n + j)
-
-    def rec(rows: tuple[int, ...], k: int, forbidden: int) -> None:
-        while k < len(candidates):
-            i, j = candidates[k]
-            if not (rows[i] >> j) & 1:
+    candidates = [(i, j, 1 << j) for i in range(n) for j in range(n)
+                  if not (a.rows[i] >> j) & 1]
+    end = len(candidates)
+    found: list[Rel] = []
+    stack = [(a.rows, 0, (0,) * n)]
+    while stack:
+        rows, k, forbidden = stack.pop()
+        while k < end:
+            i, j, bit_j = candidates[k]
+            if not rows[i] & bit_j:
                 break
             k += 1
         else:
-            found.append(rows)
-            return
-        i, j = candidates[k]
-        rec(rows, k + 1, forbidden | pair_bit(i, j))
+            found.append(Rel(a, rows))
+            continue
+        bit_i, row_j = 1 << i, rows[j]
         grown = list(rows)
-        grown[i] |= 1 << j
-        closed = tuple(close_rows(grown))
-        closed_bits = 0
-        for x, row in enumerate(closed):
-            closed_bits |= row << (x * n)
-        if not closed_bits & forbidden:
-            rec(closed, k + 1, forbidden)
-
-    rec(base, 0, 0)
-    return sorted((Rel(a, rows) for rows in found), key=Rel.bit_tuple)
+        for x, row in enumerate(rows):
+            if row & bit_i:
+                row |= row_j
+                if row & forbidden[x]:
+                    break
+                grown[x] = row
+        else:
+            stack.append((tuple(grown), k + 1, forbidden))
+        excluded = list(forbidden)
+        excluded[i] |= bit_j
+        stack.append((rows, k + 1, tuple(excluded)))
+    return found
 
 
 def find_monotone_postprocessor(f: FnTable, g: FnTable,

@@ -292,21 +292,28 @@ def _monotone_tables(dom: Poset, cod: Poset,
     images: list[int] = []
 
     def feasible(pos: int, candidate: int) -> bool:
-        for prev in range(pos):
-            if dom.leq_idx(prev, pos) and not cod.leq_idx(images[prev], candidate):
-                return False
-            if dom.leq_idx(pos, prev) and not cod.leq_idx(candidate, images[prev]):
-                return False
-        return True
+        earlier = (1 << pos) - 1
+        return (all(cod.leq_idx(images[prev], candidate)
+                    for prev in bits(dom.cols[pos] & earlier))
+                and all(cod.leq_idx(candidate, images[prev])
+                        for prev in bits(dom.rows[pos] & earlier)))
 
-    def rec(pos: int) -> Iterator[FnTable]:
-        if pos == n:
-            yield FnTable(dom, cod, tuple(images))
-            return
-        for candidate in choices[pos]:
+    # one iterator over the remaining choices per assigned position,
+    # plus one for the position being filled
+    pending = [iter(choices[0])]
+    while pending:
+        pos = len(images)
+        for candidate in pending[-1]:
             if feasible(pos, candidate):
-                images.append(candidate)
-                yield from rec(pos + 1)
+                break
+        else:
+            pending.pop()
+            if images:
                 images.pop()
-
-    yield from rec(0)
+            continue
+        images.append(candidate)
+        if pos + 1 == n:
+            yield FnTable(dom, cod, tuple(images))
+            images.pop()
+        else:
+            pending.append(iter(choices[pos + 1]))

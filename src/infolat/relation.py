@@ -7,6 +7,7 @@ the blocks).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
@@ -18,7 +19,8 @@ class Rel:
     """A binary relation on a carrier, one bitmask row per element.
 
     The carrier's partial order is available but not implied: a Rel can
-    hold any relation, and classification is computed on demand.
+    hold any relation.  Classification is computed on first use and
+    cached on the instance, since the rows never change.
     """
 
     carrier: Poset
@@ -58,10 +60,12 @@ class Rel:
     def is_reflexive(self) -> bool:
         return all((row >> i) & 1 for i, row in enumerate(self.rows))
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
         return transpose(self.rows) == self.rows
 
+    # left uncached: the library reaches it only through the cached
+    # is_preorder, and benchmarks/tracing.py wraps this property's getter
     @property
     def is_transitive(self) -> bool:
         return all(self.rows[i] | self.rows[j] == self.rows[i]
@@ -72,11 +76,11 @@ class Rel:
         return all(i == j or not self.holds_idx(j, i)
                    for i, row in enumerate(self.rows) for j in bits(row))
 
-    @property
+    @cached_property
     def is_preorder(self) -> bool:
         return self.is_reflexive and self.is_transitive
 
-    @property
+    @cached_property
     def is_equivalence(self) -> bool:
         return self.is_preorder and self.is_symmetric
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from infolat import (FnTable, Poset, Rel, build_poset, chain, close,
                      discrete, iter_monotone_tables, lift, order_rel,
                      rel_from_pairs, subset_name, union)
-from infolat.poset import bits
+from infolat.poset import bits, close_rows
 from infolat.powerdomain import _all_subset_masks, _em_rows
 from infolat.relation import equivalence_from_blocks
 
@@ -158,6 +158,43 @@ def is_complete_preorder_exhaustive(q: Rel) -> bool:
                 if not q.holds_idx(top, a):
                     return False
     return True
+
+
+def enumerate_loci_warshall(a: Poset) -> list[Rel]:
+    """Complete preorders by recursive backtracking with a full Warshall
+    closure at every node and an explicit sort; the oracle for the
+    incremental, sort-free ``enumerate_loci``."""
+    n = len(a.elements)
+    base = a.rows
+    candidates = [(i, j) for i in range(n) for j in range(n)
+                  if not (base[i] >> j) & 1]
+    found: list[tuple[int, ...]] = []
+
+    def pair_bit(i: int, j: int) -> int:
+        return 1 << (i * n + j)
+
+    def rec(rows: tuple[int, ...], k: int, forbidden: int) -> None:
+        while k < len(candidates):
+            i, j = candidates[k]
+            if not (rows[i] >> j) & 1:
+                break
+            k += 1
+        else:
+            found.append(rows)
+            return
+        i, j = candidates[k]
+        rec(rows, k + 1, forbidden | pair_bit(i, j))
+        grown = list(rows)
+        grown[i] |= 1 << j
+        closed = tuple(close_rows(grown))
+        closed_bits = 0
+        for x, row in enumerate(closed):
+            closed_bits |= row << (x * n)
+        if not closed_bits & forbidden:
+            rec(closed, k + 1, forbidden)
+
+    rec(base, 0, 0)
+    return sorted((Rel(a, rows) for rows in found), key=Rel.bit_tuple)
 
 
 def subset_space(base: Poset) -> Poset:

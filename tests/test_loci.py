@@ -2,25 +2,29 @@
 
 import itertools
 import random
+import sys
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from infolat import (CapExceededError, FnTable, Poset, ValidationError,
-                     all_rel, build_poset, close, cp, enumerate_loci,
-                     enumerate_loi, er, find_monotone_postprocessor,
-                     flow_check, get_example, identity_rel, intersect, invert,
+                     all_rel, build_poset, close, constant_fn, cp, discrete,
+                     enumerate_loci, enumerate_loi, er,
+                     find_monotone_postprocessor, flow_check, get_example,
+                     identity_fn, identity_rel, intersect, invert,
                      is_complete_preorder, is_realisable, iter_equivalences,
-                     kernel, loci_join, loci_leq, loci_meet, loci_pullback,
-                     loci_pushforward, loi_leq, order_rel, ordered_kernel,
-                     ordered_knowledge_set, phi_realisability, pushforward,
-                     quotient_map, rel_from_pairs, union)
+                     iter_monotone_tables, kernel, loci_join, loci_leq,
+                     loci_meet, loci_pullback, loci_pushforward, loi_leq,
+                     order_rel, ordered_kernel, ordered_knowledge_set,
+                     phi_realisability, pushforward, quotient_map,
+                     rel_from_pairs, union)
 from helpers import (BELL, BOOLBOT, CHAIN2, CHAIN3, CHAIN4, DIAMOND, DISC2,
                      DISC3, FAMILY, VEE, all_preorder_pair_sets,
-                     complete_preorders, equivalences, fn_between_family,
-                     idx_pairs, is_complete_preorder_exhaustive,
-                     monotone_fns, oracle_close, preorders, rel_of_pairs,
+                     complete_preorders, enumerate_loci_warshall,
+                     equivalences, fn_between_family, idx_pairs,
+                     is_complete_preorder_exhaustive, monotone_fns,
+                     oracle_close, posets, preorders, rel_of_pairs,
                      set_partitions)
 
 LOCI_VEE = enumerate_loci(VEE)
@@ -84,6 +88,20 @@ class TestEnumeration:
             n, must_contain=frozenset(idx_pairs(order_rel(carrier))))}
         assert got == want
 
+    @given(posets(max_size=5))
+    def test_matches_warshall_oracle_in_order(self, carrier):
+        got = enumerate_loci(carrier)
+        assert got == enumerate_loci_warshall(carrier)
+        # the search emits in canonical order without sorting
+        keys = [q.bit_tuple() for q in got]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 29), (4, 355),
+                                         (5, 6942), (6, 209527)])
+    def test_discrete_counts_follow_a000798(self, n, count):
+        carrier = discrete(tuple(f"e{i}" for i in range(n)))
+        assert len(enumerate_loci(carrier)) == count
+
     def test_pinned_counts(self):
         assert len(LOCI_VEE) == 14
         assert len(enumerate_loci(DISC3)) == 29
@@ -100,6 +118,21 @@ class TestEnumeration:
         want = {frozenset((a, b) for blk in part for a in blk for b in blk)
                 for part in set_partitions(range(4))}
         assert got == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_partitions_in_restricted_growth_order(self, n):
+        # product() yields label strings lexicographically; keep the
+        # restricted-growth ones (each label at most one above the
+        # largest before it)
+        growth = [labels for labels in itertools.product(range(n), repeat=n)
+                  if all(b <= max(labels[:x], default=-1) + 1
+                         for x, b in enumerate(labels))]
+        carrier = discrete(tuple(f"e{i}" for i in range(n)))
+        want = [rel_of_pairs(carrier, [(x, y) for x in range(n)
+                                       for y in range(n)
+                                       if labels[x] == labels[y]])
+                for labels in growth]
+        assert list(iter_equivalences(carrier)) == want
 
     def test_enumeration_order_canonical(self):
         keys = [q.bit_tuple() for q in LOCI_VEE]
@@ -300,6 +333,26 @@ class TestMonotonePostprocessor:
         f = get_example("parity", n=4).functions["f1"]
         with pytest.raises(CapExceededError):
             find_monotone_postprocessor(f, f, bound=1)
+
+
+class TestDeeperThanRecursionLimit:
+    """The searches keep their state on explicit stacks, so a carrier
+    with more points than the interpreter's recursion limit works."""
+
+    BIG = discrete(tuple(f"b{i}" for i in range(sys.getrecursionlimit() + 100)))
+    UNIT = discrete(("u",))
+
+    def test_first_equivalence(self):
+        assert next(iter_equivalences(self.BIG)) == all_rel(self.BIG)
+
+    def test_first_monotone_table(self):
+        table = next(iter_monotone_tables(self.BIG, self.UNIT))
+        assert table.images == (0,) * len(self.BIG)
+
+    def test_postprocessor_in_a_space_of_one(self):
+        f = constant_fn(self.BIG, self.UNIT, "u")
+        p = find_monotone_postprocessor(f, identity_fn(self.BIG))
+        assert p == f
 
 
 def _seeded_poset(rng: random.Random, n: int) -> Poset:

@@ -1,11 +1,12 @@
 """Poset construction, monotone tables, and their enumeration."""
 
+import itertools
 from math import comb
 
 import pytest
 from hypothesis import given
 
-from infolat import (NotMonotoneError, OrderCycleError, Poset,
+from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset,
                      ValidationError, build_poset, chain, check_monotone,
                      constant_fn, discrete, identity_fn,
                      iter_monotone_tables, lift, product)
@@ -180,6 +181,11 @@ class TestEnumeration:
         assert len({t.images for t in tables}) == len(tables)
         for t in tables:
             assert t.is_monotone
+        # exactly the monotone tables, lexicographic on image tuples
+        k = len(BOOLBOT.elements)
+        every = (FnTable(p, BOOLBOT, images) for images in
+                 itertools.product(range(k), repeat=len(p.elements)))
+        assert tables == [t for t in every if t.is_monotone]
 
 
 @pytest.mark.parametrize("p", FAMILY, ids=lambda p: "x".join(p.elements[:2]))
