@@ -17,9 +17,10 @@ from typing import Iterator
 
 from .errors import CapExceededError, ValidationError
 from .loi import _image_closure, pullback
-from .poset import FnTable, Poset, _monotone_tables, bits, close_rows
-from .relation import (Rel, close, intersect, invert, order_rel, require,
-                       to_ordered_partition, union)
+from .poset import (FnTable, Poset, _monotone_tables, bits, close_rows,
+                    compose_rows)
+from .relation import (Rel, _blocks_met, close, intersect, invert, order_rel,
+                       require, to_ordered_partition, union)
 from .relation import is_complete_preorder  # noqa: F401  (re-exported)
 
 DEFAULT_ENUMERATION_CAP = 6
@@ -149,24 +150,19 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     cycle is returned as the obstruction.
     """
     require(r, "equivalence", "argument")
-    op = to_ordered_partition(r)
-    blocks = op.blocks
+    blocks = to_ordered_partition(r).blocks
     k = len(blocks)
     carrier = r.carrier
+    images = [0] * len(carrier.elements)
     block_masks = []
-    for block in blocks:
+    for b, block in enumerate(blocks):
         mask = 0
         for name in block:
-            mask |= 1 << carrier.index(name)
+            i = carrier.index(name)
+            images[i] = b
+            mask |= 1 << i
         block_masks.append(mask)
-    phi = []
-    for b1 in range(k):
-        row = 0
-        for b2 in range(k):
-            if any(carrier.rows[x] & block_masks[b2]
-                   for x in bits(block_masks[b1])):
-                row |= 1 << b2
-        phi.append(row)
+    phi = _block_steps(carrier, images, block_masks)
     closed = close_rows(phi)
     for b1 in range(k):
         for b2 in bits(closed[b1]):
@@ -177,12 +173,16 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
                 return RealisabilityResult(
                     False, cycle=tuple(blocks[b] for b in cycle))
     witness = Poset(tuple(_block_name(b) for b in blocks), tuple(closed))
-    images = [0] * len(carrier.elements)
-    for b, mask in enumerate(block_masks):
-        for i in bits(mask):
-            images[i] = b
     return RealisabilityResult(True, witness_poset=witness,
                                witness_fn=FnTable(carrier, witness, tuple(images)))
+
+
+def _block_steps(carrier: Poset, block_index: list[int],
+                 block_masks: list[int]) -> list[int]:
+    """One-step block relation: block b steps to every block that meets
+    the OR of the carrier rows of b's members."""
+    return [_blocks_met(reach, block_index, block_masks)
+            for reach in compose_rows(block_masks, carrier.rows)]
 
 
 def quotient_map(q: Rel) -> FnTable:
@@ -236,7 +236,15 @@ def enumerate_loi(carrier: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Re
     if len(carrier.elements) > cap:
         raise CapExceededError(
             f"carrier has {len(carrier.elements)} elements, cap is {cap}")
-    return sorted(iter_equivalences(carrier), key=Rel.bit_tuple)
+    return sorted(iter_equivalences(carrier), key=_matrix_key)
+
+
+def _matrix_key(r: Rel) -> str:
+    """``r.bit_tuple()`` spelled as one string of 0s and 1s: row-major,
+    each row from bit 0 up.  Keys of one carrier have equal length, so
+    they sort as the binary numbers they spell, in ``bit_tuple`` order."""
+    width = f"0{len(r.rows)}b"
+    return "".join([format(row, width)[::-1] for row in r.rows])
 
 
 def enumerate_loci(a: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Rel]:

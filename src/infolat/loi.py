@@ -10,7 +10,7 @@ union.  Kernels, knowledge sets, flow checking and the two image maps
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .poset import FnTable, bits
+from .poset import FnTable, bits, compose_rows
 from .relation import Rel, close, identity_rel, intersect, require, union
 
 
@@ -72,13 +72,16 @@ def flow_check(f: FnTable, pre: Rel, post: Rel) -> Violation | None:
     """
     require(pre, None, "precondition", f.dom)
     require(post, None, "postcondition", f.cod)
-    names = f.dom.elements
-    for i, row in enumerate(pre.rows):
-        for j in bits(row):
-            if not post.holds_idx(f.images[i], f.images[j]):
-                return Violation(names[i], names[j],
-                                 f.cod.elements[f.images[i]],
-                                 f.cod.elements[f.images[j]])
+    # row i of the pullback of post holds every j that pre may relate to
+    # i; the lowest bit outside it in the first failing row is the
+    # row-major first violation
+    for i, (row, ok) in enumerate(zip(pre.rows, _pullback_rows(f, post))):
+        bad = row & ~ok
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            names, out = f.dom.elements, f.cod.elements
+            return Violation(names[i], names[j],
+                             out[f.images[i]], out[f.images[j]])
     return None
 
 
@@ -89,15 +92,21 @@ def pullback(f: FnTable, r: Rel) -> Rel:
     is the pullback of the identity relation.
     """
     require(r, None, "relation", f.cod)
-    rows = []
-    for i in range(len(f.dom.elements)):
-        row = 0
-        src = r.rows[f.images[i]]
-        for j, v in enumerate(f.images):
-            if (src >> v) & 1:
-                row |= 1 << j
-        rows.append(row)
-    return Rel(f.dom, tuple(rows))
+    return Rel(f.dom, _pullback_rows(f, r))
+
+
+def _pullback_rows(f: FnTable, r: Rel) -> tuple[int, ...]:
+    """Rows of the pullback of r, a relation on the codomain of f.
+
+    ``preimage[v]`` holds every x with f(x) = v; the row of x is the OR
+    of ``preimage[w]`` over the w in ``r.rows[f(x)]`` that f hits.
+    """
+    preimage = [0] * len(f.cod.elements)
+    hit = 0
+    for i, v in enumerate(f.images):
+        preimage[v] |= 1 << i
+        hit |= 1 << v
+    return compose_rows((r.rows[v] & hit for v in f.images), preimage)
 
 
 def pushforward(f: FnTable, p: Rel) -> Rel:

@@ -37,12 +37,34 @@ def close_rows(rows: Iterable[int]) -> list[int]:
     return out
 
 
+def compose_rows(rows: Iterable[int], table: Sequence[int]) -> tuple[int, ...]:
+    """Row i of the result is the OR of ``table[j]`` over the set bits j
+    of the i-th row; equal rows are computed once."""
+    done: dict[int, int] = {}
+    out = []
+    for row in rows:
+        acc = done.get(row)
+        if acc is None:
+            acc = 0
+            for j in bits(row):
+                acc |= table[j]
+            done[row] = acc
+        out.append(acc)
+    return tuple(out)
+
+
 def transpose(rows: Sequence[int]) -> tuple[int, ...]:
-    """Converse of bitmask rows: bit i of ``out[j]`` iff bit j of ``rows[i]``."""
-    cols = [0] * len(rows)
-    for i, row in enumerate(rows):
-        for j in bits(row):
-            cols[j] |= 1 << i
+    """Converse of bitmask rows: bit i of ``out[j]`` iff bit j of ``rows[i]``.
+
+    Whole-matrix: each row becomes a fixed-width binary string, most
+    significant bit first, and ``zip`` reads the columns off those
+    strings.  Taking the rows last to first puts row i at bit i of each
+    column; the columns come out from bit n-1 down to bit 0.
+    """
+    width = f"0{len(rows)}b"
+    strs = [format(row, width) for row in reversed(rows)]
+    cols = [int(col, 2) for col in map("".join, zip(*strs))]
+    cols.reverse()
     return tuple(cols)
 
 

@@ -8,10 +8,10 @@ the blocks).
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .poset import Poset, bits, close_rows, transpose
+from .poset import Poset, bits, close_rows, compose_rows, transpose
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,13 @@ class Rel:
         return transpose(self.rows) == self.rows
 
     # left uncached: the library reaches it only through the cached
-    # is_preorder, and benchmarks/tracing.py wraps this property's getter
+    # is_preorder, and benchmarks/tracing.py wraps this property's getter.
+    # The test for a row depends only on its value, so equal rows are
+    # tested once.
     @property
     def is_transitive(self) -> bool:
-        return all(self.rows[i] | self.rows[j] == self.rows[i]
-                   for i in range(len(self.rows)) for j in bits(self.rows[i]))
+        rows = self.rows
+        return all(rows[j] | row == row for row in set(rows) for j in bits(row))
 
     @property
     def is_antisymmetric(self) -> bool:
@@ -175,13 +177,7 @@ def invert(r: Rel) -> Rel:
 def compose(r: Rel, s: Rel) -> Rel:
     """Relational composition: x (r;s) z iff some y has x r y and y s z."""
     _same_carrier(r, s)
-    rows = []
-    for row in r.rows:
-        acc = 0
-        for j in bits(row):
-            acc |= s.rows[j]
-        rows.append(acc)
-    return Rel(r.carrier, tuple(rows))
+    return Rel(r.carrier, compose_rows(r.rows, s.rows))
 
 
 def restrict_rel(r: Rel, target: Poset) -> Rel:
@@ -254,15 +250,24 @@ def to_ordered_partition(q: Rel) -> OrderedPartition:
             block_index[j] = b
         block_masks.append(mask)
         blocks.append(tuple(names[j] for j in bits(mask)))
-    reps = [next(bits(mask)) for mask in block_masks]
-    block_rows = []
-    for b1, r1 in enumerate(reps):
-        row = 0
-        for b2, r2 in enumerate(reps):
-            if q.holds_idx(r1, r2):
-                row |= 1 << b2
-        block_rows.append(row)
-    return OrderedPartition(q.carrier, tuple(blocks), tuple(block_rows))
+    # a preorder row is a union of whole blocks, so any member stands in
+    block_rows = tuple(_blocks_met(q.rows[next(bits(mask))], block_index,
+                                   block_masks)
+                       for mask in block_masks)
+    return OrderedPartition(q.carrier, tuple(blocks), block_rows)
+
+
+def _blocks_met(mask: int, block_index: Sequence[int],
+                block_masks: Sequence[int]) -> int:
+    """Bitmask of the blocks that ``mask`` meets, one step per block met:
+    the block of the lowest remaining element is recorded and all of its
+    members are cleared."""
+    out = 0
+    while mask:
+        b = block_index[(mask & -mask).bit_length() - 1]
+        out |= 1 << b
+        mask &= ~block_masks[b]
+    return out
 
 
 def from_ordered_partition(op: OrderedPartition) -> Rel:
@@ -275,13 +280,8 @@ def from_ordered_partition(op: OrderedPartition) -> Rel:
     block_masks = [0] * len(op.blocks)
     for i, b in enumerate(block_of):
         block_masks[b] |= 1 << i
-    rows = []
-    for i in range(n):
-        row = 0
-        for b2 in bits(op.block_rows[block_of[i]]):
-            row |= block_masks[b2]
-        rows.append(row)
-    return Rel(op.carrier, tuple(rows))
+    return Rel(op.carrier, compose_rows((op.block_rows[b] for b in block_of),
+                                        block_masks))
 
 
 def equivalence_from_blocks(carrier: Poset, blocks: Iterable[Iterable[str]]) -> Rel:

@@ -13,8 +13,9 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
 from .loci import iter_equivalences
-from .loi import FnTable, Violation, flow_check, loi_join, pullback
-from .poset import Poset
+from .loi import (FnTable, Violation, _pullback_rows, flow_check, loi_join,
+                  pullback)
+from .poset import Poset, compose_rows, transpose
 from .relation import Rel, equivalence_from_blocks, require
 
 
@@ -25,10 +26,15 @@ def compatible_extension(q: Rel) -> Rel:
     transitive.
     """
     require(q, "preorder", "argument")
-    rows = tuple(
-        sum(1 << j for j in range(len(q.rows)) if q.rows[i] & q.rows[j])
-        for i in range(len(q.rows)))
-    return Rel(q.carrier, rows)
+    # Two up-sets of a finite preorder meet exactly when they share a
+    # maximal element z (everything above z is also below it), so row x
+    # is the OR of the down-sets of the maximal z above x.
+    cols = transpose(q.rows)
+    tops = 0
+    for z, (up, down) in enumerate(zip(q.rows, cols)):
+        if not up & ~down:
+            tops |= 1 << z
+    return Rel(q.carrier, compose_rows((up & tops for up in q.rows), cols))
 
 
 def ti_flow_check(f: FnTable, pre: Rel, post: Rel) -> Violation | None:
@@ -98,11 +104,32 @@ def observer_impossibility_search(
     if len(cod.elements) > cap:
         raise CapExceededError(
             f"codomain has {len(cod.elements)} elements, cap is {cap}")
+    # the checks ti_via_observer would make on every candidate, made once:
+    # each candidate t is an equivalence on cod by construction
+    require(pre, "equivalence", "precondition")
+    require(post, "equivalence", "postcondition")
+    for g in (f_ok, *bads):
+        if pre.carrier != g.dom:
+            raise ValidationError("relations live on different carriers")
+    require(post, None, "postcondition", cod)
+
+    def unsafe(g: FnTable) -> tuple[int, ...]:
+        # the pre pairs whose outputs under g post does not relate
+        return tuple(row & ~ok for row, ok in
+                     zip(pre.rows, _pullback_rows(g, post)))
+
+    def rejects(g: FnTable, unsafe_rows: tuple[int, ...], t: Rel) -> bool:
+        # the encoded check fails when the joined precondition keeps one
+        return any(row & kept for row, kept in
+                   zip(unsafe_rows, _pullback_rows(g, t)))
+
+    ok_rows = unsafe(f_ok)
+    bad_rows = [(g, unsafe(g)) for g in bads]
     checked = 0
     for t in iter_equivalences(cod):
         checked += 1
-        if ti_via_observer(f_ok, pre, post, t) is not None:
+        if rejects(f_ok, ok_rows, t):
             continue
-        if all(ti_via_observer(g, pre, post, t) is not None for g in bads):
+        if all(rejects(g, rows, t) for g, rows in bad_rows):
             return ObserverSearch(t, checked)
     return ObserverSearch(None, checked)

@@ -4,12 +4,13 @@ The oracle functions recompute everything from plain pair sets with
 naive fixpoint loops, independent of the bitmask machinery under test.
 """
 
+import random
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from infolat import (FnTable, Poset, Rel, build_poset, chain, close,
-                     discrete, iter_monotone_tables, lift, order_rel,
+from infolat import (FnTable, Poset, Rel, Violation, build_poset, chain,
+                     close, discrete, iter_monotone_tables, lift, order_rel,
                      rel_from_pairs, subset_name, union)
 from infolat.poset import bits, close_rows
 from infolat.powerdomain import _all_subset_masks, _em_rows
@@ -215,6 +216,67 @@ def em_extension(r: Rel) -> Rel:
     return Rel(subset_space(r.carrier), _em_rows(r, masks))
 
 
+# --- per-pair kernels -------------------------------------------------
+# The loop versions the whole-row kernels replaced, kept as oracles.
+
+
+def transpose_pairwise(rows) -> tuple[int, ...]:
+    """Converse of bitmask rows, one set bit at a time."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            cols[j] |= 1 << i
+    return tuple(cols)
+
+
+def pullback_pairwise(f: FnTable, r: Rel) -> Rel:
+    """Inverse image, testing every pair (x, y) for f(x) r f(y)."""
+    rows = []
+    for i in range(len(f.dom.elements)):
+        row = 0
+        src = r.rows[f.images[i]]
+        for j, v in enumerate(f.images):
+            if (src >> v) & 1:
+                row |= 1 << j
+        rows.append(row)
+    return Rel(f.dom, tuple(rows))
+
+
+def flow_check_pairwise(f: FnTable, pre: Rel, post: Rel) -> Violation | None:
+    """First pre-related pair, row-major, whose outputs post does not relate."""
+    names = f.dom.elements
+    for i, row in enumerate(pre.rows):
+        for j in bits(row):
+            if not post.holds_idx(f.images[i], f.images[j]):
+                return Violation(names[i], names[j],
+                                 f.cod.elements[f.images[i]],
+                                 f.cod.elements[f.images[j]])
+    return None
+
+
+def compatible_extension_pairwise(q: Rel) -> Rel:
+    """Relates x, y when their q-rows share a bit, tested pair by pair."""
+    rows = tuple(
+        sum(1 << j for j in range(len(q.rows)) if q.rows[i] & q.rows[j])
+        for i in range(len(q.rows)))
+    return Rel(q.carrier, rows)
+
+
+def block_steps_pairwise(carrier: Poset, block_masks) -> list[int]:
+    """Block b1 steps to b2 when a member of b1 is below a member of b2,
+    tested for every pair of blocks."""
+    k = len(block_masks)
+    phi = []
+    for b1 in range(k):
+        row = 0
+        for b2 in range(k):
+            if any(carrier.rows[x] & block_masks[b2]
+                   for x in bits(block_masks[b1])):
+                row |= 1 << b2
+        phi.append(row)
+    return phi
+
+
 # --- strategies -------------------------------------------------------
 
 
@@ -257,6 +319,59 @@ def preorders(draw, carrier: Poset):
 def complete_preorders(draw, carrier: Poset):
     return close(union(draw(preorders(carrier)), order_rel(carrier)),
                  "refl_trans")
+
+
+@st.composite
+def seeded(draw):
+    """A ``random.Random`` built from a drawn seed, for inputs too large
+    to draw element by element."""
+    return random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def random_poset(rng: random.Random, n: int) -> Poset:
+    """n points with upper-triangular covers at a random density, from
+    an antichain to dense orders."""
+    names = tuple(f"e{i}" for i in range(n))
+    density = rng.choice((0.0, 1.0 / n, 4.0 / n, 0.05))
+    covers = [(names[i], names[j])
+              for j in range(n) for i in range(j) if rng.random() < density]
+    return build_poset(names, covers)
+
+
+def random_rows(rng: random.Random, n: int) -> tuple[int, ...]:
+    """Arbitrary rows: sparse, half-dense or near-full."""
+    kind = rng.randrange(3)
+    out = []
+    for _ in range(n):
+        row = rng.getrandbits(n)
+        if kind == 0:
+            row &= rng.getrandbits(n) & rng.getrandbits(n)
+        elif kind == 2:
+            row |= rng.getrandbits(n)
+        out.append(row)
+    return tuple(out)
+
+
+def random_equivalence(rng: random.Random, carrier: Poset) -> Rel:
+    n = len(carrier.elements)
+    k = rng.randint(1, n)
+    labels = [rng.randrange(k) for _ in range(n)]
+    masks: dict[int, int] = {}
+    for x, b in enumerate(labels):
+        masks[b] = masks.get(b, 0) | (1 << x)
+    return Rel(carrier, tuple(masks[b] for b in labels))
+
+
+def random_preorder(rng: random.Random, carrier: Poset) -> Rel:
+    """Closure of a few random pairs, sometimes over the carrier order."""
+    n = len(carrier.elements)
+    rows = [0] * n
+    for _ in range(rng.randrange(2 * n)):
+        rows[rng.randrange(n)] |= 1 << rng.randrange(n)
+    r = close(Rel(carrier, tuple(rows)), "refl_trans")
+    if rng.random() < 0.5:
+        r = close(union(r, order_rel(carrier)), "refl_trans")
+    return r
 
 
 @lru_cache(maxsize=None)

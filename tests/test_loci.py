@@ -135,9 +135,12 @@ class TestEnumeration:
         assert list(iter_equivalences(carrier)) == want
 
     def test_enumeration_order_canonical(self):
-        keys = [q.bit_tuple() for q in LOCI_VEE]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        six = discrete(tuple(f"e{i}" for i in range(6)))
+        for rels in [LOCI_VEE, enumerate_loi(six),
+                     *(enumerate_loi(carrier) for carrier in FAMILY)]:
+            keys = [q.bit_tuple() for q in rels]
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(keys)
 
     def test_first_equivalence_is_all_last_is_identity(self):
         rels = list(iter_equivalences(VEE))

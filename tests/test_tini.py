@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infolat import (ValidationError, all_rel, compatible_extension,
+from infolat import (FnTable, ValidationError, all_rel, compatible_extension,
                      flat_termination_observer, flow_check, get_example,
-                     identity_rel, loci_leq, observer_impossibility_search,
-                     order_rel, pullback, ti_flow_check, ti_via_observer)
+                     identity_rel, iter_equivalences, loci_leq,
+                     observer_impossibility_search, order_rel, pullback,
+                     rel_from_pairs, ti_flow_check, ti_via_observer)
 from infolat.relation import equivalence_from_blocks
 from helpers import (BOOLBOT, CHAIN3, DISC2, DISC3, VEE, complete_preorders,
-                     fn_between_family, idx_pairs, monotone_fns, preorders)
+                     equivalences, fn_between_family, idx_pairs, monotone_fns,
+                     posets, preorders)
 
 KITE = get_example("kite")
 DIA = get_example("diamond-counterexample")
@@ -193,3 +195,56 @@ class TestObserverSearch:
                 KITE.functions["f_kite"], PARITY.functions["f0"],
                 all_rel(KITE.posets["Bool"]),
                 identity_rel(KITE.posets["Kite"]))
+
+    @pytest.mark.parametrize("which, message", [
+        ("pre", "precondition must be an equivalence relation"),
+        ("post", "postcondition must be an equivalence relation"),
+    ])
+    def test_rejects_non_equivalence(self, which, message):
+        bool_, kite = KITE.posets["Bool"], KITE.posets["Kite"]
+        args = {"pre": all_rel(bool_), "post": identity_rel(kite)}
+        carrier = bool_ if which == "pre" else kite
+        x, y = carrier.elements[:2]
+        args[which] = rel_from_pairs(carrier, [(x, y)])
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            observer_impossibility_search(
+                KITE.functions["f_kite"], KITE.functions["g_kite"],
+                args["pre"], args["post"])
+
+    @pytest.mark.parametrize("which, message", [
+        ("pre", "relations live on different carriers"),
+        ("post", "postcondition lives on the wrong carrier"),
+    ])
+    def test_rejects_wrong_carrier(self, which, message):
+        args = {"pre": all_rel(KITE.posets["Bool"]),
+                "post": identity_rel(KITE.posets["Kite"])}
+        args[which] = identity_rel(DISC3)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            observer_impossibility_search(
+                KITE.functions["f_kite"], KITE.functions["g_kite"],
+                args["pre"], args["post"])
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_matches_search_by_definition(self, data):
+        dom = data.draw(posets(max_size=4))
+        cod = data.draw(posets(max_size=5))
+        table = st.tuples(*[st.integers(0, len(cod) - 1)] * len(dom))
+        f_ok = FnTable(dom, cod, data.draw(table))
+        bads = [FnTable(dom, cod, images)
+                for images in data.draw(st.lists(table, min_size=1,
+                                                 max_size=2))]
+        pre = data.draw(equivalences(dom))
+        post = data.draw(equivalences(cod))
+        # the public encoded check on every candidate, in search order
+        want, checked = None, 0
+        for t in iter_equivalences(cod):
+            checked += 1
+            if (ti_via_observer(f_ok, pre, post, t) is None
+                    and all(ti_via_observer(g, pre, post, t) is not None
+                            for g in bads)):
+                want = t
+                break
+        res = observer_impossibility_search(f_ok, bads, pre, post)
+        assert (res.separating, res.checked) == (want, checked)
+
