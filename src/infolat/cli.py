@@ -285,8 +285,7 @@ def emit_dot(obj: Poset | OrderedPartition, full: bool = False) -> str:
     """
     if isinstance(obj, OrderedPartition):
         labels = [block_label(b) for b in obj.blocks]
-        skeleton = Poset(tuple(str(i) for i in range(len(obj.blocks))),
-                         obj.block_rows)
+        skeleton = obj.order
     else:
         labels = list(obj.elements)
         skeleton = obj

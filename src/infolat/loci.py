@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CapExceededError, ValidationError
-from .loi import _image_closure, pullback
-from .poset import (FnTable, Poset, _monotone_tables, bits, close_rows,
-                    compose_rows)
-from .relation import (Rel, _blocks_met, close, intersect, invert, order_rel,
+from .loi import _fibre_images, _image_closure, pullback
+from .poset import FnTable, Poset, _monotone_tables, bits, close_rows, fibres
+from .relation import (Rel, _block_rows, close, intersect, invert, order_rel,
                        require, to_ordered_partition, union)
 from .relation import is_complete_preorder  # noqa: F401  (re-exported)
 
@@ -119,25 +118,27 @@ def _block_name(block: tuple[str, ...]) -> str:
     return "+".join(block)
 
 
-def _phi_path(phi: list[int], start: int, goal: int) -> list[int]:
-    # BFS over the one-step block relation
+def _shortest_cycle(phi: list[int], start: int) -> list[int]:
+    """Blocks of a shortest closed walk of steps from ``start`` back to
+    it through some other block, from ``start`` on; ``start`` must lie
+    on one.  Breadth-first, so no block repeats: a repeat would leave a
+    shorter closed walk."""
     parents = {start: start}
     frontier = [start]
-    while frontier:
+    while True:
         nxt = []
         for b in frontier:
             for b2 in bits(phi[b]):
+                if b2 == start and b != start:
+                    path = [b]
+                    while path[-1] != start:
+                        path.append(parents[path[-1]])
+                    path.reverse()
+                    return path
                 if b2 not in parents:
                     parents[b2] = b
                     nxt.append(b2)
-        if goal in parents:
-            break
         frontier = nxt
-    path = [goal]
-    while path[-1] != start:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return path
 
 
 def phi_realisability(r: Rel) -> RealisabilityResult:
@@ -146,43 +147,24 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     One block steps to another when some member of the first is below
     some member of the second in the carrier.  If the transitive
     closure of that step relation is antisymmetric, the quotient map
-    onto the closed block order realises r; otherwise any non-trivial
-    cycle is returned as the obstruction.
+    onto the closed block order realises r; otherwise a shortest cycle
+    through the first block that lies on one is returned as the
+    obstruction.  It passes each of its blocks once.
     """
     require(r, "equivalence", "argument")
-    blocks = to_ordered_partition(r).blocks
-    k = len(blocks)
-    carrier = r.carrier
-    images = [0] * len(carrier.elements)
-    block_masks = []
-    for b, block in enumerate(blocks):
-        mask = 0
-        for name in block:
-            i = carrier.index(name)
-            images[i] = b
-            mask |= 1 << i
-        block_masks.append(mask)
-    phi = _block_steps(carrier, images, block_masks)
+    op = to_ordered_partition(r)
+    blocks = op.blocks
+    phi = _block_rows(r.carrier.rows, op.labels,
+                      fibres(op.labels, len(blocks)))
     closed = close_rows(phi)
-    for b1 in range(k):
-        for b2 in bits(closed[b1]):
-            if b2 != b1 and (closed[b2] >> b1) & 1:
-                forward = _phi_path(phi, b1, b2)
-                back = _phi_path(phi, b2, b1)
-                cycle = forward + back[1:-1]
-                return RealisabilityResult(
-                    False, cycle=tuple(blocks[b] for b in cycle))
+    for b1, row in enumerate(closed):
+        if any(b2 != b1 and (closed[b2] >> b1) & 1 for b2 in bits(row)):
+            cycle = _shortest_cycle(phi, b1)
+            return RealisabilityResult(
+                False, cycle=tuple(blocks[b] for b in cycle))
     witness = Poset(tuple(_block_name(b) for b in blocks), tuple(closed))
     return RealisabilityResult(True, witness_poset=witness,
-                               witness_fn=FnTable(carrier, witness, tuple(images)))
-
-
-def _block_steps(carrier: Poset, block_index: list[int],
-                 block_masks: list[int]) -> list[int]:
-    """One-step block relation: block b steps to every block that meets
-    the OR of the carrier rows of b's members."""
-    return [_blocks_met(reach, block_index, block_masks)
-            for reach in compose_rows(block_masks, carrier.rows)]
+                               witness_fn=FnTable(r.carrier, witness, op.labels))
 
 
 def quotient_map(q: Rel) -> FnTable:
@@ -194,11 +176,7 @@ def quotient_map(q: Rel) -> FnTable:
     require(q, "complete", "argument")
     op = to_ordered_partition(q)
     target = Poset(tuple(_block_name(b) for b in op.blocks), op.block_rows)
-    images = [0] * len(q.carrier.elements)
-    for b, block in enumerate(op.blocks):
-        for name in block:
-            images[q.carrier.index(name)] = b
-    return FnTable(q.carrier, target, tuple(images))
+    return FnTable(q.carrier, target, op.labels)
 
 
 def iter_equivalences(carrier: Poset) -> Iterator[Rel]:
@@ -213,9 +191,7 @@ def iter_equivalences(carrier: Poset) -> Iterator[Rel]:
     # labels[i] may range over 0 .. blocks_before[i]
     blocks_before = [0] + [1] * (n - 1)
     while True:
-        masks = [0] * (max(labels) + 1)
-        for x, b in enumerate(labels):
-            masks[b] |= 1 << x
+        masks = fibres(labels, max(labels) + 1)
         yield Rel(carrier, tuple(masks[b] for b in labels))
         # lexicographic successor: bump the last label that can grow and
         # reset everything after it to block 0
@@ -311,12 +287,8 @@ def find_monotone_postprocessor(f: FnTable, g: FnTable,
     if k ** m > bound:
         raise CapExceededError(
             f"search space {k}**{m} exceeds bound {bound}")
-    required: list[int | None] = [None] * m
-    for i in range(len(f.dom.elements)):
-        j, v = g.images[i], f.images[i]
-        if required[j] is None:
-            required[j] = v
-        elif required[j] != v:
-            return None
+    required = _fibre_images(f, g)
+    if required is None:
+        return None
     choices = [range(k) if want is None else (want,) for want in required]
     return next(_monotone_tables(g.cod, f.cod, choices), None)

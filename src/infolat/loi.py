@@ -10,7 +10,7 @@ union.  Kernels, knowledge sets, flow checking and the two image maps
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .poset import FnTable, bits, compose_rows
+from .poset import FnTable, bits, compose_rows, fibres
 from .relation import Rel, close, identity_rel, intersect, require, union
 
 
@@ -37,10 +37,8 @@ def loi_meet(p: Rel, q: Rel) -> Rel:
 
 def kernel(f: FnTable) -> Rel:
     """Indistinguishability under f: relates x, y with f(x) = f(y)."""
-    groups: dict[int, int] = {}
-    for i, v in enumerate(f.images):
-        groups[v] = groups.get(v, 0) | (1 << i)
-    return Rel(f.dom, tuple(groups[v] for v in f.images))
+    preimage = fibres(f.images, len(f.cod.elements))
+    return Rel(f.dom, tuple(preimage[v] for v in f.images))
 
 
 def knowledge_set(f: FnTable, a: str) -> frozenset[str]:
@@ -101,10 +99,9 @@ def _pullback_rows(f: FnTable, r: Rel) -> tuple[int, ...]:
     ``preimage[v]`` holds every x with f(x) = v; the row of x is the OR
     of ``preimage[w]`` over the w in ``r.rows[f(x)]`` that f hits.
     """
-    preimage = [0] * len(f.cod.elements)
+    preimage = fibres(f.images, len(f.cod.elements))
     hit = 0
-    for i, v in enumerate(f.images):
-        preimage[v] |= 1 << i
+    for v in f.images:
         hit |= 1 << v
     return compose_rows((r.rows[v] & hit for v in f.images), preimage)
 
@@ -139,10 +136,20 @@ def find_postprocessor(f: FnTable, g: FnTable) -> FnTable | None:
     """
     if f.dom != g.dom:
         raise ValidationError("tables must share a domain")
-    if not loi_leq(kernel(f), kernel(g)):
+    required = _fibre_images(f, g)
+    if required is None:
         return None
-    images = []
-    for j in range(len(g.cod.elements)):
-        pre = next((i for i, v in enumerate(g.images) if v == j), None)
-        images.append(0 if pre is None else f.images[pre])
-    return FnTable(g.cod, f.cod, tuple(images))
+    return FnTable(g.cod, f.cod, tuple(0 if v is None else v for v in required))
+
+
+def _fibre_images(f: FnTable, g: FnTable) -> list[int | None] | None:
+    """The image any p with f = p after g gives each point of cod(g):
+    f's value on the fibre of g over it, or None where g hits nothing.
+    None overall when some fibre meets two values of f, so no p exists."""
+    required: list[int | None] = [None] * len(g.cod.elements)
+    for j, v in zip(g.images, f.images):
+        if required[j] is None:
+            required[j] = v
+        elif required[j] != v:
+            return None
+    return required

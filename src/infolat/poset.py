@@ -53,6 +53,15 @@ def compose_rows(rows: Iterable[int], table: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def fibres(labels: Iterable[int], k: int) -> list[int]:
+    """Mask of the positions that carry each label ``0 .. k-1``: bit i
+    of ``out[b]`` iff the i-th label is b."""
+    out = [0] * k
+    for i, b in enumerate(labels):
+        out[b] |= 1 << i
+    return out
+
+
 def transpose(rows: Sequence[int]) -> tuple[int, ...]:
     """Converse of bitmask rows: bit i of ``out[j]`` iff bit j of ``rows[i]``.
 

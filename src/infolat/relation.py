@@ -3,15 +3,18 @@
 Provides closure operators, boolean relation algebra, classification
 predicates, and the two-way translation between preorders and ordered
 partitions (blocks of mutually related elements plus a partial order on
-the blocks).
+the blocks).  An ordered partition carries its block labelling: the
+block of each carrier element (``labels``) and the block order as a
+``Poset`` (``order``), both built once when it is validated, so the
+rest of the library never maps block names back to carrier indices.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .poset import Poset, bits, close_rows, compose_rows, transpose
+from .poset import Poset, bits, close_rows, compose_rows, fibres, transpose
 
 
 @dataclass(frozen=True)
@@ -195,32 +198,40 @@ def restrict_rel(r: Rel, target: Poset) -> Rel:
 
 @dataclass(frozen=True)
 class OrderedPartition:
-    """Blocks covering the carrier plus a partial order on block indices."""
+    """Blocks covering the carrier plus a partial order on block indices.
+
+    Validation builds two derived views: ``labels[i]`` is the block of
+    carrier element i, and ``order`` is the block order as a ``Poset``
+    on the names ``"0" .. "k-1"`` (its rows are ``block_rows``).  Neither
+    takes part in equality or the repr.
+    """
 
     carrier: Poset
     blocks: tuple[tuple[str, ...], ...]
     block_rows: tuple[int, ...]
+    labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    order: Poset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for block in self.blocks:
+        labels = [-1] * len(self.carrier.elements)
+        for b, block in enumerate(self.blocks):
             if not block:
                 raise ValidationError("empty block in ordered partition")
             for name in block:
-                self.carrier.index(name)
-                if name in seen:
+                i = self.carrier.index(name)
+                if labels[i] >= 0:
                     raise ValidationError(f"element {name!r} in two blocks")
-                seen.add(name)
-        if len(seen) != len(self.carrier.elements):
+                labels[i] = b
+        if -1 in labels:
             raise ValidationError("blocks do not cover the carrier")
         # the block order must itself be a poset on block indices
-        Poset(tuple(str(i) for i in range(len(self.blocks))), self.block_rows)
+        order = Poset(tuple(str(b) for b in range(len(self.blocks))),
+                      self.block_rows)
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "order", order)
 
     def block_of(self, name: str) -> int:
-        for b, block in enumerate(self.blocks):
-            if name in block:
-                return b
-        raise ValidationError(f"unknown element {name!r}")
+        return self.labels[self.carrier.index(name)]
 
     def block_leq(self, b1: int, b2: int) -> bool:
         return bool((self.block_rows[b1] >> b2) & 1)
@@ -234,53 +245,44 @@ def to_ordered_partition(q: Rel) -> OrderedPartition:
     """
     if not q.is_preorder:
         raise ValidationError("only a preorder has an ordered partition")
-    n = len(q.carrier.elements)
     names = q.carrier.elements
     converse = transpose(q.rows)
-    block_index = [-1] * n
+    labels = [-1] * len(names)
     block_masks: list[int] = []
-    blocks: list[tuple[str, ...]] = []
-    for i in range(n):
-        if block_index[i] >= 0:
-            continue
-        # mutual class of i: every j with i q j and j q i
-        mask = q.rows[i] & converse[i]
-        b = len(blocks)
-        for j in bits(mask):
-            block_index[j] = b
-        block_masks.append(mask)
-        blocks.append(tuple(names[j] for j in bits(mask)))
-    # a preorder row is a union of whole blocks, so any member stands in
-    block_rows = tuple(_blocks_met(q.rows[next(bits(mask))], block_index,
-                                   block_masks)
-                       for mask in block_masks)
-    return OrderedPartition(q.carrier, tuple(blocks), block_rows)
+    for i in range(len(names)):
+        if labels[i] < 0:
+            # mutual class of i: every j with i q j and j q i
+            mask = q.rows[i] & converse[i]
+            for j in bits(mask):
+                labels[j] = len(block_masks)
+            block_masks.append(mask)
+    blocks = tuple(tuple(names[j] for j in bits(mask)) for mask in block_masks)
+    # the members of a block have equal rows, so their OR is any one of them
+    return OrderedPartition(q.carrier, blocks,
+                            _block_rows(q.rows, labels, block_masks))
 
 
-def _blocks_met(mask: int, block_index: Sequence[int],
-                block_masks: Sequence[int]) -> int:
-    """Bitmask of the blocks that ``mask`` meets, one step per block met:
-    the block of the lowest remaining element is recorded and all of its
-    members are cleared."""
-    out = 0
-    while mask:
-        b = block_index[(mask & -mask).bit_length() - 1]
-        out |= 1 << b
-        mask &= ~block_masks[b]
-    return out
+def _block_rows(rows: Sequence[int], labels: Sequence[int],
+                block_masks: Sequence[int]) -> tuple[int, ...]:
+    """The relation ``rows`` induces on blocks: block b relates to every
+    block that the OR of its members' rows meets.  One step per block
+    met: the block of the lowest remaining element is recorded and all
+    of its members are cleared."""
+    out = []
+    for reach in compose_rows(block_masks, rows):
+        met = 0
+        while reach:
+            b = labels[(reach & -reach).bit_length() - 1]
+            met |= 1 << b
+            reach &= ~block_masks[b]
+        out.append(met)
+    return tuple(out)
 
 
 def from_ordered_partition(op: OrderedPartition) -> Rel:
     """Expand block structure back into a preorder on the carrier."""
-    n = len(op.carrier.elements)
-    block_of = [0] * n
-    for b, block in enumerate(op.blocks):
-        for name in block:
-            block_of[op.carrier.index(name)] = b
-    block_masks = [0] * len(op.blocks)
-    for i, b in enumerate(block_of):
-        block_masks[b] |= 1 << i
-    return Rel(op.carrier, compose_rows((op.block_rows[b] for b in block_of),
+    block_masks = fibres(op.labels, len(op.blocks))
+    return Rel(op.carrier, compose_rows((op.block_rows[b] for b in op.labels),
                                         block_masks))
 
 
@@ -327,7 +329,6 @@ def format_relation(rel: Rel) -> str:
         # in a chain the number of blocks weakly above strictly decreases upward
         by_height = sorted(range(k), key=lambda b: -op.block_rows[b].bit_count())
         return " <= ".join(labels[b] for b in by_height)
-    block_poset = Poset(tuple(str(i) for i in range(k)), op.block_rows)
     covers = ", ".join(f"{labels[i]} <= {labels[j]}"
-                       for i, j in block_poset.covers())
+                       for i, j in op.order.covers())
     return " ".join(labels) + " ord: " + covers

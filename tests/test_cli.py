@@ -1,10 +1,13 @@
 """Command-line surface: workspace text format, commands, exit codes."""
 
+import contextlib
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from infolat import get_example, list_examples
 from infolat.cli import (Workspace, _tokenize, emit_dot, export_poset,
@@ -308,3 +311,88 @@ def test_workspace_merge_rejects_collisions():
 def test_workspace_starts_empty():
     ws = Workspace()
     assert not ws.posets and not ws.functions and not ws.relations
+
+
+# per subcommand: the options it requires, its other options that take
+# a name, and its switches
+SUBCOMMANDS = {
+    "check": (["--fn", "--pre", "--post"], ["--mode"], ["--ti"]),
+    "kernel": (["--fn"], [], ["--ordered"]),
+    "knowledge": (["--fn", "--input"], [], ["--ordered"]),
+    "cp": (["--rel"], [], []),
+    "er": (["--rel"], [], []),
+    "realisable": (["--rel"], [], ["--witness"]),
+    "enumerate": (["--what"], ["--poset", "--cap"], []),
+    "hasse": ([], ["--poset", "--rel"], ["--full"]),
+    "powerdomain": ([], ["--poset", "--cap"], []),
+    "catalog": ([], ["--name"], ["--list", "--export"]),
+}
+
+
+def _values(example: str) -> dict[str, list[str]]:
+    """The names each option can take in one catalog bundle."""
+    ws = get_example(example, n=3)
+    rels = sorted(ws.relations)
+    builtins = ["All", "Id", "order"]
+    return {"--fn": sorted(ws.functions), "--pre": rels + builtins,
+            "--post": rels + builtins, "--rel": rels,
+            "--input": sorted({x for p in ws.posets.values()
+                               for x in p.elements}),
+            "--poset": sorted(ws.posets), "--what": ["loci", "loi"],
+            "--mode": ["loci", "loi"], "--name": ALL_NAMES,
+            "--cap": [str(cap) for cap in range(7)],
+            "--example": ALL_NAMES, "--file": ALL_NAMES}
+
+
+BUNDLE_VALUES = {example: _values(example) for example in ALL_NAMES}
+NAMES = sorted({name for values in BUNDLE_VALUES.values()
+                for names in values.values() for name in names})
+WORDS = sorted(set(SUBCOMMANDS) | set(NAMES) | {"--help"}
+               | {flag for spec in SUBCOMMANDS.values() for part in spec
+                  for flag in part})
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and a catalog bundle, a value after each option the
+    subcommand requires, then up to four pieces: its own options and
+    switches and the common options, and in one argv of four a stray
+    word.  A value is mostly a name of the right kind from the bundle,
+    sometimes any name.  --n (at most 5) and --cap (at most 6) only ever
+    come with their value, so no draw can start a large search."""
+    command = draw(st.sampled_from([None] + list(SUBCOMMANDS)))
+    required, options, switches = SUBCOMMANDS.get(command, ([], [], []))
+    example = draw(st.sampled_from(ALL_NAMES))
+    values = BUNDLE_VALUES[example]
+
+    def value(option):
+        # one value in eight is any name
+        names = values[option] or NAMES
+        return st.integers(0, 7).flatmap(
+            lambda k: st.sampled_from(NAMES if k == 0 else names))
+
+    argv = [] if command is None else [command, "--example", example]
+    for option in required:
+        argv += [option, draw(value(option))]
+    option = st.sampled_from(required + options + ["--example", "--file"])
+    pieces = [
+        option.flatmap(lambda o: value(o).map(lambda v: [o, v])),
+        st.sampled_from(switches or ["--help"]).map(lambda w: [w]),
+        st.integers(0, 5).map(lambda n: ["--n", str(n)])]
+    if draw(st.integers(0, 3)) == 0:
+        pieces.append(st.sampled_from(WORDS).map(lambda w: [w]))
+    for words in draw(st.lists(st.one_of(pieces), max_size=4)):
+        argv += words
+    return argv
+
+
+@given(argvs())
+def test_exit_code_contract_holds_for_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue(), argv
+    else:
+        assert err.getvalue() == "", argv

@@ -2,13 +2,17 @@
 lattice identities that tie them together, on seeded carriers of 50 to
 300 points."""
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from infolat import (FnTable, Rel, compatible_extension, compose, cp, er,
-                     flow_check, from_ordered_partition, identity_rel, invert,
-                     kernel, phi_realisability, pullback, to_ordered_partition)
-from infolat.loci import _block_steps
+from infolat import (FnTable, Rel, close, compatible_extension, compose, cp,
+                     er, flow_check, from_ordered_partition, identity_rel,
+                     invert, kernel, order_rel, phi_realisability, pullback,
+                     to_ordered_partition, union)
 from infolat.poset import transpose
+from infolat.relation import _block_rows
 from helpers import (block_steps_pairwise, compatible_extension_pairwise,
                      flow_check_pairwise, pullback_pairwise, random_equivalence,
                      random_poset, random_preorder, random_rows, seeded,
@@ -110,6 +114,19 @@ def test_ordered_partition_block_rows(inst):
     assert from_ordered_partition(op) == q
 
 
+def block_masks(carrier, blocks):
+    return [sum(1 << carrier.index(x) for x in block) for block in blocks]
+
+
+def assert_simple_cycle(blocks, cycle_blocks, steps):
+    """The cycle passes at least two blocks, each once, and steps from
+    each block to the next and from the last back to the first."""
+    cycle = [blocks.index(b) for b in cycle_blocks]
+    assert len(cycle) >= 2 and len(set(cycle)) == len(cycle)
+    for b1, b2 in zip(cycle, cycle[1:] + cycle[:1]):
+        assert (steps[b1] >> b2) & 1
+
+
 @AT_SCALE
 @given(scale_posets())
 def test_block_steps_and_realisability_witnesses(inst):
@@ -118,22 +135,53 @@ def test_block_steps_and_realisability_witnesses(inst):
     # er(cp(r)) is always realisable, so both outcomes are exercised
     for r in (raw, er(cp(raw))):
         blocks = to_ordered_partition(r).blocks
-        masks = [sum(1 << carrier.index(x) for x in block) for block in blocks]
+        masks = block_masks(carrier, blocks)
         index = [0] * len(carrier)
         for b, mask in enumerate(masks):
             for x in range(len(carrier)):
                 if (mask >> x) & 1:
                     index[x] = b
         steps = block_steps_pairwise(carrier, masks)
-        assert _block_steps(carrier, index, masks) == steps
+        assert _block_rows(carrier.rows, index, masks) == tuple(steps)
         result = phi_realisability(r)
         if result.realisable:
             assert kernel(result.witness_fn) == r
             assert result.witness_fn.is_monotone
         else:
-            # a closed walk of steps through at least two blocks
-            cycle = [blocks.index(b) for b in result.cycle]
-            assert len(set(cycle)) >= 2
-            for b1, b2 in zip(cycle, cycle[1:] + cycle[:1]):
-                assert (steps[b1] >> b2) & 1
+            assert_simple_cycle(blocks, result.cycle, steps)
     assert phi_realisability(er(cp(raw))).realisable
+
+
+@pytest.mark.parametrize("seed", [20, 99])
+def test_realisability_cycle_passes_each_block_once(seed):
+    # a forward path joined to a back path revisited a block here: the
+    # block walks were 1, 35, 20, 35 and 0, 7, 12, 1, 12
+    rng = random.Random(seed)
+    carrier = random_poset(rng, rng.randint(20, 120))
+    r = random_equivalence(rng, carrier)
+    result = phi_realisability(r)
+    assert not result.realisable
+    blocks = to_ordered_partition(r).blocks
+    steps = block_steps_pairwise(carrier, block_masks(carrier, blocks))
+    assert_simple_cycle(blocks, result.cycle, steps)
+
+
+@AT_SCALE
+@given(scale_posets())
+def test_er_cp_round_trips_on_equivalences(inst):
+    rng, carrier = inst
+    r = random_equivalence(rng, carrier)
+    closed = er(cp(r))
+    assert cp(closed) == cp(r)
+    assert r.subset_of(closed)
+    assert (closed == r) == phi_realisability(r).realisable
+
+
+@AT_SCALE
+@given(scale_posets())
+def test_er_cp_round_trips_on_complete_preorders(inst):
+    rng, carrier = inst
+    q = close(union(random_preorder(rng, carrier), order_rel(carrier)),
+              "refl_trans")
+    assert cp(er(q)).subset_of(q)
+    assert er(cp(er(q))) == er(q)

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from infolat import (Rel, ValidationError, all_rel, block_label,
-                     build_poset, close, compose, discrete, format_relation,
+from infolat import (OrderCycleError, OrderedPartition, Rel, ValidationError,
+                     all_rel, block_label, build_poset, close, compose, discrete, format_relation,
                      from_ordered_partition, identity_rel, intersect, invert,
                      order_rel, rel_from_pairs, restrict_rel,
                      to_ordered_partition, union)
@@ -126,6 +126,37 @@ class TestOrderedPartition:
             equivalence_from_blocks(VEE, [["⊥", "c"], ["c", "a", "b"]])
         with pytest.raises(ValidationError):
             equivalence_from_blocks(VEE, [["⊥", "c"]])
+
+    @pytest.mark.parametrize("blocks,rows,error,message", [
+        ([["⊥", "c"], [], ["a", "b"]], (1, 2, 4), ValidationError,
+         "empty block in ordered partition"),
+        ([["⊥", "c"], ["c", "a", "b"]], (1, 2), ValidationError,
+         "element 'c' in two blocks"),
+        ([["⊥", "c"], ["a"]], (1, 2), ValidationError,
+         "blocks do not cover the carrier"),
+        ([["⊥", "c"], ["a", "z"], ["b"]], (1, 2, 4), ValidationError,
+         "unknown element 'z'"),
+        ([["⊥", "c"], ["a", "b"]], (3, 3), OrderCycleError,
+         "antisymmetry violated: '0' and '1' are below each other"),
+        ([["⊥", "c"], ["a", "b"]], (2, 2), ValidationError,
+         "order not reflexive at '0'"),
+    ])
+    def test_partition_validation_messages(self, blocks, rows, error, message):
+        blocks = tuple(tuple(b) for b in blocks)
+        with pytest.raises(error) as info:
+            OrderedPartition(VEE, blocks, rows)
+        assert str(info.value) == message
+
+    def test_labels_and_order_follow_the_blocks(self):
+        q = close(union(equivalence_from_blocks(VEE, [["⊥"], ["c", "b"], ["a"]]),
+                        order_rel(VEE)), "refl_trans")
+        op = to_ordered_partition(q)
+        assert op.labels == tuple(op.block_of(x) for x in VEE.elements)
+        assert op.labels == (0, 1, 2, 1)
+        assert op.order.rows == op.block_rows
+        assert op.order.elements == ("0", "1", "2")
+        # derived views take no part in equality
+        assert OrderedPartition(VEE, op.blocks, op.block_rows) == op
 
     def test_preorder_from_blocks_closes_block_order(self):
         q = preorder_from_blocks(CHAIN3, [["0"], ["1"], ["2"]],
