@@ -14,8 +14,10 @@ violated (witness printed), 2 = input error (message on stderr).
 """
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from .catalog import Workspace, get_example, list_examples
 from .errors import InfolatError, ParseError, ValidationError
@@ -32,6 +34,11 @@ from .tini import ti_flow_check
 RESERVED = set("{};:,=")
 OPERATORS = ("<=", "->", "~")
 
+# a token is "<=" (which wins over the reserved "=" in it), one reserved
+# character, or a run of other non-space characters up to the next "<="
+_CLASS = re.escape("".join(sorted(RESERVED)))
+_TOKEN = re.compile(rf"<=|[{_CLASS}]|(?:(?!<=)[^\s{_CLASS}])+")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -41,37 +48,9 @@ class Token:
 
 
 def _tokenize(source: str) -> list[Token]:
-    tokens = []
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        i = 0
-        word = ""
-        word_col = 0
-
-        def flush() -> None:
-            nonlocal word
-            if word:
-                tokens.append(Token(word, lineno, word_col))
-                word = ""
-
-        while i < len(line):
-            ch = line[i]
-            # "<=" must win over the reserved "=" that follows it
-            if ch == "<" and line[i + 1:i + 2] == "=":
-                flush()
-                tokens.append(Token("<=", lineno, i + 1))
-                i += 2
-                continue
-            if ch.isspace() or ch in RESERVED:
-                flush()
-                if ch in RESERVED:
-                    tokens.append(Token(ch, lineno, i + 1))
-            else:
-                if not word:
-                    word_col = i + 1
-                word += ch
-            i += 1
-        flush()
-    return tokens
+    return [Token(m.group(), lineno, m.start() + 1)
+            for lineno, line in enumerate(source.splitlines(), start=1)
+            for m in _TOKEN.finditer(line)]
 
 
 class _Parser:
@@ -101,11 +80,15 @@ class _Parser:
         self.pos += 1
         return t.text
 
-    def expect(self, literal: str) -> None:
-        got = self.next(f"{literal!r}")
-        if got != literal:
+    def expect(self, *options: str) -> str:
+        """Read one of ``options``, or fail naming all of them."""
+        *rest, last = map(repr, options)
+        what = f"{', '.join(rest)} or {last}" if rest else last
+        got = self.next(what)
+        if got not in options:
             self.pos -= 1
-            raise self._fail(f"expected {literal!r}, got {got!r}")
+            raise self._fail(f"expected {what}, got {got!r}")
+        return got
 
     def name(self, what: str) -> str:
         got = self.next(what)
@@ -125,23 +108,14 @@ def parse_workspace(source: str, into: Workspace | None = None) -> Workspace:
     """
     parser = _Parser(_tokenize(source))
     ws = Workspace() if into is None else into
+    declarations = {"poset": (_parse_poset, ws.add_poset),
+                    "fn": (_parse_fn, ws.add_function),
+                    "rel": (_parse_rel, ws.add_relation)}
     while not parser.done():
-        keyword = parser.next("declaration keyword")
+        parse, add = declarations[parser.expect(*declarations)]
         start = parser.tokens[parser.pos - 1]
         try:
-            if keyword == "poset":
-                name, p = _parse_poset(parser)
-                ws.add_poset(name, p)
-            elif keyword == "fn":
-                name, f = _parse_fn(parser, ws)
-                ws.add_function(name, f)
-            elif keyword == "rel":
-                name, r = _parse_rel(parser, ws)
-                ws.add_relation(name, r)
-            else:
-                parser.pos -= 1
-                raise parser._fail(
-                    f"expected 'poset', 'fn' or 'rel', got {keyword!r}")
+            add(*parse(parser, ws))
         except ParseError:
             raise
         except InfolatError as exc:
@@ -149,7 +123,20 @@ def parse_workspace(source: str, into: Workspace | None = None) -> Workspace:
     return ws
 
 
-def _parse_poset(p: _Parser) -> tuple[str, Poset]:
+def _entries(p: _Parser, ops: tuple[str, ...],
+             sep: str) -> Iterator[tuple[str, str, str]]:
+    """``a OP b`` entries up to the closing ``}``, each followed by an
+    optional ``sep``; yields (a, op, b) with the parser just past b."""
+    while p.peek() != "}":
+        a = p.name("element name")
+        op = p.expect(*ops)
+        yield a, op, p.name("element name")
+        if p.peek() == sep:
+            p.expect(sep)
+    p.expect("}")
+
+
+def _parse_poset(p: _Parser, ws: Workspace) -> tuple[str, Poset]:
     name = p.name("poset name")
     p.expect("{")
     p.expect("elements")
@@ -160,15 +147,7 @@ def _parse_poset(p: _Parser) -> tuple[str, Poset]:
     p.expect(";")
     p.expect("order")
     p.expect(":")
-    covers = []
-    while p.peek() != "}":
-        a = p.name("element name")
-        p.expect("<=")
-        b = p.name("element name")
-        covers.append((a, b))
-        if p.peek() == ",":
-            p.expect(",")
-    p.expect("}")
+    covers = [(a, b) for a, _, b in _entries(p, ("<=",), ",")]
     return name, build_poset(elements, covers)
 
 
@@ -188,21 +167,16 @@ def _parse_fn(p: _Parser, ws: Workspace) -> tuple[str, FnTable]:
     cod = _get_poset(p, ws)
     p.expect("{")
     table: dict[str, str] = {}
-    while p.peek() != "}":
-        x = p.name("element name")
-        p.expect("->")
-        y = p.name("element name")
+    for x, _, y in _entries(p, ("->",), ";"):
         if x in table:
             p.pos -= 1
             raise p._fail(f"element {x!r} mapped twice")
         table[x] = y
-        if p.peek() == ";":
-            p.expect(";")
-    p.expect("}")
     return name, check_monotone(dom, cod, table)
 
 
-_REL_KINDS = ("preorder", "equiv", "raw")
+# each relation kind and the closure it takes
+_REL_KINDS = {"preorder": "refl_trans", "equiv": "equivalence", "raw": None}
 
 
 def _parse_rel(p: _Parser, ws: Workspace) -> tuple[str, Rel]:
@@ -217,25 +191,13 @@ def _parse_rel(p: _Parser, ws: Workspace) -> tuple[str, Rel]:
         raise p._fail(f"relation kind must be one of {', '.join(_REL_KINDS)}")
     p.expect("{")
     pairs: list[tuple[str, str]] = []
-    while p.peek() != "}":
-        a = p.name("element name")
-        op = p.next("'<=' or '~'")
-        if op not in ("<=", "~"):
-            p.pos -= 1
-            raise p._fail(f"expected '<=' or '~', got {op!r}")
-        b = p.name("element name")
+    for a, op, b in _entries(p, ("<=", "~"), ";"):
         pairs.append((a, b))
         if op == "~":
             pairs.append((b, a))
-        if p.peek() == ";":
-            p.expect(";")
-    p.expect("}")
     rel = rel_from_pairs(carrier, pairs)
-    if kind == "preorder":
-        rel = close(rel, "refl_trans")
-    elif kind == "equiv":
-        rel = close(rel, "equivalence")
-    return name, rel
+    closure = _REL_KINDS[kind]
+    return name, rel if closure is None else close(rel, closure)
 
 
 def export_poset(name: str, p: Poset) -> str:
@@ -253,10 +215,10 @@ def _poset_name(ws: Workspace, p: Poset) -> str:
     raise ValidationError("poset is not named in the workspace")
 
 
-def export_fn(name: str, f: FnTable, ws: Workspace) -> str:
+def export_fn(name: str, f: FnTable, dom: str, cod: str) -> str:
+    """``fn`` declaration of f between the posets named dom and cod."""
     body = " ; ".join(f"{x} -> {f(x)}" for x in f.dom.elements)
-    return (f"fn {name} : {_poset_name(ws, f.dom)} -> "
-            f"{_poset_name(ws, f.cod)} {{ {body} }}")
+    return f"fn {name} : {dom} -> {cod} {{ {body} }}"
 
 
 def export_rel(name: str, r: Rel, ws: Workspace) -> str:
@@ -267,7 +229,9 @@ def export_rel(name: str, r: Rel, ws: Workspace) -> str:
 
 def export_workspace(ws: Workspace) -> str:
     lines = [export_poset(name, p) for name, p in ws.posets.items()]
-    lines.extend(export_fn(name, f, ws) for name, f in ws.functions.items())
+    lines.extend(export_fn(name, f, _poset_name(ws, f.dom),
+                           _poset_name(ws, f.cod))
+                 for name, f in ws.functions.items())
     lines.extend(export_rel(name, r, ws) for name, r in ws.relations.items())
     return "\n".join(lines) + "\n"
 
@@ -319,10 +283,11 @@ def _load_workspace(args: argparse.Namespace) -> Workspace:
     return ws
 
 
-def _get_function(ws: Workspace, name: str) -> FnTable:
-    if name not in ws.functions:
-        raise ValidationError(f"unknown function {name!r}")
-    return ws.functions[name]
+def _lookup(table: dict, kind: str, name: str):
+    """``table[name]``, or an input error naming the ``kind`` of entry."""
+    if name not in table:
+        raise ValidationError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
 def _resolve_rel(ws: Workspace, name: str, carrier: Poset) -> Rel:
@@ -336,15 +301,9 @@ def _resolve_rel(ws: Workspace, name: str, carrier: Poset) -> Rel:
         f"unknown relation {name!r} (workspace names plus All, Id, order)")
 
 
-def _named_relation(ws: Workspace, name: str) -> Rel:
-    if name not in ws.relations:
-        raise ValidationError(f"unknown relation {name!r}")
-    return ws.relations[name]
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     ws = _load_workspace(args)
-    f = _get_function(ws, args.fn)
+    f = _lookup(ws.functions, "function", args.fn)
     pre = _resolve_rel(ws, args.pre, f.dom)
     post = _resolve_rel(ws, args.post, f.cod)
     if args.ti:
@@ -367,7 +326,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
     ws = _load_workspace(args)
-    f = _get_function(ws, args.fn)
+    f = _lookup(ws.functions, "function", args.fn)
     rel = ordered_kernel(f) if args.ordered else kernel(f)
     print(format_relation(rel))
     return 0
@@ -375,7 +334,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 def _cmd_knowledge(args: argparse.Namespace) -> int:
     ws = _load_workspace(args)
-    f = _get_function(ws, args.fn)
+    f = _lookup(ws.functions, "function", args.fn)
     members = (ordered_knowledge_set(f, args.input) if args.ordered
                else knowledge_set(f, args.input))
     ordered = [x for x in f.dom.elements if x in members]
@@ -385,29 +344,27 @@ def _cmd_knowledge(args: argparse.Namespace) -> int:
 
 def _cmd_cp(args: argparse.Namespace) -> int:
     ws = _load_workspace(args)
-    print(format_relation(cp(_named_relation(ws, args.rel))))
+    print(format_relation(cp(_lookup(ws.relations, "relation", args.rel))))
     return 0
 
 
 def _cmd_er(args: argparse.Namespace) -> int:
     ws = _load_workspace(args)
-    print(format_relation(er(_named_relation(ws, args.rel))))
+    print(format_relation(er(_lookup(ws.relations, "relation", args.rel))))
     return 0
 
 
 def _cmd_realisable(args: argparse.Namespace) -> int:
     ws = _load_workspace(args)
-    rel = _named_relation(ws, args.rel)
+    rel = _lookup(ws.relations, "relation", args.rel)
     result = phi_realisability(rel)
     if result.realisable:
         print("REALISABLE")
         if args.witness:
-            witness_name = f"{args.rel}_blocks"
-            print(export_poset(witness_name, result.witness_poset))
-            body = " ; ".join(f"{x} -> {result.witness_fn(x)}"
-                              for x in rel.carrier.elements)
-            print(f"fn {args.rel}_quotient : {_poset_name(ws, rel.carrier)} "
-                  f"-> {witness_name} {{ {body} }}")
+            blocks = f"{args.rel}_blocks"
+            print(export_poset(blocks, result.witness_poset))
+            print(export_fn(f"{args.rel}_quotient", result.witness_fn,
+                            _poset_name(ws, rel.carrier), blocks))
         return 0
     labels = [block_label(b) for b in result.cycle]
     print("UNREALISABLE: cycle: " + " -> ".join(labels + [labels[0]]))
@@ -427,9 +384,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _single_poset(ws: Workspace, name: str | None) -> Poset:
     if name is not None:
-        if name not in ws.posets:
-            raise ValidationError(f"unknown poset {name!r}")
-        return ws.posets[name]
+        return _lookup(ws.posets, "poset", name)
     if len(ws.posets) == 1:
         return next(iter(ws.posets.values()))
     raise ValidationError(
@@ -443,8 +398,8 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
     if args.poset is not None:
         text = emit_dot(_single_poset(ws, args.poset), full=args.full)
     else:
-        partition = to_ordered_partition(_named_relation(ws, args.rel))
-        text = emit_dot(partition, full=args.full)
+        rel = _lookup(ws.relations, "relation", args.rel)
+        text = emit_dot(to_ordered_partition(rel), full=args.full)
     sys.stdout.write(text)
     return 0
 

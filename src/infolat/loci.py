@@ -13,7 +13,7 @@ monotone tables.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CapExceededError, ValidationError
 from .loi import _fibre_images, _image_closure, pullback
@@ -114,8 +114,23 @@ class RealisabilityResult:
     cycle: tuple[tuple[str, ...], ...] | None = None
 
 
-def _block_name(block: tuple[str, ...]) -> str:
-    return "+".join(block)
+def _block_names(blocks: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+    """Element names for the quotient on ``blocks``: members joined by
+    ``+``.  Two joins can coincide (``{a b}`` and ``{a+b}``); each later
+    copy takes the first suffix ``#2``, ``#3``, ... that is no other
+    name, so every join that is unique keeps its plain name."""
+    names = ["+".join(block) for block in blocks]
+    taken = set(names)
+    seen: set[str] = set()
+    for i, join in enumerate(names):
+        if join in seen:
+            k = 2
+            while f"{join}#{k}" in taken:
+                k += 1
+            names[i] = f"{join}#{k}"
+            taken.add(names[i])
+        seen.add(join)
+    return tuple(names)
 
 
 def _shortest_cycle(phi: list[int], start: int) -> list[int]:
@@ -152,19 +167,22 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     obstruction.  It passes each of its blocks once.
     """
     require(r, "equivalence", "argument")
-    op = to_ordered_partition(r)
-    blocks = op.blocks
-    phi = _block_rows(r.carrier.rows, op.labels,
-                      fibres(op.labels, len(blocks)))
+    # an equivalence's row is its class, so its distinct rows in index
+    # order are the blocks in order of least member
+    index: dict[int, int] = {}
+    labels = tuple(index.setdefault(row, len(index)) for row in r.rows)
+    names = r.carrier.elements
+    blocks = tuple(tuple(names[j] for j in bits(mask)) for mask in index)
+    phi = _block_rows(r.carrier.rows, labels, list(index))
     closed = close_rows(phi)
     for b1, row in enumerate(closed):
         if any(b2 != b1 and (closed[b2] >> b1) & 1 for b2 in bits(row)):
             cycle = _shortest_cycle(phi, b1)
             return RealisabilityResult(
                 False, cycle=tuple(blocks[b] for b in cycle))
-    witness = Poset(tuple(_block_name(b) for b in blocks), tuple(closed))
+    witness = Poset(_block_names(blocks), tuple(closed))
     return RealisabilityResult(True, witness_poset=witness,
-                               witness_fn=FnTable(r.carrier, witness, op.labels))
+                               witness_fn=FnTable(r.carrier, witness, labels))
 
 
 def quotient_map(q: Rel) -> FnTable:
@@ -175,7 +193,7 @@ def quotient_map(q: Rel) -> FnTable:
     """
     require(q, "complete", "argument")
     op = to_ordered_partition(q)
-    target = Poset(tuple(_block_name(b) for b in op.blocks), op.block_rows)
+    target = Poset(_block_names(op.blocks), op.block_rows)
     return FnTable(q.carrier, target, op.labels)
 
 

@@ -277,6 +277,47 @@ def block_steps_pairwise(carrier: Poset, block_masks) -> list[int]:
     return phi
 
 
+# --- workspace text format -------------------------------------------
+
+
+def tokenize_scanner(source: str) -> list[tuple[str, int, int]]:
+    """(text, line, col) of each token, by scanning character by
+    character: the reader's tokenizer before it became one regular
+    expression, kept as its oracle.  ``<=`` is a token even inside a
+    run, each of ``{ } ; : , =`` is a token, and whitespace separates."""
+    reserved = set("{};:,=")
+    tokens = []
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        i = 0
+        word = ""
+        word_col = 0
+
+        def flush() -> None:
+            nonlocal word
+            if word:
+                tokens.append((word, lineno, word_col))
+                word = ""
+
+        while i < len(line):
+            ch = line[i]
+            if ch == "<" and line[i + 1:i + 2] == "=":
+                flush()
+                tokens.append(("<=", lineno, i + 1))
+                i += 2
+                continue
+            if ch.isspace() or ch in reserved:
+                flush()
+                if ch in reserved:
+                    tokens.append((ch, lineno, i + 1))
+            else:
+                if not word:
+                    word_col = i + 1
+                word += ch
+            i += 1
+        flush()
+    return tokens
+
+
 # --- strategies -------------------------------------------------------
 
 

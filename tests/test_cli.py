@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from infolat import get_example, list_examples
+from infolat import get_example, kernel, list_examples
 from infolat.cli import (Workspace, _tokenize, emit_dot, export_poset,
                          export_workspace, parse_workspace, run)
 from infolat.errors import ParseError
@@ -75,6 +75,18 @@ class TestParse:
          "rel R on A kind=equiv { x ~ z }",
          "2:1: unknown element 'z'"),
         ("junk", "1:1: expected 'poset', 'fn' or 'rel', got 'junk'"),
+        ("poset A { elements: x y ; order: x y }",
+         "1:36: expected '<=', got 'y'"),
+        ("poset A { elements: x y ; order: x <= y",
+         "1:39: expected element name (at end of input)"),
+        ("poset A { elements: x ; order: }\nfn f : A -> A { x x }",
+         "2:19: expected '->', got 'x'"),
+        ("poset A { elements: x ; order: }\nfn f : A -> A { x -> x ; x -> x }",
+         "2:31: element 'x' mapped twice"),
+        ("poset A { elements: x ; order: }\nrel R on A kind=raw { x -> x }",
+         "2:25: expected '<=' or '~', got '->'"),
+        ("poset A { elements: x ; order: }\nrel R on A kind=raw { <= x }",
+         "2:23: expected element name, got '<='"),
         ("", None),
     ])
     def test_errors_carry_positions(self, source, message):
@@ -183,6 +195,24 @@ class TestRun:
             "fn K_quotient : V -> K_blocks "
             "{ ⊥ -> ⊥ ; c -> c+b ; a -> a ; b -> c+b }",
         ]
+
+    def test_realisable_witness_with_colliding_block_names(self, capsys,
+                                                           tmp_path):
+        # the blocks {a b} and {a+b} both join to "a+b"
+        path = tmp_path / "k.ws"
+        path.write_text("poset P { elements: a b a+b ; order: }\n"
+                        "rel R on P kind=equiv { a ~ b }", encoding="utf-8")
+        out = self.out(capsys, ["realisable", "--file", str(path),
+                                "--rel", "R", "--witness"], 0)
+        assert out.splitlines() == [
+            "REALISABLE",
+            "poset R_blocks { elements: a+b a+b#2 ; order: }",
+            "fn R_quotient : P -> R_blocks "
+            "{ a -> a+b ; b -> a+b ; a+b -> a+b#2 }",
+        ]
+        ws = parse_workspace(path.read_text(encoding="utf-8") + "\n"
+                             + "\n".join(out.splitlines()[1:]))
+        assert kernel(ws.functions["R_quotient"]) == ws.relations["R"]
 
     def test_unrealisable_prints_cycle(self, capsys):
         out = self.out(capsys, ["realisable", "--example", "three-chain",

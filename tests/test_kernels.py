@@ -145,6 +145,9 @@ def test_block_steps_and_realisability_witnesses(inst):
         assert _block_rows(carrier.rows, index, masks) == tuple(steps)
         result = phi_realisability(r)
         if result.realisable:
+            # the blocks read off the rows are the ordered partition's
+            assert result.witness_poset.elements == \
+                tuple("+".join(b) for b in blocks)
             assert kernel(result.witness_fn) == r
             assert result.witness_fn.is_monotone
         else:

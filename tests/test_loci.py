@@ -236,6 +236,22 @@ class TestRealisability:
         assert set(map(frozenset, cyc)) == {frozenset({"⊥", "a"}),
                                             frozenset({"c"})}
 
+    def test_colliding_block_names_get_suffixes(self):
+        # the blocks {a b} and {a+b} both join to "a+b"
+        carrier = discrete(("a", "b", "a+b"))
+        r = close(rel_from_pairs(carrier, [("a", "b")]), "equivalence")
+        assert is_realisable(r)
+        res = phi_realisability(r)
+        assert res.witness_poset.elements == ("a+b", "a+b#2")
+        assert kernel(res.witness_fn) == r
+        assert quotient_map(r).cod.elements == ("a+b", "a+b#2")
+        assert ordered_kernel(quotient_map(r)) == r
+
+    def test_block_name_suffix_skips_taken_names(self):
+        from infolat.loci import _block_names
+        assert _block_names([("x",), ("x#2",), ("x",), ("y",), ("x",)]) \
+            == ("x", "x#2", "x#3", "y", "x#4")
+
     def test_realisable_count_on_vee(self):
         assert sum(1 for r in iter_equivalences(VEE)
                    if is_realisable(r)) == 10
