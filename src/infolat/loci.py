@@ -12,6 +12,7 @@ witnessing that complete preorders are exactly the ordered kernels of
 monotone tables.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -175,11 +176,14 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     blocks = tuple(tuple(names[j] for j in bits(mask)) for mask in index)
     phi = _block_rows(r.carrier.rows, labels, list(index))
     closed = close_rows(phi)
-    for b1, row in enumerate(closed):
-        if any(b2 != b1 and (closed[b2] >> b1) & 1 for b2 in bits(row)):
-            cycle = _shortest_cycle(phi, b1)
-            return RealisabilityResult(
-                False, cycle=tuple(blocks[b] for b in cycle))
+    # the closure is antisymmetric iff its rows are pairwise distinct; the
+    # first block on a cycle is the first whose closed row occurs twice
+    seen = Counter(closed)
+    if len(seen) != len(closed):
+        b1 = next(b for b, row in enumerate(closed) if seen[row] > 1)
+        cycle = _shortest_cycle(phi, b1)
+        return RealisabilityResult(
+            False, cycle=tuple(blocks[b] for b in cycle))
     witness = Poset(_block_names(blocks), tuple(closed))
     return RealisabilityResult(True, witness_poset=witness,
                                witness_fn=FnTable(r.carrier, witness, labels))

@@ -23,7 +23,58 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def close_rows(rows: Iterable[int]) -> list[int]:
-    """Reflexive-transitive closure of bitmask rows (Warshall)."""
+    """Reflexive-transitive closure of bitmask rows.
+
+    Depth-first, roots from the last index down, so covers that point to
+    higher indices find their targets closed already.  A row is closed
+    once each of its successors is: its lowest pending bit j is either
+    closed, and then row j is ORed in and all of its bits leave the
+    pending mask, or still open and then entered first.  Each row is
+    closed once, in one jump per successor that no earlier jump covered.
+    Meeting a row that is still being closed means a cycle; the whole
+    input then goes to :func:`_close_rows_warshall`, so cyclic input
+    closes exactly as it always did.
+    """
+    src = list(rows)
+    # out[v]: 0 unvisited, -1 being closed, else the closed row
+    out = [0] * len(src)
+    try:
+        for root in range(len(src) - 1, -1, -1):
+            if out[root]:
+                continue
+            v, low = root, 1 << root
+            acc = src[v] | low
+            pending = acc ^ low
+            frames = []
+            while True:
+                while pending:
+                    low = pending & -pending
+                    j = low.bit_length() - 1
+                    done = out[j]
+                    if done > 0:
+                        acc |= done
+                        pending &= ~done
+                    elif done:
+                        return _close_rows_warshall(src)
+                    else:
+                        out[v] = -1
+                        frames.append((v, acc, pending))
+                        v = j
+                        acc = src[j] | low
+                        pending = acc ^ low
+                out[v] = acc
+                if not frames:
+                    break
+                v, acc, pending = frames.pop()
+    except IndexError:
+        # a bit past the last row: Warshall carries it along unchanged
+        return _close_rows_warshall(src)
+    return out
+
+
+def _close_rows_warshall(rows: Sequence[int]) -> list[int]:
+    """Reflexive-transitive closure by Warshall's n² row steps; the path
+    of :func:`close_rows` for input with a cycle."""
     out = list(rows)
     n = len(out)
     for i in range(n):
@@ -35,6 +86,30 @@ def close_rows(rows: Iterable[int]) -> list[int]:
             if out[i] & bit_k:
                 out[i] |= row_k
     return out
+
+
+def rows_transitive(rows: Sequence[int]) -> bool:
+    """Do the rows form a transitive relation?
+
+    Each distinct row value is tested once, by jumps: its lowest
+    untested bit j needs ``rows[j]`` inside the row; then bit j and
+    every bit of a strictly smaller ``rows[j]`` are settled, and of an
+    equal one only bit j.  Sound because a failing row with the fewest
+    bits only jumps through smaller rows, which pass, so whatever they
+    settle holds.  Every bit must index a row.
+    """
+    for row in set(rows):
+        pending = row
+        while pending:
+            low = pending & -pending
+            sub = rows[low.bit_length() - 1]
+            if sub | row != row:
+                return False
+            if sub == row:
+                pending ^= low
+            else:
+                pending &= ~(sub | low)
+    return True
 
 
 def compose_rows(rows: Iterable[int], table: Sequence[int]) -> tuple[int, ...]:
@@ -87,13 +162,32 @@ def _check_names(names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
+def _raise_first_order_failure(elements: tuple[str, ...],
+                               rows: tuple[int, ...]) -> None:
+    """Raise for the first pair, row-major, that breaks transitivity or
+    antisymmetry of reflexive rows; the kernels only tell that one does."""
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            if row | rows[j] != row:
+                raise ValidationError(
+                    f"order not transitive at {elements[i]!r}")
+            if i != j and (rows[j] >> i) & 1:
+                raise OrderCycleError(
+                    f"antisymmetry violated: {elements[i]!r} and "
+                    f"{elements[j]!r} are below each other",
+                    (elements[i], elements[j]))
+
+
 @dataclass(frozen=True)
 class Poset:
     """A finite poset over named elements.
 
     Instances are immutable and validate reflexivity, transitivity and
-    antisymmetry on construction; use :func:`build_poset` to go from a
-    cover list to the closed relation.
+    antisymmetry on construction, in whole rows: :func:`rows_transitive`
+    and a test that the rows are pairwise distinct, which for reflexive,
+    transitive rows is antisymmetry.  Only when those fail does a scan
+    over the related pairs, row-major, name the first failing pair.  Use
+    :func:`build_poset` to go from a cover list to the closed relation.
     """
 
     elements: tuple[str, ...]
@@ -111,16 +205,9 @@ class Poset:
             if not (row >> i) & 1:
                 raise ValidationError(
                     f"order not reflexive at {self.elements[i]!r}")
-        for i in range(n):
-            for j in bits(self.rows[i]):
-                if self.rows[i] | self.rows[j] != self.rows[i]:
-                    raise ValidationError(
-                        f"order not transitive at {self.elements[i]!r}")
-                if i != j and (self.rows[j] >> i) & 1:
-                    raise OrderCycleError(
-                        f"antisymmetry violated: {self.elements[i]!r} and "
-                        f"{self.elements[j]!r} are below each other",
-                        (self.elements[i], self.elements[j]))
+        # reflexive, transitive rows are antisymmetric iff pairwise distinct
+        if len(set(self.rows)) != n or not rows_transitive(self.rows):
+            _raise_first_order_failure(self.elements, self.rows)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -158,14 +245,23 @@ class Poset:
         return None
 
     def covers(self) -> list[tuple[int, int]]:
-        """Transitive reduction as index pairs, row-major order."""
-        n = len(self.elements)
+        """Transitive reduction as index pairs, row-major order.
+
+        The covers of i are the minimal elements of its strict up-set.
+        Its lowest pending element j is one iff nothing else of the
+        up-set lies below j; either way nothing strictly above j is, so
+        all of row j leaves the pending mask.
+        """
+        rows, cols = self.rows, self.cols
         out = []
-        for i in range(n):
-            for j in bits(self.rows[i] & ~(1 << i)):
-                between = self.rows[i] & self.cols[j] & ~(1 << i) & ~(1 << j)
-                if not between:
+        for i, row in enumerate(rows):
+            up = pending = row ^ (1 << i)
+            while pending:
+                low = pending & -pending
+                j = low.bit_length() - 1
+                if cols[j] & up == low:
                     out.append((i, j))
+                pending &= ~rows[j]
         return out
 
 

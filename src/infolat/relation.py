@@ -14,7 +14,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .poset import Poset, bits, close_rows, compose_rows, fibres, transpose
+from .poset import (Poset, bits, close_rows, compose_rows, fibres,
+                    rows_transitive, transpose)
 
 
 @dataclass(frozen=True)
@@ -69,17 +70,15 @@ class Rel:
 
     # left uncached: the library reaches it only through the cached
     # is_preorder, and benchmarks/tracing.py wraps this property's getter.
-    # The test for a row depends only on its value, so equal rows are
-    # tested once.
     @property
     def is_transitive(self) -> bool:
-        rows = self.rows
-        return all(rows[j] | row == row for row in set(rows) for j in bits(row))
+        return rows_transitive(self.rows)
 
     @property
     def is_antisymmetric(self) -> bool:
-        return all(i == j or not self.holds_idx(j, i)
-                   for i, row in enumerate(self.rows) for j in bits(row))
+        # row i meets column i in nothing but i itself
+        return all(not (row & col & ~(1 << i)) for i, (row, col)
+                   in enumerate(zip(self.rows, transpose(self.rows))))
 
     @cached_property
     def is_preorder(self) -> bool:

@@ -9,10 +9,11 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from infolat import (FnTable, Poset, Rel, Violation, build_poset, chain,
-                     close, discrete, iter_monotone_tables, lift, order_rel,
-                     rel_from_pairs, subset_name, union)
-from infolat.poset import bits, close_rows
+from infolat import (FnTable, OrderCycleError, Poset, Rel, ValidationError,
+                     Violation, build_poset, chain, close, discrete,
+                     iter_monotone_tables, lift, order_rel, rel_from_pairs,
+                     subset_name, union)
+from infolat.poset import bits
 from infolat.powerdomain import _all_subset_masks, _em_rows
 from infolat.relation import equivalence_from_blocks
 
@@ -187,7 +188,7 @@ def enumerate_loci_warshall(a: Poset) -> list[Rel]:
         rec(rows, k + 1, forbidden | pair_bit(i, j))
         grown = list(rows)
         grown[i] |= 1 << j
-        closed = tuple(close_rows(grown))
+        closed = tuple(close_rows_warshall(grown))
         closed_bits = 0
         for x, row in enumerate(closed):
             closed_bits |= row << (x * n)
@@ -218,6 +219,70 @@ def em_extension(r: Rel) -> Rel:
 
 # --- per-pair kernels -------------------------------------------------
 # The loop versions the whole-row kernels replaced, kept as oracles.
+
+
+def close_rows_warshall(rows) -> list[int]:
+    """Reflexive-transitive closure by Warshall: for each k, every row
+    holding bit k takes in row k."""
+    out = list(rows)
+    n = len(out)
+    for i in range(n):
+        out[i] |= 1 << i
+    for k in range(n):
+        bit_k = 1 << k
+        row_k = out[k]
+        for i in range(n):
+            if out[i] & bit_k:
+                out[i] |= row_k
+    return out
+
+
+def is_transitive_pairwise(rows) -> bool:
+    """Every j in row i has row j inside row i, pair by pair."""
+    n = len(rows)
+    return all(rows[i] | rows[j] == rows[i]
+               for i in range(n) for j in range(n) if (rows[i] >> j) & 1)
+
+
+def poset_checks_pairwise(elements, rows) -> None:
+    """The order checks of ``Poset`` as a loop over every related pair,
+    raising the error ``Poset`` raises for the first failure."""
+    n = len(elements)
+    if len(rows) != n:
+        raise ValidationError("order matrix does not match carrier size")
+    full = (1 << n) - 1
+    for i, row in enumerate(rows):
+        if row & ~full:
+            raise ValidationError("order row mentions an unknown index")
+        if not (row >> i) & 1:
+            raise ValidationError(f"order not reflexive at {elements[i]!r}")
+    for i in range(n):
+        for j in bits(rows[i]):
+            if rows[i] | rows[j] != rows[i]:
+                raise ValidationError(
+                    f"order not transitive at {elements[i]!r}")
+            if i != j and (rows[j] >> i) & 1:
+                raise OrderCycleError(
+                    f"antisymmetry violated: {elements[i]!r} and "
+                    f"{elements[j]!r} are below each other",
+                    (elements[i], elements[j]))
+
+
+def is_antisymmetric_pairwise(rows) -> bool:
+    """No two distinct indices relate both ways, pair by pair."""
+    return all(i == j or not (rows[j] >> i) & 1
+               for i, row in enumerate(rows) for j in bits(row))
+
+
+def covers_pairwise(p: Poset) -> list[tuple[int, int]]:
+    """Related pairs i != j, row-major, with nothing strictly between
+    them, tested pair by pair."""
+    out = []
+    for i, row in enumerate(p.rows):
+        for j in bits(row & ~(1 << i)):
+            if not row & p.cols[j] & ~(1 << i) & ~(1 << j):
+                out.append((i, j))
+    return out
 
 
 def transpose_pairwise(rows) -> tuple[int, ...]:

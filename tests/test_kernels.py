@@ -1,22 +1,26 @@
 """Whole-row kernels against the per-pair loops they replaced, and the
 lattice identities that tie them together, on seeded carriers of 50 to
-300 points."""
+300 points; plus one guard at 3,000 points that takes seconds only while
+the order kernels stay near-linear in their rows."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infolat import (FnTable, Rel, close, compatible_extension, compose, cp,
-                     er, flow_check, from_ordered_partition, identity_rel,
-                     invert, kernel, order_rel, phi_realisability, pullback,
-                     to_ordered_partition, union)
-from infolat.poset import transpose
-from infolat.relation import _block_rows
-from helpers import (block_steps_pairwise, compatible_extension_pairwise,
-                     flow_check_pairwise, pullback_pairwise, random_equivalence,
-                     random_poset, random_preorder, random_rows, seeded,
-                     transpose_pairwise)
+from infolat import (FnTable, OrderCycleError, Poset, Rel, ValidationError,
+                     chain, cli, close, compatible_extension, compose, cp,
+                     discrete, er, flow_check, from_ordered_partition,
+                     identity_rel, invert, kernel, order_rel,
+                     phi_realisability, pullback, to_ordered_partition, union)
+from infolat.poset import bits, close_rows, rows_transitive, transpose
+from infolat.relation import _block_rows, preorder_from_blocks
+from helpers import (CHAIN3, block_steps_pairwise, close_rows_warshall,
+                     compatible_extension_pairwise, covers_pairwise,
+                     flow_check_pairwise, is_antisymmetric_pairwise,
+                     is_transitive_pairwise, poset_checks_pairwise,
+                     pullback_pairwise, random_equivalence, random_poset,
+                     random_preorder, random_rows, seeded, transpose_pairwise)
 
 SIZES = st.integers(50, 300)
 AT_SCALE = settings(max_examples=20)
@@ -96,9 +100,174 @@ def test_is_transitive_matches_pairwise(inst):
     rng, carrier = inst
     n = len(carrier)
     for rows in (random_rows(rng, n), random_preorder(rng, carrier).rows):
-        want = all(rows[i] | rows[j] == rows[i]
-                   for i in range(n) for j in range(n) if (rows[i] >> j) & 1)
-        assert Rel(carrier, rows).is_transitive == want
+        assert Rel(carrier, rows).is_transitive == is_transitive_pairwise(rows)
+
+
+@AT_SCALE
+@given(scale_posets())
+def test_is_antisymmetric_matches_pairwise(inst):
+    rng, carrier = inst
+    n = len(carrier)
+    for rows in (random_rows(rng, n), random_preorder(rng, carrier).rows,
+                 carrier.rows, flip_bits(rng, carrier.rows, 1)):
+        assert (Rel(carrier, rows).is_antisymmetric
+                == is_antisymmetric_pairwise(rows))
+
+
+def relabel(rows, perm):
+    """The rows with index i renamed perm[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = sum(1 << perm[j] for j in range(len(rows))
+                           if (row >> j) & 1)
+    return out
+
+
+def flip_bits(rng, rows, k):
+    """The rows with k random bits flipped, the diagonal left alone."""
+    out = list(rows)
+    n = len(out)
+    for _ in range(k if n > 1 else 0):
+        i = rng.randrange(n)
+        out[i] ^= 1 << rng.choice([j for j in range(n) if j != i])
+    return tuple(out)
+
+
+def dag_rows(rng, n):
+    """Covers of a random acyclic relation on n points, relabelled at
+    random so that they point both up and down the indices."""
+    density = rng.choice((0.0, 1.0 / n, 4.0 / n, 0.05, 0.5))
+    rows = [sum(1 << j for j in range(i + 1, n) if rng.random() < density)
+            for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(rows, perm)
+
+
+def close_a_cycle(rng, rows):
+    """Add the edge from the end of a random path back to its start; a
+    path of one point gets an edge to a random other point and back."""
+    n = len(rows)
+    path = [rng.randrange(n)]
+    while rows[path[-1]] and len(path) < 5:
+        path.append(rng.choice(list(bits(rows[path[-1]]))))
+    if len(path) == 1:
+        path.append(rng.choice([j for j in range(n) if j != path[0]]))
+        rows[path[0]] |= 1 << path[1]
+    rows[path[-1]] |= 1 << path[0]
+
+
+@AT_SCALE
+@given(seeded(), SIZES, st.sampled_from(("covers", "closed", "cyclic")))
+def test_close_rows_matches_warshall(rng, n, shape):
+    rows = dag_rows(rng, n)
+    if shape == "closed":
+        rows = close_rows_warshall(rows)
+    elif shape == "cyclic":
+        close_a_cycle(rng, rows)
+    assert close_rows(rows) == close_rows_warshall(rows)
+
+
+def test_close_rows_carries_bits_past_the_last_row():
+    # block covers are not range-checked before closing; the block
+    # order's Poset rejects the stray bit afterwards
+    rows = [0b1010, 0b0001, 0]
+    assert close_rows(rows) == close_rows_warshall(rows) == [0b1011, 0b1011,
+                                                             0b100]
+    with pytest.raises(ValidationError,
+                       match="order row mentions an unknown index"):
+        preorder_from_blocks(CHAIN3, [["0"], ["1"], ["2"]], [(0, 5)])
+
+
+@settings(max_examples=200)
+@given(seeded(), st.integers(1, 9), st.booleans(), st.integers(0, 3))
+def test_rows_transitive_matches_pairwise(rng, n, closed, flips):
+    rows = tuple(row | 1 << i for i, row in enumerate(random_rows(rng, n)))
+    if closed:
+        rows = tuple(close_rows_warshall(rows))
+    rows = flip_bits(rng, rows, flips)
+    assert rows_transitive(rows) == is_transitive_pairwise(rows)
+
+
+def raised(build):
+    """Type, message and pair of the error ``build()`` raises, if any."""
+    try:
+        build()
+    except ValidationError as err:
+        return type(err), str(err), getattr(err, "pair", None)
+    return None
+
+
+@settings(max_examples=60)
+@given(seeded(), st.integers(1, 120),
+       st.sampled_from(("valid", "irreflexive", "intransitive", "cycle",
+                        "back edge", "unknown index", "flipped")))
+def test_broken_poset_rows_raise_as_pairwise(rng, n, shape):
+    names = tuple(f"e{i}" for i in range(n))
+    rows = [row | 1 << i for i, row in
+            enumerate(close_rows_warshall(dag_rows(rng, n)))]
+    i = rng.randrange(n)
+    if shape == "irreflexive":
+        rows[i] ^= 1 << i
+    elif shape == "intransitive":
+        # drop the top of a two-step path from its bottom's row
+        for a in rng.sample(range(n), n):
+            above = [k for k in bits(rows[a]) if k != a
+                     and rows[k] != 1 << k]
+            if above:
+                mid = rng.choice(above)
+                top = rng.choice([k for k in bits(rows[mid]) if k != mid])
+                rows[a] &= ~(1 << top)
+                break
+    elif shape == "cycle":
+        j = rng.randrange(n)
+        rows[j] |= rows[i]
+        rows[i] |= rows[j]
+        if rng.random() < 0.5:
+            rows = close_rows_warshall(rows)
+    elif shape == "back edge":
+        # i below j and now j below i: the row-major scan meets the pair
+        # as a cycle from i's row, or from j's row where it also breaks
+        # transitivity first
+        above = [j for j in bits(rows[i]) if j != i]
+        if above:
+            rows[rng.choice(above)] |= 1 << i
+    elif shape == "unknown index":
+        rows[i] |= 1 << (n + rng.randrange(3))
+    elif shape == "flipped":
+        rows = list(flip_bits(rng, rows, rng.randint(1, 3)))
+    rows = tuple(rows)
+    want = raised(lambda: poset_checks_pairwise(names, rows))
+    assert raised(lambda: Poset(names, rows)) == want
+    if shape in ("valid", "irreflexive", "unknown index"):
+        assert (want is None) == (shape == "valid")
+
+
+@AT_SCALE
+@given(seeded(), SIZES)
+def test_covers_match_pairwise(rng, n):
+    carrier = Poset(tuple(f"e{i}" for i in range(n)),
+                    tuple(close_rows_warshall(dag_rows(rng, n))))
+    assert carrier.covers() == covers_pairwise(carrier)
+
+
+@pytest.mark.parametrize("rows,error,message,pair", [
+    ((0b011, 0b111, 0b100), ValidationError, "order not transitive at 'e0'",
+     None),
+    ((0b111, 0b011, 0b100), OrderCycleError,
+     "antisymmetry violated: 'e0' and 'e1' are below each other",
+     ("e0", "e1")),
+    ((0b001, 0b110, 0b110), OrderCycleError,
+     "antisymmetry violated: 'e1' and 'e2' are below each other",
+     ("e1", "e2")),
+])
+def test_poset_names_the_first_failing_pair(rows, error, message, pair):
+    # in the first case the first pair (0, 1) both breaks transitivity
+    # and closes a cycle, and transitivity is tested first
+    names = ("e0", "e1", "e2")
+    assert raised(lambda: Poset(names, rows)) == (error, message, pair)
+    assert raised(lambda: poset_checks_pairwise(names, rows)) == \
+        (error, message, pair)
 
 
 @AT_SCALE
@@ -127,6 +296,15 @@ def assert_simple_cycle(blocks, cycle_blocks, steps):
         assert (steps[b1] >> b2) & 1
 
 
+def first_block_on_a_cycle(steps):
+    """The first block b1, in index order, whose Warshall-closed row
+    holds a block b2 != b1 that reaches back to b1."""
+    closed = close_rows_warshall(steps)
+    return next((b1 for b1, row in enumerate(closed)
+                 if any(b2 != b1 and (closed[b2] >> b1) & 1
+                        for b2 in bits(row))), None)
+
+
 @AT_SCALE
 @given(scale_posets())
 def test_block_steps_and_realisability_witnesses(inst):
@@ -144,6 +322,8 @@ def test_block_steps_and_realisability_witnesses(inst):
         steps = block_steps_pairwise(carrier, masks)
         assert _block_rows(carrier.rows, index, masks) == tuple(steps)
         result = phi_realisability(r)
+        start = first_block_on_a_cycle(steps)
+        assert result.realisable == (start is None)
         if result.realisable:
             # the blocks read off the rows are the ordered partition's
             assert result.witness_poset.elements == \
@@ -151,6 +331,7 @@ def test_block_steps_and_realisability_witnesses(inst):
             assert kernel(result.witness_fn) == r
             assert result.witness_fn.is_monotone
         else:
+            assert result.cycle[0] == blocks[start]
             assert_simple_cycle(blocks, result.cycle, steps)
     assert phi_realisability(er(cp(raw))).realisable
 
@@ -188,3 +369,19 @@ def test_er_cp_round_trips_on_complete_preorders(inst):
               "refl_trans")
     assert cp(er(q)).subset_of(q)
     assert er(cp(er(q))) == er(q)
+
+
+def test_order_kernels_at_3000_points(capsys):
+    # each step here was quadratic in per-pair Python steps, together
+    # well over ten seconds at this size
+    names = tuple(str(i) for i in range(3000))
+    line = chain(names)
+    assert line.rows == tuple((1 << 3000) - (1 << i) for i in range(3000))
+    assert line.covers() == [(i, i + 1) for i in range(2999)]
+    assert order_rel(line).is_transitive
+    flat = discrete(names)
+    assert flat.rows == tuple(1 << i for i in range(3000))
+    assert flat.covers() == []
+    assert cli.run(["check", "--example", "omega", "--n", "3000", "--fn", "S1",
+                    "--pre", "All", "--post", "order", "--ti"]) == 0
+    assert capsys.readouterr().out == "HOLDS\n"
