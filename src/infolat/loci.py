@@ -19,8 +19,8 @@ from typing import Iterator, Sequence
 from .errors import CapExceededError, ValidationError
 from .loi import _fibre_images, _image_closure, pullback
 from .poset import FnTable, Poset, _monotone_tables, bits, close_rows, fibres
-from .relation import (Rel, _block_rows, close, intersect, invert, order_rel,
-                       require, to_ordered_partition, union)
+from .relation import (Rel, _block_rows, _row_classes, close, intersect,
+                       invert, order_rel, require, to_ordered_partition, union)
 from .relation import is_complete_preorder  # noqa: F401  (re-exported)
 
 DEFAULT_ENUMERATION_CAP = 6
@@ -168,13 +168,10 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     obstruction.  It passes each of its blocks once.
     """
     require(r, "equivalence", "argument")
-    # an equivalence's row is its class, so its distinct rows in index
-    # order are the blocks in order of least member
-    index: dict[int, int] = {}
-    labels = tuple(index.setdefault(row, len(index)) for row in r.rows)
+    labels, block_masks = _row_classes(r.rows)
     names = r.carrier.elements
-    blocks = tuple(tuple(names[j] for j in bits(mask)) for mask in index)
-    phi = _block_rows(r.carrier.rows, labels, list(index))
+    blocks = tuple(tuple(names[j] for j in bits(mask)) for mask in block_masks)
+    phi = _block_rows(r.carrier.rows, labels, block_masks)
     closed = close_rows(phi)
     # the closure is antisymmetric iff its rows are pairwise distinct; the
     # first block on a cycle is the first whose closed row occurs twice

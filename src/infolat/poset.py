@@ -23,68 +23,69 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def close_rows(rows: Iterable[int]) -> list[int]:
-    """Reflexive-transitive closure of bitmask rows.
+    """Reflexive-transitive closure of bitmask rows; every bit must
+    index a row.
 
-    Depth-first, roots from the last index down, so covers that point to
-    higher indices find their targets closed already.  A row is closed
-    once each of its successors is: its lowest pending bit j is either
-    closed, and then row j is ORed in and all of its bits leave the
-    pending mask, or still open and then entered first.  Each row is
-    closed once, in one jump per successor that no earlier jump covered.
-    Meeting a row that is still being closed means a cycle; the whole
-    input then goes to :func:`_close_rows_warshall`, so cyclic input
-    closes exactly as it always did.
+    One depth-first pass that also finds the strongly connected
+    components (Tarjan).  Roots go from the last index down, so covers
+    pointing to higher indices find their targets closed.  An entered
+    row is open: it has a 1-based depth on a stack of open rows and a
+    ``low``, the least depth of an open row it reaches.  Its lowest
+    pending bit j is closed, and row j is ORed in and all of its bits
+    leave the pending mask; or open, and only ``low`` may fall; or new,
+    and j is entered first.  A finished row hands its bits and ``low``
+    to its parent, which drops those bits from its pending mask too.  A
+    row whose ``low`` is its own depth roots a component: its bits are
+    the closed row of every open row from it up.
     """
     src = list(rows)
-    # out[v]: 0 unvisited, -1 being closed, else the closed row
+    # out[v]: 0 unvisited, -depth while open, else the closed row
     out = [0] * len(src)
-    try:
-        for root in range(len(src) - 1, -1, -1):
-            if out[root]:
-                continue
-            v, low = root, 1 << root
-            acc = src[v] | low
-            pending = acc ^ low
-            frames = []
-            while True:
-                while pending:
-                    low = pending & -pending
-                    j = low.bit_length() - 1
-                    done = out[j]
-                    if done > 0:
-                        acc |= done
-                        pending &= ~done
-                    elif done:
-                        return _close_rows_warshall(src)
-                    else:
-                        out[v] = -1
-                        frames.append((v, acc, pending))
-                        v = j
-                        acc = src[j] | low
-                        pending = acc ^ low
-                out[v] = acc
-                if not frames:
-                    break
-                v, acc, pending = frames.pop()
-    except IndexError:
-        # a bit past the last row: Warshall carries it along unchanged
-        return _close_rows_warshall(src)
-    return out
-
-
-def _close_rows_warshall(rows: Sequence[int]) -> list[int]:
-    """Reflexive-transitive closure by Warshall's n² row steps; the path
-    of :func:`close_rows` for input with a cycle."""
-    out = list(rows)
-    n = len(out)
-    for i in range(n):
-        out[i] |= 1 << i
-    for k in range(n):
-        bit_k = 1 << k
-        row_k = out[k]
-        for i in range(n):
-            if out[i] & bit_k:
-                out[i] |= row_k
+    for root in range(len(src) - 1, -1, -1):
+        if out[root]:
+            continue
+        v, bit = root, 1 << root
+        acc = src[v] | bit
+        pending = acc ^ bit
+        # every earlier root closed its whole component
+        stack, frames, low = [v], [], 1
+        out[v] = -1
+        while True:
+            while pending:
+                bit = pending & -pending
+                j = bit.bit_length() - 1
+                done = out[j]
+                if done > 0:
+                    acc |= done
+                    pending &= ~done
+                elif done:
+                    if -done < low:
+                        low = -done
+                    pending ^= bit
+                else:
+                    frames.append((v, acc, pending, low))
+                    v = j
+                    acc = src[j] | bit
+                    pending = acc ^ bit
+                    stack.append(v)
+                    low = len(stack)
+                    out[v] = -low
+            if low == -out[v]:
+                if stack[-1] == v:
+                    stack.pop()
+                    out[v] = acc
+                else:
+                    for w in stack[low - 1:]:
+                        out[w] = acc
+                    del stack[low - 1:]
+            if not frames:
+                break
+            child, child_low = acc, low
+            v, acc, pending, low = frames.pop()
+            acc |= child
+            pending &= ~child
+            if child_low < low:
+                low = child_low
     return out
 
 

@@ -245,20 +245,19 @@ def to_ordered_partition(q: Rel) -> OrderedPartition:
     if not q.is_preorder:
         raise ValidationError("only a preorder has an ordered partition")
     names = q.carrier.elements
-    converse = transpose(q.rows)
-    labels = [-1] * len(names)
-    block_masks: list[int] = []
-    for i in range(len(names)):
-        if labels[i] < 0:
-            # mutual class of i: every j with i q j and j q i
-            mask = q.rows[i] & converse[i]
-            for j in bits(mask):
-                labels[j] = len(block_masks)
-            block_masks.append(mask)
+    labels, block_masks = _row_classes(q.rows)
     blocks = tuple(tuple(names[j] for j in bits(mask)) for mask in block_masks)
-    # the members of a block have equal rows, so their OR is any one of them
     return OrderedPartition(q.carrier, blocks,
                             _block_rows(q.rows, labels, block_masks))
+
+
+def _row_classes(rows: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """Number the classes of equal rows by first occurrence; return each
+    row's class and each class's mask.  In a preorder these are the
+    mutual classes: i, j related both ways iff their rows are equal."""
+    index: dict[int, int] = {}
+    labels = tuple(index.setdefault(row, len(index)) for row in rows)
+    return labels, fibres(labels, len(index))
 
 
 def _block_rows(rows: Sequence[int], labels: Sequence[int],
@@ -299,6 +298,8 @@ def preorder_from_blocks(carrier: Poset, blocks: Iterable[Iterable[str]],
     blocks = tuple(tuple(b) for b in blocks)
     rows = [0] * len(blocks)
     for b1, b2 in covers:
+        if not (0 <= b1 < len(rows) and 0 <= b2 < len(rows)):
+            raise ValidationError("order row mentions an unknown index")
         rows[b1] |= 1 << b2
     op = OrderedPartition(carrier, blocks, tuple(close_rows(rows)))
     return from_ordered_partition(op)

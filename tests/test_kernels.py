@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infolat import (FnTable, OrderCycleError, Poset, Rel, ValidationError,
-                     chain, cli, close, compatible_extension, compose, cp,
-                     discrete, er, flow_check, from_ordered_partition,
-                     identity_rel, invert, kernel, order_rel,
-                     phi_realisability, pullback, to_ordered_partition, union)
+                     all_rel, chain, cli, close, compatible_extension,
+                     compose, cp, discrete, er, flow_check,
+                     from_ordered_partition, identity_rel, invert, kernel,
+                     order_rel, phi_realisability, pullback,
+                     to_ordered_partition, union)
 from infolat.poset import bits, close_rows, rows_transitive, transpose
 from infolat.relation import _block_rows, preorder_from_blocks
 from helpers import (CHAIN3, block_steps_pairwise, close_rows_warshall,
@@ -157,26 +158,44 @@ def close_a_cycle(rng, rows):
     rows[path[-1]] |= 1 << path[0]
 
 
+def lay_cycles(rng, rows):
+    """Add 2 to 8 closed walks of 2 to 6 points, each sharing a point
+    with an earlier one half of the time, and a few self-loops.  Walks
+    of three or more points, entered in walk order, reach the first
+    point only through the last, so its low is handed up."""
+    n = len(rows)
+    walked: list[int] = []
+    for _ in range(rng.randint(2, 8)):
+        walk = rng.sample(range(n), rng.randint(2, 6))
+        if walked and rng.random() < 0.5:
+            walk.append(rng.choice(walked))
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            rows[a] |= 1 << b
+        walked.extend(walk)
+    for i in rng.sample(range(n), rng.randint(0, n // 10)):
+        rows[i] |= 1 << i
+
+
 @AT_SCALE
-@given(seeded(), SIZES, st.sampled_from(("covers", "closed", "cyclic")))
+@given(seeded(), SIZES,
+       st.sampled_from(("covers", "closed", "cyclic", "components")))
 def test_close_rows_matches_warshall(rng, n, shape):
     rows = dag_rows(rng, n)
     if shape == "closed":
         rows = close_rows_warshall(rows)
     elif shape == "cyclic":
         close_a_cycle(rng, rows)
+    elif shape == "components":
+        lay_cycles(rng, rows)
     assert close_rows(rows) == close_rows_warshall(rows)
 
 
-def test_close_rows_carries_bits_past_the_last_row():
-    # block covers are not range-checked before closing; the block
-    # order's Poset rejects the stray bit afterwards
-    rows = [0b1010, 0b0001, 0]
-    assert close_rows(rows) == close_rows_warshall(rows) == [0b1011, 0b1011,
-                                                             0b100]
-    with pytest.raises(ValidationError,
-                       match="order row mentions an unknown index"):
-        preorder_from_blocks(CHAIN3, [["0"], ["1"], ["2"]], [(0, 5)])
+def test_preorder_from_blocks_rejects_unknown_indices():
+    # checked before closing: close_rows needs every bit to index a row
+    for cover in [(0, 5), (5, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(ValidationError,
+                           match="order row mentions an unknown index"):
+            preorder_from_blocks(CHAIN3, [["0"], ["1"], ["2"]], [cover])
 
 
 @settings(max_examples=200)
@@ -276,6 +295,14 @@ def test_ordered_partition_block_rows(inst):
     rng, carrier = inst
     q = random_preorder(rng, carrier)
     op = to_ordered_partition(q)
+    # the mutual classes, pairwise, in order of least member
+    names, classes = carrier.elements, []
+    for i in range(len(names)):
+        mutual = tuple(names[j] for j in range(len(names))
+                       if q.holds_idx(i, j) and q.holds_idx(j, i))
+        if mutual[0] == names[i]:
+            classes.append(mutual)
+    assert op.blocks == tuple(classes)
     reps = [carrier.index(block[0]) for block in op.blocks]
     for b1, r1 in enumerate(reps):
         want = sum(1 << b2 for b2, r2 in enumerate(reps) if q.holds_idx(r1, r2))
@@ -382,6 +409,10 @@ def test_order_kernels_at_3000_points(capsys):
     flat = discrete(names)
     assert flat.rows == tuple(1 << i for i in range(3000))
     assert flat.covers() == []
+    cycle = Rel(flat, tuple(1 << ((i + 1) % 3000) for i in range(3000)))
+    assert close(cycle, "refl_trans") == all_rel(flat)
+    path = Rel(flat, tuple(1 << (i + 1) for i in range(2999)) + (0,))
+    assert close(path, "equivalence") == all_rel(flat)
     assert cli.run(["check", "--example", "omega", "--n", "3000", "--fn", "S1",
                     "--pre", "All", "--post", "order", "--ti"]) == 0
     assert capsys.readouterr().out == "HOLDS\n"
