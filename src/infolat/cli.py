@@ -24,7 +24,7 @@ from .errors import InfolatError, ParseError, ValidationError
 from .loci import (cp, enumerate_loci, enumerate_loi, er, ordered_kernel,
                    ordered_knowledge_set, phi_realisability)
 from .loi import flow_check, kernel, knowledge_set
-from .poset import FnTable, Poset, build_poset, check_monotone
+from .poset import FnTable, Poset, bits, build_poset, check_monotone
 from .powerdomain import plotkin
 from .relation import (OrderedPartition, Rel, all_rel, block_label, close,
                        format_relation, identity_rel, order_rel,
@@ -48,22 +48,32 @@ class Token:
 
 
 def _tokenize(source: str) -> list[Token]:
+    """Tokens with their ``line:col``.  The parser reads only the token
+    texts, ``_TOKEN.findall(source)``, and calls this for positions when
+    it reports an error; both scans find the same tokens because every
+    line boundary of ``str.splitlines`` is whitespace to ``_TOKEN``, so
+    no token spans a line."""
     return [Token(m.group(), lineno, m.start() + 1)
             for lineno, line in enumerate(source.splitlines(), start=1)
             for m in _TOKEN.finditer(line)]
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Walks the token texts of ``source``; positions come from
+    :func:`_tokenize` only when an error is built."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _TOKEN.findall(source)
         self.pos = 0
 
     def _fail(self, message: str) -> ParseError:
-        if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
+        tokens = _tokenize(self.source)
+        if self.pos < len(tokens):
+            t = tokens[self.pos]
             return ParseError(message, t.line, t.col)
-        if self.tokens:
-            t = self.tokens[-1]
+        if tokens:
+            t = tokens[-1]
             return ParseError(message + " (at end of input)", t.line, t.col)
         return ParseError(message + " (empty input)", 1, 1)
 
@@ -71,24 +81,24 @@ class _Parser:
         return self.pos >= len(self.tokens)
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos].text if not self.done() else None
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self, what: str) -> str:
-        if self.done():
+        if self.pos >= len(self.tokens):
             raise self._fail(f"expected {what}")
-        t = self.tokens[self.pos]
         self.pos += 1
-        return t.text
+        return self.tokens[self.pos - 1]
 
     def expect(self, *options: str) -> str:
         """Read one of ``options``, or fail naming all of them."""
+        if self.peek() in options:
+            self.pos += 1
+            return self.tokens[self.pos - 1]
         *rest, last = map(repr, options)
         what = f"{', '.join(rest)} or {last}" if rest else last
         got = self.next(what)
-        if got not in options:
-            self.pos -= 1
-            raise self._fail(f"expected {what}, got {got!r}")
-        return got
+        self.pos -= 1
+        raise self._fail(f"expected {what}, got {got!r}")
 
     def name(self, what: str) -> str:
         got = self.next(what)
@@ -106,20 +116,22 @@ def parse_workspace(source: str, into: Workspace | None = None) -> Workspace:
     kind of relations are enforced here.  With ``into``, declarations
     land in an existing workspace and may reference its names.
     """
-    parser = _Parser(_tokenize(source))
+    parser = _Parser(source)
     ws = Workspace() if into is None else into
     declarations = {"poset": (_parse_poset, ws.add_poset),
                     "fn": (_parse_fn, ws.add_function),
                     "rel": (_parse_rel, ws.add_relation)}
     while not parser.done():
         parse, add = declarations[parser.expect(*declarations)]
-        start = parser.tokens[parser.pos - 1]
+        start = parser.pos - 1
         try:
             add(*parse(parser, ws))
         except ParseError:
             raise
         except InfolatError as exc:
-            raise ParseError(str(exc), start.line, start.col) from exc
+            # reported at the declaration's keyword
+            parser.pos = start
+            raise parser._fail(str(exc)) from exc
     return ws
 
 
@@ -256,9 +268,8 @@ def emit_dot(obj: Poset | OrderedPartition, full: bool = False) -> str:
     lines = ["digraph {"]
     lines.extend(f"  {_quote(label)};" for label in labels)
     if full:
-        pairs = [(i, j) for i in range(len(labels))
-                 for j in range(len(labels))
-                 if i != j and skeleton.leq_idx(i, j)]
+        pairs = [(i, j) for i, row in enumerate(skeleton.rows)
+                 for j in bits(row & ~(1 << i))]
     else:
         pairs = skeleton.covers()
     edges = sorted(f"  {_quote(labels[i])} -> {_quote(labels[j])};"

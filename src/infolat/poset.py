@@ -350,18 +350,35 @@ class FnTable:
         return {x: self.cod.elements[v]
                 for x, v in zip(self.dom.elements, self.images)}
 
+    @property
+    def is_monotone(self) -> bool:
+        """Decided in row jumps: row i tests f(i) <= f(j) at its lowest
+        pending j and drops all of row j.  A failed test is a violating
+        pair.  When every test passes, f is monotone on each row, by
+        induction on up-set size: a j strictly above i has a smaller
+        up-set, so f(i) <= f(j) <= f(k) for each k the jump drops."""
+        rows, images, cod = self.dom.rows, self.images, self.cod.rows
+        for i, row in enumerate(rows):
+            up = cod[images[i]]
+            pending = row ^ (1 << i)
+            while pending:
+                j = (pending & -pending).bit_length() - 1
+                if not (up >> images[j]) & 1:
+                    return False
+                pending &= ~rows[j]
+        return True
+
     def monotone_witness(self) -> tuple[str, str] | None:
-        """First pair (x, y) with x <= y but f(x) not <= f(y), if any."""
-        n = len(self.dom.elements)
-        for i in range(n):
-            for j in bits(self.dom.rows[i]):
+        """First pair (x, y), row-major, with x <= y but f(x) not <= f(y),
+        if any; the pairs are scanned only when :attr:`is_monotone`
+        fails."""
+        if self.is_monotone:
+            return None
+        for i, row in enumerate(self.dom.rows):
+            for j in bits(row):
                 if not self.cod.leq_idx(self.images[i], self.images[j]):
                     return self.dom.elements[i], self.dom.elements[j]
         return None
-
-    @property
-    def is_monotone(self) -> bool:
-        return self.monotone_witness() is None
 
     def then(self, g: "FnTable") -> "FnTable":
         """Composition: apply ``self`` first, then ``g``."""

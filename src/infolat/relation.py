@@ -323,11 +323,11 @@ def format_relation(rel: Rel) -> str:
     k = len(op.blocks)
     if all(op.block_rows[b] == 1 << b for b in range(k)):
         return " ".join(labels)
-    total = all(op.block_leq(b1, b2) or op.block_leq(b2, b1)
-                for b1 in range(k) for b2 in range(k))
-    if total:
-        # in a chain the number of blocks weakly above strictly decreases upward
-        by_height = sorted(range(k), key=lambda b: -op.block_rows[b].bit_count())
+    # a finite poset is a chain iff its up-sets have pairwise distinct
+    # sizes; the largest goes first
+    sizes = [row.bit_count() for row in op.block_rows]
+    if len(set(sizes)) == k:
+        by_height = sorted(range(k), key=lambda b: -sizes[b])
         return " <= ".join(labels[b] for b in by_height)
     covers = ", ".join(f"{labels[i]} <= {labels[j]}"
                        for i, j in op.order.covers())

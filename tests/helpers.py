@@ -342,6 +342,30 @@ def block_steps_pairwise(carrier: Poset, block_masks) -> list[int]:
     return phi
 
 
+def monotone_witness_pairwise(f: FnTable) -> tuple[str, str] | None:
+    """First pair (x, y), row-major, with x <= y but f(x) not <= f(y),
+    tested pair by pair."""
+    for i in range(len(f.dom.elements)):
+        for j in bits(f.dom.rows[i]):
+            if not f.cod.leq_idx(f.images[i], f.images[j]):
+                return f.dom.elements[i], f.dom.elements[j]
+    return None
+
+
+def is_chain_pairwise(rows) -> bool:
+    """Every two indices are related one way or the other, pair by pair."""
+    n = len(rows)
+    return all((rows[a] >> b) & 1 or (rows[b] >> a) & 1
+               for a in range(n) for b in range(n))
+
+
+def strict_pairs_pairwise(p: Poset) -> list[tuple[int, int]]:
+    """Related pairs i != j, row-major, tested pair by pair."""
+    n = len(p.elements)
+    return [(i, j) for i in range(n) for j in range(n)
+            if i != j and p.leq_idx(i, j)]
+
+
 # --- workspace text format -------------------------------------------
 
 

@@ -87,6 +87,20 @@ class TestParse:
          "2:25: expected '<=' or '~', got '->'"),
         ("poset A { elements: x ; order: }\nrel R on A kind=raw { <= x }",
          "2:23: expected element name, got '<='"),
+        # lines broken by "\r\n" and "\u2028" count as str.splitlines counts
+        ("poset A { elements: x ; order: }\r\nfn f : A -> A {\u2028 x => x }",
+         "3:4: expected '->', got '='"),
+        ("poset A { elements: x ; order: }\r\n  rel R on B kind=raw { }",
+         "2:12: unknown poset 'B'"),
+        ("poset A { elements: x ; order: }\u2028fn f : A -> A {",
+         "2:15: expected element name (at end of input)"),
+        ("poset A {\r\n", "1:9: expected 'elements' (at end of input)"),
+        # a validation error is reported at its declaration's keyword
+        ("poset A { elements: x y ; order: }\r\n\u2028  fn f : A -> A { x -> x }",
+         "3:3: table not total, missing 'y'"),
+        ("poset A { elements: x ; order: }\n"
+         "  poset B { elements: p q ; order: p <= q, q <= p }",
+         "2:3: antisymmetry violated: 'p' and 'q' are below each other"),
         ("", None),
     ])
     def test_errors_carry_positions(self, source, message):

@@ -7,6 +7,7 @@ import contextlib
 import io
 import re
 import shlex
+import sys
 import tempfile
 from itertools import islice
 from pathlib import Path
@@ -16,7 +17,8 @@ from hypothesis import given, strategies as st
 
 from infolat import (FnTable, Poset, Rel, Workspace, build_poset,
                      get_example, iter_monotone_tables, list_examples)
-from infolat.cli import _tokenize, export_workspace, parse_workspace, run
+from infolat.cli import (_TOKEN, _tokenize, export_workspace,
+                         parse_workspace, run)
 from helpers import tokenize_scanner
 
 README = Path(__file__).parent.parent / "README.md"
@@ -34,8 +36,20 @@ SOURCE_TEXT = st.lists(
 
 @given(SOURCE_TEXT)
 def test_tokenizer_matches_character_scanner(source):
-    assert [(t.text, t.line, t.col) for t in _tokenize(source)] == \
+    tokens = _tokenize(source)
+    assert [(t.text, t.line, t.col) for t in tokens] == \
         tokenize_scanner(source)
+    # the parser reads texts from one scan of the whole source and asks
+    # _tokenize for positions only when it reports an error
+    assert _TOKEN.findall(source) == [t.text for t in tokens]
+
+
+def test_every_line_boundary_is_token_whitespace():
+    # why the whole-source scan finds no token spanning a line
+    breaks = [c for c in map(chr, range(sys.maxunicode + 1))
+              if len(f"a{c}b".splitlines()) == 2]
+    assert "\r" in breaks and "\u2028" in breaks
+    assert all(_TOKEN.findall(f"a{c}b") == ["a", "b"] for c in breaks)
 
 
 # --- grammar-shaped files through the CLI -------------------------------

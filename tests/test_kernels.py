@@ -8,20 +8,24 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infolat import (FnTable, OrderCycleError, Poset, Rel, ValidationError,
-                     all_rel, chain, cli, close, compatible_extension,
-                     compose, cp, discrete, er, flow_check,
+from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
+                     ValidationError, all_rel, block_label, chain,
+                     check_monotone, cli, close, compatible_extension,
+                     compose, cp, discrete, er, flow_check, format_relation,
                      from_ordered_partition, identity_rel, invert, kernel,
-                     order_rel, phi_realisability, pullback,
+                     order_rel, phi_realisability, pullback, quotient_map,
                      to_ordered_partition, union)
+from infolat.cli import _quote, emit_dot
 from infolat.poset import bits, close_rows, rows_transitive, transpose
 from infolat.relation import _block_rows, preorder_from_blocks
 from helpers import (CHAIN3, block_steps_pairwise, close_rows_warshall,
                      compatible_extension_pairwise, covers_pairwise,
                      flow_check_pairwise, is_antisymmetric_pairwise,
-                     is_transitive_pairwise, poset_checks_pairwise,
+                     is_chain_pairwise, is_transitive_pairwise,
+                     monotone_witness_pairwise, poset_checks_pairwise,
                      pullback_pairwise, random_equivalence, random_poset,
-                     random_preorder, random_rows, seeded, transpose_pairwise)
+                     random_preorder, random_rows, seeded,
+                     strict_pairs_pairwise, transpose_pairwise)
 
 SIZES = st.integers(50, 300)
 AT_SCALE = settings(max_examples=20)
@@ -308,6 +312,117 @@ def test_ordered_partition_block_rows(inst):
         want = sum(1 << b2 for b2, r2 in enumerate(reps) if q.holds_idx(r1, r2))
         assert op.block_rows[b1] == want
     assert from_ordered_partition(op) == q
+
+
+def ranked_preorder(rng, carrier, ties):
+    """Blocks of a random equivalence, each given a rank; block b is
+    below block c when b's rank is lower.  Without ties the blocks form
+    a chain; with ties, blocks of equal rank are incomparable."""
+    n = len(carrier)
+    k = rng.randint(1, n)
+    labels = [rng.randrange(k) for _ in range(n)]
+    ranks = [rng.randrange(max(1, k // 2)) if ties else b for b in range(k)]
+    if not ties:
+        rng.shuffle(ranks)
+    return Rel(carrier, tuple(
+        sum(1 << j for j in range(n) if labels[i] == labels[j]
+            or ranks[labels[i]] < ranks[labels[j]])
+        for i in range(n)))
+
+
+@settings(max_examples=200)
+@given(seeded(), st.integers(1, 40),
+       st.sampled_from(("preorder", "equivalence", "chain", "ranked")))
+def test_format_relation_finds_chains_as_pairwise(rng, n, shape):
+    carrier = random_poset(rng, n)
+    if shape == "preorder":
+        q = random_preorder(rng, carrier)
+    elif shape == "equivalence":
+        q = random_equivalence(rng, carrier)
+    else:
+        q = ranked_preorder(rng, carrier, ties=shape == "ranked")
+    op = to_ordered_partition(q)
+    labels = [block_label(b) for b in op.blocks]
+    k = len(labels)
+    text = format_relation(q)
+    if all(op.block_rows[b] == 1 << b for b in range(k)):
+        assert text == " ".join(labels)
+    elif is_chain_pairwise(op.block_rows):
+        by_height = sorted(range(k), key=lambda b: -op.block_rows[b].bit_count())
+        assert text == " <= ".join(labels[b] for b in by_height)
+    else:
+        assert text.startswith(" ".join(labels) + " ord: ")
+    if shape == "chain":
+        assert is_chain_pairwise(op.block_rows)
+
+
+@AT_SCALE
+@given(scale_posets())
+def test_emit_dot_full_matches_pairwise(inst):
+    rng, carrier = inst
+    op = to_ordered_partition(random_preorder(rng, carrier))
+    for obj, labels, skeleton in (
+            (carrier, carrier.elements, carrier),
+            (op, [block_label(b) for b in op.blocks], op.order)):
+        edges = sorted(f"  {_quote(labels[i])} -> {_quote(labels[j])};"
+                       for i, j in strict_pairs_pairwise(skeleton))
+        nodes = [f"  {_quote(label)};" for label in labels]
+        assert emit_dot(obj, full=True).splitlines() == \
+            ["digraph {", *nodes, *edges, "}"]
+
+
+def monotone_table(rng, dom):
+    """A monotone table on dom: the quotient map of a complete preorder
+    into its blocks, a constant, or the height of each point in a chain."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return quotient_map(close(union(random_preorder(rng, dom),
+                                        order_rel(dom)), "refl_trans"))
+    n = len(dom)
+    if kind == 1:
+        cod = random_poset(rng, rng.randint(1, n))
+        return FnTable(dom, cod, (rng.randrange(len(cod)),) * n)
+    # the number of points below i rises along the order
+    heights = [col.bit_count() - 1 for col in dom.cols]
+    cod = chain([f"h{h}" for h in range(n)])
+    return FnTable(dom, cod, tuple(heights))
+
+
+def break_pairs(rng, f, k):
+    """f with the image of a point above some i moved, k times, to a
+    codomain value not above f(i), where one exists."""
+    images = list(f.images)
+    n, m = len(f.dom), len(f.cod)
+    for _ in range(k):
+        i = rng.randrange(n)
+        above = [j for j in bits(f.dom.rows[i]) if j != i]
+        off = [v for v in range(m) if not f.cod.leq_idx(images[i], v)]
+        if above and off:
+            images[rng.choice(above)] = rng.choice(off)
+    return FnTable(f.dom, f.cod, tuple(images))
+
+
+@settings(max_examples=200)
+@given(seeded(), st.integers(1, 60), st.integers(0, 3))
+def test_monotone_witness_matches_pairwise(rng, n, breaks):
+    # relabelled, so index order need not extend the order
+    dom = Poset(tuple(f"e{i}" for i in range(n)),
+                tuple(close_rows_warshall(dag_rows(rng, n))))
+    f = monotone_table(rng, dom)
+    assert monotone_witness_pairwise(f) is None
+    f = break_pairs(rng, f, breaks)
+    want = monotone_witness_pairwise(f)
+    assert f.monotone_witness() == want
+    assert f.is_monotone == (want is None)
+    if want is None:
+        assert check_monotone(f.dom, f.cod, f.mapping()) == f
+        return
+    x, y = want
+    with pytest.raises(NotMonotoneError) as exc:
+        check_monotone(f.dom, f.cod, f.mapping())
+    assert str(exc.value) == \
+        f"not monotone: {x!r} <= {y!r} but {f(x)!r} is not below {f(y)!r}"
+    assert exc.value.witness == want
 
 
 def block_masks(carrier, blocks):
