@@ -14,13 +14,14 @@ monotone tables.
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CapExceededError, ValidationError
 from .loi import _fibre_images, _image_closure, pullback
 from .poset import FnTable, Poset, _monotone_tables, bits, close_rows, fibres
-from .relation import (Rel, _block_rows, _row_classes, close, intersect,
-                       invert, order_rel, require, to_ordered_partition, union)
+from .relation import (Rel, _block_names, _block_rows, _row_classes, close,
+                       intersect, invert, order_rel, require,
+                       to_ordered_partition, union)
 from .relation import is_complete_preorder  # noqa: F401  (re-exported)
 
 DEFAULT_ENUMERATION_CAP = 6
@@ -113,25 +114,6 @@ class RealisabilityResult:
     witness_poset: Poset | None = None
     witness_fn: FnTable | None = None
     cycle: tuple[tuple[str, ...], ...] | None = None
-
-
-def _block_names(blocks: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
-    """Element names for the quotient on ``blocks``: members joined by
-    ``+``.  Two joins can coincide (``{a b}`` and ``{a+b}``); each later
-    copy takes the first suffix ``#2``, ``#3``, ... that is no other
-    name, so every join that is unique keeps its plain name."""
-    names = ["+".join(block) for block in blocks]
-    taken = set(names)
-    seen: set[str] = set()
-    for i, join in enumerate(names):
-        if join in seen:
-            k = 2
-            while f"{join}#{k}" in taken:
-                k += 1
-            names[i] = f"{join}#{k}"
-            taken.add(names[i])
-        seen.add(join)
-    return tuple(names)
 
 
 def _shortest_cycle(phi: list[int], start: int) -> list[int]:
@@ -227,59 +209,62 @@ def iter_equivalences(carrier: Poset) -> Iterator[Rel]:
 
 
 def enumerate_loi(carrier: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Rel]:
-    """All equivalence relations, sorted by canonical matrix bits."""
-    if len(carrier.elements) > cap:
-        raise CapExceededError(
-            f"carrier has {len(carrier.elements)} elements, cap is {cap}")
-    return sorted(iter_equivalences(carrier), key=_matrix_key)
-
-
-def _matrix_key(r: Rel) -> str:
-    """``r.bit_tuple()`` spelled as one string of 0s and 1s: row-major,
-    each row from bit 0 up.  Keys of one carrier have equal length, so
-    they sort as the binary numbers they spell, in ``bit_tuple`` order."""
-    width = f"0{len(r.rows)}b"
-    return "".join([format(row, width)[::-1] for row in r.rows])
+    """All equivalence relations, sorted by canonical matrix bits: the
+    closed supersets of the identity under the pairs i < j."""
+    n = len(carrier.elements)
+    upper = ((i, j, 1 << i | 1 << j) for i in range(n) for j in range(i + 1, n))
+    return list(_closed_supersets(
+        carrier, tuple(1 << i for i in range(n)), upper, cap))
 
 
 def enumerate_loci(a: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Rel]:
-    """All complete preorders on the poset, sorted by canonical matrix bits.
-
-    Depth-first over the candidate pairs above the carrier order, in
-    row-major order, on an explicit stack.  Each node holds a closed
-    preorder and one mask of excluded pairs per row.  Including (i, j)
-    closes incrementally: the closure of a closed R plus (i, j) is R
-    together with every (x, y) where x R i and j R y, so each row that
-    contains i absorbs row j, and the branch is pruned as soon as a row
-    meets its excluded mask.  Both branches fix the candidate's bit and
-    every earlier one, and the carrier's own bits are always set, so
-    visiting the exclude branch first emits the results in increasing
-    ``bit_tuple`` order without a sort.  Each closed superset is
-    produced exactly once.
-    """
+    """All complete preorders on the poset, sorted by canonical matrix
+    bits: the closed supersets of the carrier order."""
     n = len(a.elements)
+    outside = ((i, j, 1 << i) for i in range(n) for j in range(n)
+               if not (a.rows[i] >> j) & 1)
+    return list(_closed_supersets(a, a.rows, outside, cap))
+
+
+def _closed_supersets(carrier: Poset, start: tuple[int, ...],
+                      candidates: Iterable[tuple[int, int, int]],
+                      cap: int) -> Iterator[Rel]:
+    """Every closure of ``start`` plus some of the candidate pairs, each
+    once, in increasing ``bit_tuple`` order.
+
+    Depth-first over the candidates (i, j, hit) in row-major order, on
+    an explicit stack; each node holds closed rows and a mask of
+    excluded pairs per row.  Including (i, j) ORs ``rows[i] | rows[j]``
+    into each row that meets ``hit``.  With ``hit = {i}`` that closes a
+    preorder plus (i, j), as a row holding i already holds row i; with
+    ``hit = {i, j}`` it merges two classes of an equivalence, whose rows
+    stay symmetric, so excluding (i, j) also excludes (j, i).  A branch
+    dies when a row meets its excluded mask.  Every bit before (i, j)
+    is in ``start``, an earlier candidate or the mirror of one, hence
+    decided, and including sets none that is not set already: both
+    branches keep that prefix, so exclude-first emits in order.
+    """
+    n = len(carrier.elements)
     if n > cap:
         raise CapExceededError(f"carrier has {n} elements, cap is {cap}")
-    candidates = [(i, j, 1 << j) for i in range(n) for j in range(n)
-                  if not (a.rows[i] >> j) & 1]
+    candidates = [(i, j, 1 << j, hit) for i, j, hit in candidates]
     end = len(candidates)
-    found: list[Rel] = []
-    stack = [(a.rows, 0, (0,) * n)]
+    stack = [(start, 0, (0,) * n)]
     while stack:
         rows, k, forbidden = stack.pop()
         while k < end:
-            i, j, bit_j = candidates[k]
+            i, j, bit_j, hit = candidates[k]
             if not rows[i] & bit_j:
                 break
             k += 1
         else:
-            found.append(Rel(a, rows))
+            yield Rel(carrier, rows)
             continue
-        bit_i, row_j = 1 << i, rows[j]
+        joined = rows[i] | rows[j]
         grown = list(rows)
         for x, row in enumerate(rows):
-            if row & bit_i:
-                row |= row_j
+            if row & hit:
+                row |= joined
                 if row & forbidden[x]:
                     break
                 grown[x] = row
@@ -288,7 +273,6 @@ def enumerate_loci(a: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Rel]:
         excluded = list(forbidden)
         excluded[i] |= bit_j
         stack.append((rows, k + 1, tuple(excluded)))
-    return found
 
 
 def find_monotone_postprocessor(f: FnTable, g: FnTable,

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .errors import CapExceededError, ValidationError
 from .poset import FnTable, Poset, bits, transpose
-from .relation import Rel, order_rel, require
+from .relation import Rel, _block_names, order_rel, require
 
 DEFAULT_POWERDOMAIN_CAP = 5
 
@@ -49,14 +49,11 @@ def convex_closure(members: Iterable[str], base: Poset) -> frozenset[str]:
     return frozenset(_names_of(base, _convex_mask(base, mask)))
 
 
-def _subset_key(n: int, mask: int) -> tuple[int, ...]:
-    # lexicographic on the membership bitset, first element most significant
-    return tuple((mask >> i) & 1 for i in range(n))
-
-
 def _all_subset_masks(base: Poset) -> list[int]:
+    """Every non-empty subset mask, lexicographic on membership with the
+    first element most significant: the bit reversals of 1 .. 2**n - 1."""
     n = len(base.elements)
-    return sorted(range(1, 1 << n), key=lambda m: _subset_key(n, m))
+    return [int(format(r, f"0{n}b")[::-1], 2) for r in range(1, 1 << n)]
 
 
 @dataclass(frozen=True)
@@ -126,12 +123,13 @@ class PlotkinPoset(Poset):
 
 
 def plotkin(base: Poset, cap: int = DEFAULT_POWERDOMAIN_CAP) -> PlotkinPoset:
-    """The convex powerdomain of a base poset of at most ``cap`` elements."""
+    """The convex powerdomain of a base poset of at most ``cap`` elements.
+    Each element is named by its ``subset_name``, plus ``#k`` on a clash."""
     n = len(base.elements)
     if n > cap:
         raise CapExceededError(f"base carrier has {n} elements, cap is {cap}")
     masks = [m for m in _all_subset_masks(base) if _convex_mask(base, m) == m]
-    names = tuple(subset_name(base, m) for m in masks)
+    names = _block_names([_names_of(base, m) for m in masks])
     rows = _em_rows(order_rel(base), masks)
     return PlotkinPoset(names, rows, base, tuple(masks))
 

@@ -11,6 +11,7 @@ rest of the library never maps block names back to carrier indices.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -307,6 +308,21 @@ def preorder_from_blocks(carrier: Poset, blocks: Iterable[Iterable[str]],
 
 def block_label(block: tuple[str, ...]) -> str:
     return "{" + " ".join(block) + "}"
+
+
+def _block_names(blocks: Sequence[Sequence[str]]) -> tuple[str, ...]:
+    """Names for a poset of blocks (a quotient or a powerdomain): members
+    joined by ``+``; a later copy of a join (``{a b}``, ``{a+b}``) takes
+    the first suffix ``#2``, ``#3``, ... that is no other name."""
+    names = ["+".join(block) for block in blocks]
+    taken, seen = set(names), set()
+    for i, join in enumerate(names):
+        if join in seen:
+            names[i] = next(name for k in count(2)
+                            if (name := f"{join}#{k}") not in taken)
+            taken.add(names[i])
+        seen.add(join)
+    return tuple(names)
 
 
 def format_relation(rel: Rel) -> str:

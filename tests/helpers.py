@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from infolat import (FnTable, OrderCycleError, Poset, Rel, ValidationError,
                      Violation, build_poset, chain, close, discrete,
-                     iter_monotone_tables, lift, order_rel, rel_from_pairs,
-                     subset_name, union)
+                     iter_equivalences, iter_monotone_tables, lift,
+                     order_rel, rel_from_pairs, subset_name, union)
 from infolat.poset import bits
 from infolat.powerdomain import _all_subset_masks, _em_rows
 from infolat.relation import equivalence_from_blocks
@@ -197,6 +197,20 @@ def enumerate_loci_warshall(a: Poset) -> list[Rel]:
 
     rec(base, 0, 0)
     return sorted((Rel(a, rows) for rows in found), key=Rel.bit_tuple)
+
+
+def enumerate_loi_sorted(c: Poset) -> list[Rel]:
+    """Every equivalence in restricted-growth order, sorted by
+    ``Rel.bit_tuple``; the oracle for the sort-free ``enumerate_loi``."""
+    return sorted(iter_equivalences(c), key=Rel.bit_tuple)
+
+
+def subset_masks_sorted(n: int) -> list[int]:
+    """Non-empty subset masks of n points sorted by their membership
+    tuples, first element most significant; the oracle for the
+    sort-free ``_all_subset_masks``."""
+    return sorted(range(1, 1 << n),
+                  key=lambda m: tuple((m >> i) & 1 for i in range(n)))
 
 
 def subset_space(base: Poset) -> Poset:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from infolat import get_example, kernel, list_examples
+from infolat import get_example, kernel, list_examples, plotkin
 from infolat.cli import (Workspace, _tokenize, emit_dot, export_poset,
                          export_workspace, parse_workspace, run)
 from infolat.errors import ParseError
@@ -228,6 +228,20 @@ class TestRun:
                              + "\n".join(out.splitlines()[1:]))
         assert kernel(ws.functions["R_quotient"]) == ws.relations["R"]
 
+    def test_powerdomain_with_colliding_subset_names(self, capsys, tmp_path):
+        # the subsets {a b} and {a+b} both join to "a+b"
+        path = tmp_path / "p.ws"
+        path.write_text("poset P { elements: a b a+b ; order: }",
+                        encoding="utf-8")
+        out = self.out(capsys, ["powerdomain", "--cap", "4", "--file",
+                                str(path)], 0)
+        assert out == ("poset P_P { elements: a+b b b+a+b a a+a+b a+b#2 "
+                       "a+b+a+b ; order: }\n")
+        pd = parse_workspace(out).posets["P_P"]
+        want = plotkin(parse_workspace(path.read_text(encoding="utf-8"))
+                       .posets["P"], cap=4)
+        assert pd.elements == want.elements and pd.rows == want.rows
+
     def test_unrealisable_prints_cycle(self, capsys):
         out = self.out(capsys, ["realisable", "--example", "three-chain",
                                 "--rel", "S"], 1)
@@ -309,6 +323,8 @@ class TestGolden:
     CASES = [
         (["enumerate", "--example", "V", "--what", "loci"],
          "enumerate_loci_V.txt"),
+        (["enumerate", "--example", "V", "--what", "loi"],
+         "enumerate_loi_V.txt"),
         (["powerdomain", "--example", "nd-bool", "--poset", "Bool_bot"],
          "powerdomain_boolbot.txt"),
         (["hasse", "--example", "kite", "--poset", "Kite"],

@@ -22,8 +22,8 @@ from infolat import (CapExceededError, FnTable, Poset, ValidationError,
 from helpers import (BELL, BOOLBOT, CHAIN2, CHAIN3, CHAIN4, DIAMOND, DISC2,
                      DISC3, FAMILY, VEE, all_preorder_pair_sets,
                      complete_preorders, enumerate_loci_warshall,
-                     equivalences, fn_between_family, idx_pairs,
-                     is_complete_preorder_exhaustive, monotone_fns,
+                     enumerate_loi_sorted, equivalences, fn_between_family,
+                     idx_pairs, is_complete_preorder_exhaustive, monotone_fns,
                      oracle_close, posets, preorders, rel_of_pairs,
                      set_partitions)
 
@@ -112,6 +112,23 @@ class TestEnumeration:
         for carrier in FAMILY:
             n = len(carrier.elements)
             assert len(enumerate_loi(carrier)) == BELL[n]
+
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 15),
+                                         (5, 52), (6, 203), (7, 877),
+                                         (8, 4140)])
+    def test_equivalence_counts_follow_a000110(self, n, count):
+        carrier = discrete(tuple(f"e{i}" for i in range(n)))
+        assert len(enumerate_loi(carrier, cap=8)) == count
+        assert sum(1 for _ in iter_equivalences(carrier)) == count
+
+    @given(posets(max_size=6))
+    def test_loi_matches_sorted_partitions_in_order(self, carrier):
+        assert enumerate_loi(carrier) == enumerate_loi_sorted(carrier)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_loi_on_discrete_matches_sorted_partitions(self, n):
+        carrier = discrete(tuple(f"e{i}" for i in range(n)))
+        assert enumerate_loi(carrier, cap=7) == enumerate_loi_sorted(carrier)
 
     def test_partitions_match_oracle(self):
         got = {frozenset(idx_pairs(q)) for q in iter_equivalences(CHAIN4)}

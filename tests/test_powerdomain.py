@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infolat import (CapExceededError, ValidationError, all_rel, check_monotone,
-                     enumerate_loci,
+                     discrete, enumerate_loci,
                      compatible_extension, convex_closure,
                      flow_check, get_example, is_complete_preorder,
                      kleisli_compose, kleisli_extend, order_rel, pd_element,
@@ -13,7 +13,7 @@ from infolat import (CapExceededError, ValidationError, all_rel, check_monotone,
 from infolat.powerdomain import _all_subset_masks, _convex_mask, _em_rows
 from helpers import (BOOLBOT, CHAIN2, CHAIN3, DIAMOND, DISC2, VEE,
                      complete_preorders, em_extension, monotone_fns,
-                     preorders)
+                     preorders, subset_masks_sorted)
 
 ND = get_example("nd-bool")
 
@@ -83,8 +83,23 @@ class TestPlotkinCarrier:
                 ys = set(subset_name(base, mj).split("+"))
                 assert p.leq_idx(i, j) == oracle_em(r, xs, ys)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_masks_built_in_sorted_order(self, n):
+        base = discrete(tuple(f"e{i}" for i in range(n)))
+        assert _all_subset_masks(base) == subset_masks_sorted(n)
+
+    def test_colliding_subset_names_get_suffixes(self):
+        # the subsets {a b} and {a+b} both join to "a+b"
+        base = discrete(("a", "b", "a+b"))
+        p = plotkin(base, cap=4)
+        assert p.elements == ("a+b", "b", "b+a+b", "a", "a+a+b", "a+b#2",
+                              "a+b+a+b")
+        ab = pd_element(base, ["a", "b"])
+        assert p.elements[p.mask_index[ab.mask]] == "a+b#2"
+        assert ab.name == subset_name(base, ab.mask) == "a+b"
+        assert [subset_name(base, m) for m in p.masks].count("a+b") == 2
+
     def test_cap(self):
-        from infolat import discrete
         with pytest.raises(CapExceededError):
             plotkin(discrete(tuple("abcdef")))
 
