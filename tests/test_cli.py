@@ -323,14 +323,14 @@ class TestGolden:
     CASES = [
         (["enumerate", "--example", "V", "--what", "loci"],
          "enumerate_loci_V.txt"),
-        (["enumerate", "--example", "V", "--what", "loi"],
-         "enumerate_loi_V.txt"),
         (["powerdomain", "--example", "nd-bool", "--poset", "Bool_bot"],
          "powerdomain_boolbot.txt"),
         (["hasse", "--example", "kite", "--poset", "Kite"],
          "hasse_kite.dot"),
         (["catalog", "--name", "omega", "--export", "--n", "3"],
          "catalog_omega3.txt"),
+        (["enumerate", "--example", "V", "--what", "loi"],
+         "enumerate_loi_V.txt"),
     ]
 
     @pytest.mark.parametrize("argv,golden", CASES)
