@@ -72,10 +72,9 @@ class _Parser:
         if self.pos < len(tokens):
             t = tokens[self.pos]
             return ParseError(message, t.line, t.col)
-        if tokens:
-            t = tokens[-1]
-            return ParseError(message + " (at end of input)", t.line, t.col)
-        return ParseError(message + " (empty input)", 1, 1)
+        # only reached after a keyword token, so there is a last token
+        t = tokens[-1]
+        return ParseError(message + " (at end of input)", t.line, t.col)
 
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -312,8 +311,7 @@ def _resolve_rel(ws: Workspace, name: str, carrier: Poset) -> Rel:
         f"unknown relation {name!r} (workspace names plus All, Id, order)")
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    ws = _load_workspace(args)
+def _cmd_check(ws: Workspace, args: argparse.Namespace) -> int:
     f = _lookup(ws.functions, "function", args.fn)
     pre = _resolve_rel(ws, args.pre, f.dom)
     post = _resolve_rel(ws, args.post, f.cod)
@@ -335,16 +333,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_kernel(args: argparse.Namespace) -> int:
-    ws = _load_workspace(args)
+def _cmd_kernel(ws: Workspace, args: argparse.Namespace) -> int:
     f = _lookup(ws.functions, "function", args.fn)
     rel = ordered_kernel(f) if args.ordered else kernel(f)
     print(format_relation(rel))
     return 0
 
 
-def _cmd_knowledge(args: argparse.Namespace) -> int:
-    ws = _load_workspace(args)
+def _cmd_knowledge(ws: Workspace, args: argparse.Namespace) -> int:
     f = _lookup(ws.functions, "function", args.fn)
     members = (ordered_knowledge_set(f, args.input) if args.ordered
                else knowledge_set(f, args.input))
@@ -353,20 +349,13 @@ def _cmd_knowledge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cp(args: argparse.Namespace) -> int:
-    ws = _load_workspace(args)
-    print(format_relation(cp(_lookup(ws.relations, "relation", args.rel))))
+def _cmd_rel_map(ws: Workspace, args: argparse.Namespace) -> int:
+    """``cp`` and ``er``: print ``args.map`` of the named relation."""
+    print(format_relation(args.map(_lookup(ws.relations, "relation", args.rel))))
     return 0
 
 
-def _cmd_er(args: argparse.Namespace) -> int:
-    ws = _load_workspace(args)
-    print(format_relation(er(_lookup(ws.relations, "relation", args.rel))))
-    return 0
-
-
-def _cmd_realisable(args: argparse.Namespace) -> int:
-    ws = _load_workspace(args)
+def _cmd_realisable(ws: Workspace, args: argparse.Namespace) -> int:
     rel = _lookup(ws.relations, "relation", args.rel)
     result = phi_realisability(rel)
     if result.realisable:
@@ -382,8 +371,7 @@ def _cmd_realisable(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    ws = _load_workspace(args)
+def _cmd_enumerate(ws: Workspace, args: argparse.Namespace) -> int:
     p = _single_poset(ws, args.poset)
     rels = (enumerate_loci(p, cap=args.cap) if args.what == "loci"
             else enumerate_loi(p, cap=args.cap))
@@ -402,8 +390,7 @@ def _single_poset(ws: Workspace, name: str | None) -> Poset:
         "--poset is required when the workspace has several posets")
 
 
-def _cmd_hasse(args: argparse.Namespace) -> int:
-    ws = _load_workspace(args)
+def _cmd_hasse(ws: Workspace, args: argparse.Namespace) -> int:
     if (args.poset is None) == (args.rel is None):
         raise ValidationError("give exactly one of --poset or --rel")
     if args.poset is not None:
@@ -415,15 +402,16 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_powerdomain(args: argparse.Namespace) -> int:
-    ws = _load_workspace(args)
+def _cmd_powerdomain(ws: Workspace, args: argparse.Namespace) -> int:
     p = _single_poset(ws, args.poset)
     name = args.poset or next(iter(ws.posets))
     print(export_poset(f"P_{name}", plotkin(p, cap=args.cap)))
     return 0
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(_ws: Workspace, args: argparse.Namespace) -> int:
+    """Lists or shows a bundle.  The loaded workspace goes unused; it is
+    loaded so that a bad ``--file`` or ``--example`` fails here too."""
     if args.list:
         for name in list_examples():
             print(name)
@@ -487,12 +475,12 @@ def _build_argparser() -> argparse.ArgumentParser:
     p = sub.add_parser("cp", parents=[common],
                        help="least complete preorder containing an equivalence")
     p.add_argument("--rel", required=True)
-    p.set_defaults(handler=_cmd_cp)
+    p.set_defaults(handler=_cmd_rel_map, map=cp)
 
     p = sub.add_parser("er", parents=[common],
                        help="underlying equivalence of a preorder")
     p.add_argument("--rel", required=True)
-    p.set_defaults(handler=_cmd_er)
+    p.set_defaults(handler=_cmd_rel_map, map=er)
 
     p = sub.add_parser("realisable", parents=[common],
                        help="is the relation a kernel of some monotone table?")
@@ -542,7 +530,7 @@ def run(argv: list[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        return args.handler(_load_workspace(args), args)
     except InfolatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError
 from .loi import _fibre_images, _image_closure, pullback
 from .poset import FnTable, Poset, _monotone_tables, bits, close_rows, fibres
 from .relation import (Rel, _block_names, _block_rows, _row_classes, close,
@@ -80,7 +80,7 @@ def loci_pushforward(f: FnTable, p: Rel) -> Rel:
     Closure of the image pairs together with the codomain order.
     """
     require(p, "complete", "precondition", f.dom)
-    return _image_closure(f, p, order_rel(f.cod), "refl_trans")
+    return _image_closure(f, p, order_rel(f.cod))
 
 
 def er(p: Rel) -> Rel:
@@ -283,14 +283,12 @@ def find_monotone_postprocessor(f: FnTable, g: FnTable,
     partial assignments that break monotonicity or the composition
     constraint.  Raises when the candidate space exceeds ``bound``.
     """
-    if f.dom != g.dom:
-        raise ValidationError("tables must share a domain")
+    required = _fibre_images(f, g)
     m = len(g.cod.elements)
     k = len(f.cod.elements)
     if k ** m > bound:
         raise CapExceededError(
             f"search space {k}**{m} exceeds bound {bound}")
-    required = _fibre_images(f, g)
     if required is None:
         return None
     choices = [range(k) if want is None else (want,) for want in required]

@@ -29,10 +29,15 @@ def loi_join(p: Rel, q: Rel) -> Rel:
 
 
 def loi_meet(p: Rel, q: Rel) -> Rel:
-    """Greatest lower bound: equivalence closure of the union."""
+    """Greatest lower bound: equivalence closure of the union.
+
+    The union of two equivalences is already reflexive and symmetric,
+    and the transitive closure of a symmetric relation stays symmetric,
+    so the reflexive-transitive closure is the equivalence closure.
+    """
     require(p, "equivalence", "left argument")
     require(q, "equivalence", "right argument")
-    return close(union(p, q), "equivalence")
+    return close(union(p, q), "refl_trans")
 
 
 def kernel(f: FnTable) -> Rel:
@@ -70,17 +75,22 @@ def flow_check(f: FnTable, pre: Rel, post: Rel) -> Violation | None:
     """
     require(pre, None, "precondition", f.dom)
     require(post, None, "postcondition", f.cod)
-    # row i of the pullback of post holds every j that pre may relate to
-    # i; the lowest bit outside it in the first failing row is the
-    # row-major first violation
-    for i, (row, ok) in enumerate(zip(pre.rows, _pullback_rows(f, post))):
-        bad = row & ~ok
+    # the lowest bit of the first broken row is the row-major first
+    # violation
+    for i, bad in enumerate(_broken_rows(f, pre, post)):
         if bad:
             j = (bad & -bad).bit_length() - 1
             names, out = f.dom.elements, f.cod.elements
             return Violation(names[i], names[j],
                              out[f.images[i]], out[f.images[j]])
     return None
+
+
+def _broken_rows(f: FnTable, pre: Rel, post: Rel) -> tuple[int, ...]:
+    """Row i holds every j that pre relates to i while post does not
+    relate f(i) to f(j): the pre pairs the flow property rejects."""
+    return tuple(row & ~ok for row, ok in
+                 zip(pre.rows, _pullback_rows(f, post)))
 
 
 def pullback(f: FnTable, r: Rel) -> Rel:
@@ -110,20 +120,23 @@ def pushforward(f: FnTable, p: Rel) -> Rel:
     """Direct image: the least equivalence the outputs are forced into.
 
     Equivalence closure over the codomain of the image pairs of p; the
-    least Q (most revealing) with f carrying p to Q.
+    least Q (most revealing) with f carrying p to Q.  The image pairs of
+    the symmetric p and the identity form a reflexive symmetric
+    relation, so its reflexive-transitive closure is that equivalence
+    closure.
     """
     require(p, "equivalence", "precondition", f.dom)
-    return _image_closure(f, p, identity_rel(f.cod), "equivalence")
+    return _image_closure(f, p, identity_rel(f.cod))
 
 
-def _image_closure(f: FnTable, p: Rel, base: Rel, kind: str) -> Rel:
-    """Closure of ``kind`` over the image pairs of p added to ``base``,
-    a relation on the codomain of f."""
+def _image_closure(f: FnTable, p: Rel, base: Rel) -> Rel:
+    """Reflexive-transitive closure of the image pairs of p added to
+    ``base``, a relation on the codomain of f."""
     rows = list(base.rows)
     for i, row in enumerate(p.rows):
         for j in bits(row):
             rows[f.images[i]] |= 1 << f.images[j]
-    return close(Rel(f.cod, tuple(rows)), kind)
+    return close(Rel(f.cod, tuple(rows)), "refl_trans")
 
 
 def find_postprocessor(f: FnTable, g: FnTable) -> FnTable | None:
@@ -134,8 +147,6 @@ def find_postprocessor(f: FnTable, g: FnTable) -> FnTable | None:
     monotonicity-checked; unconstrained values go to the first codomain
     element.
     """
-    if f.dom != g.dom:
-        raise ValidationError("tables must share a domain")
     required = _fibre_images(f, g)
     if required is None:
         return None
@@ -146,6 +157,8 @@ def _fibre_images(f: FnTable, g: FnTable) -> list[int | None] | None:
     """The image any p with f = p after g gives each point of cod(g):
     f's value on the fibre of g over it, or None where g hits nothing.
     None overall when some fibre meets two values of f, so no p exists."""
+    if f.dom != g.dom:
+        raise ValidationError("tables must share a domain")
     required: list[int | None] = [None] * len(g.cod.elements)
     for j, v in zip(g.images, f.images):
         if required[j] is None:

@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
 from .loci import iter_equivalences
-from .loi import (FnTable, Violation, _pullback_rows, flow_check, loi_join,
-                  pullback)
+from .loi import (FnTable, Violation, _broken_rows, _pullback_rows, flow_check,
+                  loi_join, pullback)
 from .poset import Poset, compose_rows, transpose
 from .relation import Rel, equivalence_from_blocks, require
 
@@ -113,18 +113,13 @@ def observer_impossibility_search(
             raise ValidationError("relations live on different carriers")
     require(post, None, "postcondition", cod)
 
-    def unsafe(g: FnTable) -> tuple[int, ...]:
-        # the pre pairs whose outputs under g post does not relate
-        return tuple(row & ~ok for row, ok in
-                     zip(pre.rows, _pullback_rows(g, post)))
-
     def rejects(g: FnTable, unsafe_rows: tuple[int, ...], t: Rel) -> bool:
         # the encoded check fails when the joined precondition keeps one
         return any(row & kept for row, kept in
                    zip(unsafe_rows, _pullback_rows(g, t)))
 
-    ok_rows = unsafe(f_ok)
-    bad_rows = [(g, unsafe(g)) for g in bads]
+    ok_rows = _broken_rows(f_ok, pre, post)
+    bad_rows = [(g, _broken_rows(g, pre, post)) for g in bads]
     checked = 0
     for t in iter_equivalences(cod):
         checked += 1

@@ -1,5 +1,6 @@
 """Command-line surface: workspace text format, commands, exit codes."""
 
+import argparse
 import contextlib
 import io
 import subprocess
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infolat import get_example, kernel, list_examples, plotkin
-from infolat.cli import (Workspace, _tokenize, emit_dot, export_poset,
-                         export_workspace, parse_workspace, run)
+from infolat.cli import (Workspace, _build_argparser, _tokenize, emit_dot,
+                         export_poset, export_workspace, parse_workspace, run)
 from infolat.errors import ParseError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,6 +103,7 @@ class TestParse:
          "  poset B { elements: p q ; order: p <= q, q <= p }",
          "2:3: antisymmetry violated: 'p' and 'q' are below each other"),
         ("", None),
+        (" \t\r\n\u2028\n ", None),
     ])
     def test_errors_carry_positions(self, source, message):
         if message is None:
@@ -293,6 +295,18 @@ class TestRun:
     def test_catalog_needs_list_or_name(self, capsys):
         self.out(capsys, ["catalog"], 2)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["catalog", "--list", "--file", "/no/such/file.ws"],
+         "error: cannot read /no/such/file.ws: "),
+        (["catalog", "--name", "V", "--example", "nope"],
+         "error: unknown example 'nope'; available: "),
+    ])
+    def test_catalog_reads_file_and_example(self, capsys, argv, message):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
     @pytest.mark.parametrize("argv", [
         ["check", "--example", "nope", "--fn", "f", "--pre", "All",
          "--post", "All"],
@@ -402,6 +416,26 @@ def _values(example: str) -> dict[str, list[str]]:
             "--mode": ["loci", "loi"], "--name": ALL_NAMES,
             "--cap": [str(cap) for cap in range(7)],
             "--example": ALL_NAMES, "--file": ALL_NAMES}
+
+
+def test_subcommands_list_every_option_of_the_parser():
+    """The fuzz below draws only what SUBCOMMANDS names, plus the common
+    options, so it must name every subcommand and option there is."""
+    [sub] = [action for action in _build_argparser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    common = {"--help", "--file", "--example", "--n"}
+    found = {}
+    for command, parser in sub.choices.items():
+        flags = [(action.option_strings[-1], action)
+                 for action in parser._actions]
+        assert common <= {flag for flag, _ in flags}, command
+        own = [(flag, action) for flag, action in flags if flag not in common]
+        found[command] = (
+            [flag for flag, action in own if action.required],
+            [flag for flag, action in own
+             if not action.required and action.nargs != 0],
+            [flag for flag, action in own if action.nargs == 0])
+    assert found == SUBCOMMANDS
 
 
 BUNDLE_VALUES = {example: _values(example) for example in ALL_NAMES}

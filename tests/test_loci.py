@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from infolat import (CapExceededError, FnTable, Poset, ValidationError,
                      all_rel, build_poset, close, constant_fn, cp, discrete,
                      enumerate_loci, enumerate_loi, er,
-                     find_monotone_postprocessor, flow_check, get_example,
+                     find_monotone_postprocessor, find_postprocessor,
+                     flow_check, get_example,
                      identity_fn, identity_rel, intersect, invert,
                      is_complete_preorder, is_realisable, iter_equivalences,
                      iter_monotone_tables, kernel, loci_join, loci_leq,
@@ -369,6 +370,17 @@ class TestMonotonePostprocessor:
         f = get_example("parity", n=4).functions["f1"]
         with pytest.raises(CapExceededError):
             find_monotone_postprocessor(f, f, bound=1)
+
+    @pytest.mark.parametrize("search", [
+        find_postprocessor, find_monotone_postprocessor,
+        lambda f, g: find_monotone_postprocessor(f, g, bound=1),
+    ], ids=["unordered", "monotone", "monotone-over-bound"])
+    def test_tables_must_share_a_domain(self, search):
+        # the domain mismatch is reported even when the candidate space,
+        # 2**3 here, is also over the bound
+        with pytest.raises(ValidationError,
+                           match="^tables must share a domain$"):
+            search(identity_fn(CHAIN2), identity_fn(CHAIN3))
 
 
 class TestDeeperThanRecursionLimit:

@@ -31,6 +31,14 @@ class TestConstruction:
     def test_unknown_cover_name(self):
         with pytest.raises(ValidationError):
             build_poset(("a",), (("a", "z"),))
+        with pytest.raises(ValidationError,
+                           match="^unknown element 'z' in order pair$"):
+            build_poset(("a",), (("z", "a"),))
+
+    def test_raw_rows_must_match_carrier_size(self):
+        with pytest.raises(ValidationError,
+                           match="^order matrix does not match carrier size$"):
+            Poset(("a", "b"), (0b01,))
 
     def test_raw_rows_must_be_transitive(self):
         # a<=b, b<=c but not a<=c
@@ -132,6 +140,14 @@ class TestFnTable:
             check_monotone(CHAIN2, CHAIN2, {"0": "0"})
         with pytest.raises(ValidationError):
             check_monotone(CHAIN2, CHAIN2, {"0": "0", "1": "1", "x": "0"})
+
+    def test_direct_construction_checks_images(self):
+        with pytest.raises(ValidationError,
+                           match="^function table is not total$"):
+            FnTable(CHAIN2, CHAIN2, (0,))
+        with pytest.raises(ValidationError,
+                           match="^function table maps outside the codomain$"):
+            FnTable(CHAIN2, CHAIN2, (0, 2))
 
     def test_monotonicity_witness(self):
         with pytest.raises(NotMonotoneError) as exc:

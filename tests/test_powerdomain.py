@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from infolat import (CapExceededError, ValidationError, all_rel, check_monotone,
+from infolat import (CapExceededError, PdElement, ValidationError, all_rel,
+                     check_monotone, identity_fn,
                      discrete, enumerate_loci,
                      compatible_extension, convex_closure,
                      flow_check, get_example, is_complete_preorder,
@@ -123,6 +124,16 @@ class TestElementsAndUnion:
             pd_element(DIAMOND, ["0", "1"])
         assert pd_element(DIAMOND, ["0", "a", "b", "1"]).name == "0+a+b+1"
 
+    def test_mask_must_lie_in_base(self):
+        with pytest.raises(ValidationError,
+                           match="^membership mask outside the base carrier$"):
+            PdElement(CHAIN2, 0b100)
+
+    def test_union_needs_one_base(self):
+        with pytest.raises(ValidationError,
+                           match="^elements live over different bases$"):
+            pd_union(pd_element(CHAIN2, ["0"]), pd_element(DISC2, ["p"]))
+
     def test_union_is_choice(self):
         x = pd_element(BOOLBOT, ["T"])
         y = pd_element(BOOLBOT, ["F"])
@@ -165,6 +176,15 @@ class TestKleisli:
         lhs = kleisli_compose(kleisli_compose(f, g), h)
         rhs = kleisli_compose(f, kleisli_compose(g, h))
         assert lhs.images == rhs.images
+
+    @pytest.mark.parametrize("f, g", [
+        (pd_unit(DISC2), pd_unit(CHAIN2)),
+        (identity_fn(CHAIN2), pd_unit(CHAIN2)),
+    ], ids=["other-base", "not-set-valued"])
+    def test_compose_needs_matching_carriers(self, f, g):
+        with pytest.raises(ValidationError, match="^left codomain must be "
+                           "the powerdomain of the right domain$"):
+            kleisli_compose(f, g)
 
     @given(monotone_fns(CHAIN2, plotkin(BOOLBOT)))
     def test_extension_is_monotone(self, f):

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infolat import (FnTable, ValidationError, all_rel, compatible_extension,
+from infolat import (CapExceededError, FnTable, ValidationError, all_rel,
+                     compatible_extension,
                      flat_termination_observer, flow_check, get_example,
                      identity_rel, iter_equivalences, loci_leq,
                      observer_impossibility_search, order_rel, pullback,
@@ -195,6 +196,21 @@ class TestObserverSearch:
                 KITE.functions["f_kite"], PARITY.functions["f0"],
                 all_rel(KITE.posets["Bool"]),
                 identity_rel(KITE.posets["Kite"]))
+
+    def test_needs_a_bad_table(self):
+        with pytest.raises(ValidationError,
+                           match="^need at least one bad function$"):
+            observer_impossibility_search(
+                KITE.functions["f_kite"], [], all_rel(KITE.posets["Bool"]),
+                identity_rel(KITE.posets["Kite"]))
+
+    def test_codomain_over_cap(self):
+        with pytest.raises(CapExceededError,
+                           match="^codomain has 6 elements, cap is 5$"):
+            observer_impossibility_search(
+                KITE.functions["f_kite"], KITE.functions["g_kite"],
+                all_rel(KITE.posets["Bool"]),
+                identity_rel(KITE.posets["Kite"]), cap=5)
 
     @pytest.mark.parametrize("which, message", [
         ("pre", "precondition must be an equivalence relation"),
