@@ -21,11 +21,12 @@ from typing import Iterator
 
 from .catalog import Workspace, get_example, list_examples
 from .errors import InfolatError, ParseError, ValidationError
-from .loci import (cp, enumerate_loci, enumerate_loi, er, ordered_kernel,
-                   ordered_knowledge_set, phi_realisability)
+from .loci import (DEFAULT_ENUMERATION_CAP, cp, enumerate_loci, enumerate_loi,
+                   er, ordered_kernel, ordered_knowledge_set,
+                   phi_realisability)
 from .loi import flow_check, kernel, knowledge_set
 from .poset import FnTable, Poset, bits, build_poset, check_monotone
-from .powerdomain import plotkin
+from .powerdomain import DEFAULT_POWERDOMAIN_CAP, plotkin
 from .relation import (OrderedPartition, Rel, all_rel, block_label, close,
                        format_relation, identity_rel, order_rel,
                        rel_from_pairs, require, to_ordered_partition)
@@ -372,7 +373,7 @@ def _cmd_realisable(ws: Workspace, args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(ws: Workspace, args: argparse.Namespace) -> int:
-    p = _single_poset(ws, args.poset)
+    _, p = _single_poset(ws, args.poset)
     rels = (enumerate_loci(p, cap=args.cap) if args.what == "loci"
             else enumerate_loi(p, cap=args.cap))
     print(len(rels))
@@ -381,11 +382,12 @@ def _cmd_enumerate(ws: Workspace, args: argparse.Namespace) -> int:
     return 0
 
 
-def _single_poset(ws: Workspace, name: str | None) -> Poset:
+def _single_poset(ws: Workspace, name: str | None) -> tuple[str, Poset]:
+    """The named poset, or the workspace's only one, with its name."""
     if name is not None:
-        return _lookup(ws.posets, "poset", name)
+        return name, _lookup(ws.posets, "poset", name)
     if len(ws.posets) == 1:
-        return next(iter(ws.posets.values()))
+        return next(iter(ws.posets.items()))
     raise ValidationError(
         "--poset is required when the workspace has several posets")
 
@@ -394,7 +396,7 @@ def _cmd_hasse(ws: Workspace, args: argparse.Namespace) -> int:
     if (args.poset is None) == (args.rel is None):
         raise ValidationError("give exactly one of --poset or --rel")
     if args.poset is not None:
-        text = emit_dot(_single_poset(ws, args.poset), full=args.full)
+        text = emit_dot(_single_poset(ws, args.poset)[1], full=args.full)
     else:
         rel = _lookup(ws.relations, "relation", args.rel)
         text = emit_dot(to_ordered_partition(rel), full=args.full)
@@ -403,8 +405,7 @@ def _cmd_hasse(ws: Workspace, args: argparse.Namespace) -> int:
 
 
 def _cmd_powerdomain(ws: Workspace, args: argparse.Namespace) -> int:
-    p = _single_poset(ws, args.poset)
-    name = args.poset or next(iter(ws.posets))
+    name, p = _single_poset(ws, args.poset)
     print(export_poset(f"P_{name}", plotkin(p, cap=args.cap)))
     return 0
 
@@ -493,7 +494,7 @@ def _build_argparser() -> argparse.ArgumentParser:
                        help="count and list a lattice")
     p.add_argument("--poset")
     p.add_argument("--what", choices=["loci", "loi"], required=True)
-    p.add_argument("--cap", type=int, default=6)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("hasse", parents=[common],
@@ -507,7 +508,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p = sub.add_parser("powerdomain", parents=[common],
                        help="convex powerdomain of a poset, as a declaration")
     p.add_argument("--poset")
-    p.add_argument("--cap", type=int, default=5)
+    p.add_argument("--cap", type=int, default=DEFAULT_POWERDOMAIN_CAP)
     p.set_defaults(handler=_cmd_powerdomain)
 
     p = sub.add_parser("catalog", parents=[common],

@@ -150,9 +150,7 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     obstruction.  It passes each of its blocks once.
     """
     require(r, "equivalence", "argument")
-    labels, block_masks = _row_classes(r.rows)
-    names = r.carrier.elements
-    blocks = tuple(tuple(names[j] for j in bits(mask)) for mask in block_masks)
+    labels, block_masks, blocks = _row_classes(r)
     phi = _block_rows(r.carrier.rows, labels, block_masks)
     closed = close_rows(phi)
     # the closure is antisymmetric iff its rows are pairwise distinct; the

@@ -10,7 +10,7 @@ union.  Kernels, knowledge sets, flow checking and the two image maps
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .poset import FnTable, bits, compose_rows, fibres
+from .poset import FnTable, compose_rows, fibres
 from .relation import Rel, close, identity_rel, intersect, require, union
 
 
@@ -133,9 +133,9 @@ def _image_closure(f: FnTable, p: Rel, base: Rel) -> Rel:
     """Reflexive-transitive closure of the image pairs of p added to
     ``base``, a relation on the codomain of f."""
     rows = list(base.rows)
-    for i, row in enumerate(p.rows):
-        for j in bits(row):
-            rows[f.images[i]] |= 1 << f.images[j]
+    images = compose_rows(p.rows, [1 << v for v in f.images])
+    for v, image in zip(f.images, images):
+        rows[v] |= image
     return close(Rel(f.cod, tuple(rows)), "refl_trans")
 
 

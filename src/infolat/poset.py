@@ -313,14 +313,11 @@ def product(a: Poset, b: Poset) -> Poset:
     """Componentwise order on pairs, named ``x.y``, in row-major order."""
     names = tuple(f"{x}.{y}" for x in a.elements for y in b.elements)
     nb = len(b.elements)
-    rows = []
-    for i in range(len(a.elements)):
-        for j in range(nb):
-            row = 0
-            for i2 in bits(a.rows[i]):
-                row |= b.rows[j] << (i2 * nb)
-            rows.append(row)
-    return Poset(names, tuple(rows))
+    # spread[i] holds bit i2 * nb for each i2 above i; times a row of b,
+    # it places that row in the block of each such i2, with no carries
+    spread = compose_rows(a.rows, [1 << (i2 * nb)
+                                   for i2 in range(len(a.elements))])
+    return Poset(names, tuple(s * row for s in spread for row in b.rows))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ together.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
-from .poset import FnTable, Poset, bits, transpose
+from .poset import FnTable, Poset, bits, compose_rows, transpose
 from .relation import Rel, _block_names, order_rel, require
 
 DEFAULT_POWERDOMAIN_CAP = 5
@@ -35,12 +35,14 @@ def subset_name(base: Poset, mask: int) -> str:
     return "+".join(_names_of(base, mask))
 
 
+def _convex_masks(base: Poset, masks: Sequence[int]) -> list[int]:
+    """Convex hull of each mask: its up-closure meets its down-closure."""
+    return [up & down for up, down in zip(compose_rows(masks, base.rows),
+                                          compose_rows(masks, base.cols))]
+
+
 def _convex_mask(base: Poset, mask: int) -> int:
-    out = 0
-    for b in range(len(base.elements)):
-        if base.cols[b] & mask and base.rows[b] & mask:
-            out |= 1 << b
-    return out
+    return _convex_masks(base, (mask,))[0]
 
 
 def convex_closure(members: Iterable[str], base: Poset) -> frozenset[str]:
@@ -92,18 +94,22 @@ def pd_union(x: PdElement, y: PdElement) -> PdElement:
     return PdElement(x.base, _convex_mask(x.base, x.mask | y.mask))
 
 
-def _em_rows(r: Rel, masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-    """Egli-Milner extension of r, restricted to the given subset masks."""
-    cols = transpose(r.rows)
-    rows = []
-    for xm in masks:
-        row = 0
-        for t, ym in enumerate(masks):
-            if all(r.rows[x] & ym for x in bits(xm)) and \
-               all(cols[y] & xm for y in bits(ym)):
-                row |= 1 << t
-        rows.append(row)
-    return tuple(rows)
+def _em_rows(r: Rel, masks: Sequence[int]) -> tuple[int, ...]:
+    """Egli-Milner extension of r on the given subset masks: X is below
+    Y iff Y lies in the r-up-closure of X and X in the r-down-closure of
+    Y.  ``members[b]``, the masks holding point b, is read off the padded
+    square; the masks inside a closure are those of no point outside it."""
+    n, full = len(r.rows), (1 << len(masks)) - 1
+    members = transpose([*masks, *[0] * n])[:n]
+    points = (1 << n) - 1
+
+    def inside(closures: Iterable[int]) -> list[int]:
+        outside = compose_rows((points & ~c for c in closures), members)
+        return [full & ~out for out in outside]
+
+    ups = inside(compose_rows(masks, r.rows))
+    downs = inside(compose_rows(masks, transpose(r.rows)))
+    return tuple(up & down for up, down in zip(ups, transpose(downs)))
 
 
 @dataclass(frozen=True, repr=False)
@@ -128,7 +134,8 @@ def plotkin(base: Poset, cap: int = DEFAULT_POWERDOMAIN_CAP) -> PlotkinPoset:
     n = len(base.elements)
     if n > cap:
         raise CapExceededError(f"base carrier has {n} elements, cap is {cap}")
-    masks = [m for m in _all_subset_masks(base) if _convex_mask(base, m) == m]
+    every = _all_subset_masks(base)
+    masks = [m for m, h in zip(every, _convex_masks(base, every)) if h == m]
     names = _block_names([_names_of(base, m) for m in masks])
     rows = _em_rows(order_rel(base), masks)
     return PlotkinPoset(names, rows, base, tuple(masks))
@@ -151,13 +158,10 @@ def kleisli_extend(f: FnTable, cap: int = DEFAULT_POWERDOMAIN_CAP) -> FnTable:
     if not isinstance(target, PlotkinPoset):
         raise ValidationError("codomain is not a powerdomain carrier")
     source = plotkin(f.dom, cap)
-    images = []
-    for xm in source.masks:
-        acc = 0
-        for x in bits(xm):
-            acc |= target.masks[f.images[x]]
-        images.append(target.mask_index[_convex_mask(target.base, acc)])
-    return FnTable(source, target, tuple(images))
+    unions = compose_rows(source.masks, [target.masks[v] for v in f.images])
+    return FnTable(source, target,
+                   tuple(target.mask_index[hull]
+                         for hull in _convex_masks(target.base, unions)))
 
 
 def kleisli_compose(f: FnTable, g: FnTable,

@@ -184,16 +184,11 @@ def compose(r: Rel, s: Rel) -> Rel:
 
 
 def restrict_rel(r: Rel, target: Poset) -> Rel:
-    """Restrict to a sub-carrier, matched up by element name."""
+    """Restrict to a sub-carrier, matched up by element name: each kept
+    source index goes to its target bit, and every other index to 0."""
     src = [r.carrier.index(name) for name in target.elements]
-    rows = []
-    for i in src:
-        row = 0
-        for jt, js in enumerate(src):
-            if r.holds_idx(i, js):
-                row |= 1 << jt
-        rows.append(row)
-    return Rel(target, tuple(rows))
+    table = fibres(src, len(r.carrier.elements))
+    return Rel(target, compose_rows((r.rows[i] for i in src), table))
 
 
 @dataclass(frozen=True)
@@ -245,20 +240,23 @@ def to_ordered_partition(q: Rel) -> OrderedPartition:
     """
     if not q.is_preorder:
         raise ValidationError("only a preorder has an ordered partition")
-    names = q.carrier.elements
-    labels, block_masks = _row_classes(q.rows)
-    blocks = tuple(tuple(names[j] for j in bits(mask)) for mask in block_masks)
+    labels, block_masks, blocks = _row_classes(q)
     return OrderedPartition(q.carrier, blocks,
                             _block_rows(q.rows, labels, block_masks))
 
 
-def _row_classes(rows: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
-    """Number the classes of equal rows by first occurrence; return each
-    row's class and each class's mask.  In a preorder these are the
-    mutual classes: i, j related both ways iff their rows are equal."""
+def _row_classes(q: Rel) -> tuple[tuple[int, ...], list[int],
+                                 tuple[tuple[str, ...], ...]]:
+    """Number the classes of equal rows of q by first occurrence; return
+    each row's class, each class's mask and its member names.  In a
+    preorder these are the mutual classes: i, j related both ways iff
+    their rows are equal."""
     index: dict[int, int] = {}
-    labels = tuple(index.setdefault(row, len(index)) for row in rows)
-    return labels, fibres(labels, len(index))
+    labels = tuple(index.setdefault(row, len(index)) for row in q.rows)
+    block_masks = fibres(labels, len(index))
+    names = q.carrier.elements
+    return labels, block_masks, tuple(tuple(names[j] for j in bits(mask))
+                                      for mask in block_masks)
 
 
 def _block_rows(rows: Sequence[int], labels: Sequence[int],

@@ -14,6 +14,8 @@ from infolat import get_example, kernel, list_examples, plotkin
 from infolat.cli import (Workspace, _build_argparser, _tokenize, emit_dot,
                          export_poset, export_workspace, parse_workspace, run)
 from infolat.errors import ParseError
+from infolat.loci import DEFAULT_ENUMERATION_CAP
+from infolat.powerdomain import DEFAULT_POWERDOMAIN_CAP
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -436,6 +438,14 @@ def test_subcommands_list_every_option_of_the_parser():
              if not action.required and action.nargs != 0],
             [flag for flag, action in own if action.nargs == 0])
     assert found == SUBCOMMANDS
+
+
+@pytest.mark.parametrize("argv, default", [
+    (["enumerate", "--what", "loi"], DEFAULT_ENUMERATION_CAP),
+    (["powerdomain"], DEFAULT_POWERDOMAIN_CAP),
+], ids=["enumerate", "powerdomain"])
+def test_cap_defaults_are_the_library_defaults(argv, default):
+    assert _build_argparser().parse_args(argv).cap == default
 
 
 BUNDLE_VALUES = {example: _values(example) for example in ALL_NAMES}

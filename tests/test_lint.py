@@ -1,0 +1,31 @@
+"""Static checks made with the standard library's ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import infolat
+
+MODULES = sorted(path for path in Path(infolat.__file__).parent.glob("*.py")
+                 if path.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_every_imported_name_is_used(path):
+    """A name a module imports must be read somewhere in it, unless its
+    line is marked ``# noqa: F401`` (a deliberate re-export)."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and \
+                    "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{name} (line {alias.lineno})")
+    assert unused == []

@@ -87,6 +87,15 @@ class TestCombinators:
         assert [grid.rows[i].bit_count() for i in range(4)] == \
             [DIAMOND.rows[i].bit_count() for i in range(4)]
 
+    @given(posets(max_size=4), posets(max_size=4))
+    def test_product_matches_componentwise_order(self, a, b):
+        grid = product(a, b)
+        pairs = [(x, y) for x in a.elements for y in b.elements]
+        assert grid.elements == tuple(f"{x}.{y}" for x, y in pairs)
+        for i, (x, y) in enumerate(pairs):
+            for j, (x2, y2) in enumerate(pairs):
+                assert grid.leq_idx(i, j) == (a.leq(x, x2) and b.leq(y, y2))
+
     def test_chain_total(self):
         c = chain(("x", "y", "z"))
         assert c.leq("x", "z")

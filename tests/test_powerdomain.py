@@ -1,10 +1,10 @@
 """Convex powerdomains: Egli-Milner extension, monad laws, TI lifting."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from infolat import (CapExceededError, PdElement, ValidationError, all_rel,
-                     check_monotone, identity_fn,
+from infolat import (CapExceededError, FnTable, PdElement, Rel,
+                     ValidationError, all_rel, check_monotone, identity_fn,
                      discrete, enumerate_loci,
                      compatible_extension, convex_closure,
                      flow_check, get_example, is_complete_preorder,
@@ -14,7 +14,8 @@ from infolat import (CapExceededError, PdElement, ValidationError, all_rel,
 from infolat.powerdomain import _all_subset_masks, _convex_mask, _em_rows
 from helpers import (BOOLBOT, CHAIN2, CHAIN3, DIAMOND, DISC2, VEE,
                      complete_preorders, em_extension, monotone_fns,
-                     preorders, subset_masks_sorted)
+                     preorders, random_poset, random_rows, seeded,
+                     subset_masks_sorted)
 
 ND = get_example("nd-bool")
 
@@ -32,6 +33,10 @@ def oracle_em(r, xs: set[str], ys: set[str]) -> bool:
     fwd = all(any(r.holds(x, y) for y in ys) for x in xs)
     bwd = all(any(r.holds(x, y) for x in xs) for y in ys)
     return fwd and bwd
+
+
+def members_of(base, mask: int) -> set[str]:
+    return {x for i, x in enumerate(base.elements) if (mask >> i) & 1}
 
 
 def subsets_of(base):
@@ -268,3 +273,43 @@ class TestNondeterministicBool:
         ext = compatible_extension(order_rel(pbool))
         assert ext.holds("⊥+T", "⊥+F")
         assert not ext.holds("T", "F")
+
+
+class TestRowUnionsAgainstPairSets:
+    """The set images behind the hull, the Egli-Milner rows and the
+    Kleisli extension, against the name-set oracles above."""
+
+    @given(seeded(), st.integers(1, 6))
+    def test_convex_mask_on_every_mask(self, rng, n):
+        base = random_poset(rng, n)
+        for mask in range(1 << n):
+            assert members_of(base, _convex_mask(base, mask)) == \
+                oracle_convex(members_of(base, mask), base)
+
+    @settings(max_examples=40)
+    @given(seeded(), st.integers(1, 5))
+    def test_em_rows_on_raw_relations(self, rng, n):
+        # arbitrary rows: neither reflexive nor transitive in general
+        base = random_poset(rng, n)
+        r = Rel(base, random_rows(rng, n))
+        masks = range(1, 1 << n)
+        rows = _em_rows(r, masks)
+        for i, xm in enumerate(masks):
+            xs = members_of(base, xm)
+            for j, ym in enumerate(masks):
+                assert bool((rows[i] >> j) & 1) == \
+                    oracle_em(r, xs, members_of(base, ym))
+
+    @given(seeded(), st.integers(1, 3), st.integers(1, 3))
+    def test_kleisli_extend_is_hull_of_union_of_images(self, rng, m, n):
+        dom, base = random_poset(rng, m), random_poset(rng, n)
+        target = plotkin(base)
+        images = tuple(rng.randrange(len(target.elements)) for _ in range(m))
+        ext = kleisli_extend(FnTable(dom, target, images))
+        for xm, t in zip(ext.dom.masks, ext.images):
+            union = set()
+            for i in range(m):
+                if (xm >> i) & 1:
+                    union |= members_of(base, target.masks[images[i]])
+            assert members_of(base, target.masks[t]) == \
+                oracle_convex(union, base)

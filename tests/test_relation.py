@@ -10,7 +10,8 @@ from infolat import (OrderCycleError, OrderedPartition, Rel, ValidationError,
                      to_ordered_partition, union)
 from infolat.relation import equivalence_from_blocks, preorder_from_blocks
 from helpers import (CHAIN3, CHAIN4, VEE, idx_pairs, oracle_close,
-                     oracle_compose, preorders, rel_of_pairs)
+                     oracle_compose, preorders, random_poset, random_rows,
+                     rel_of_pairs, seeded)
 
 pair_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                       max_size=10)
@@ -90,6 +91,16 @@ def test_restrict_keeps_agreeing_pairs():
     sub = restrict_rel(order_rel(VEE), build_poset(("⊥", "a"), (("⊥", "a"),)))
     assert sub.holds("⊥", "a")
     assert not sub.holds("a", "⊥")
+
+
+@given(seeded(), st.integers(1, 6))
+def test_restrict_onto_permuted_subcarrier(rng, n):
+    r = Rel(random_poset(rng, n), random_rows(rng, n))
+    keep = rng.sample(r.carrier.elements, rng.randint(1, n))
+    sub = restrict_rel(r, discrete(tuple(keep)))
+    for x in keep:
+        for y in keep:
+            assert sub.holds(x, y) == r.holds(x, y)
 
 
 def test_restrict_requires_subset_of_names():
