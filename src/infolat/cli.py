@@ -14,6 +14,7 @@ violated (witness printed), 2 = input error (message on stderr).
 """
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -34,6 +35,8 @@ from .tini import ti_flow_check
 
 RESERVED = set("{};:,=")
 OPERATORS = ("<=", "->", "~")
+# tokens that cannot be a name
+_NOT_NAMES = RESERVED | set(OPERATORS)
 
 # a token is "<=" (which wins over the reserved "=" in it), one reserved
 # character, or a run of other non-space characters up to the next "<="
@@ -102,7 +105,7 @@ class _Parser:
 
     def name(self, what: str) -> str:
         got = self.next(what)
-        if got in RESERVED or got in OPERATORS:
+        if got in _NOT_NAMES:
             self.pos -= 1
             raise self._fail(f"expected {what}, got {got!r}")
         return got
@@ -138,7 +141,26 @@ def parse_workspace(source: str, into: Workspace | None = None) -> Workspace:
 def _entries(p: _Parser, ops: tuple[str, ...],
              sep: str) -> Iterator[tuple[str, str, str]]:
     """``a OP b`` entries up to the closing ``}``, each followed by an
-    optional ``sep``; yields (a, op, b) with the parser just past b."""
+    optional ``sep``; yields (a, op, b) with the parser just past b.
+
+    A body of whole ``a OP b sep`` groups, the last ``sep`` optional, is
+    read in slices (the names a and b are its even positions); any other
+    body, and so every error, goes through the token walker."""
+    start = p.pos
+    try:
+        end = p.tokens.index("}", start)
+    except ValueError:
+        end = -1
+    body = p.tokens[start:end]
+    if (end >= 0 and len(body) % 4 in (0, 3)
+            and set(body[1::4]).issubset(ops)
+            and set(body[3::4]).issubset((sep,))
+            and _NOT_NAMES.isdisjoint(body[::2])):
+        for k in range(0, len(body), 4):
+            p.pos = start + k + 3
+            yield body[k], body[k + 1], body[k + 2]
+        p.pos = end + 1
+        return
     while p.peek() != "}":
         a = p.name("element name")
         op = p.expect(*ops)
@@ -351,8 +373,11 @@ def _cmd_knowledge(ws: Workspace, args: argparse.Namespace) -> int:
 
 
 def _cmd_rel_map(ws: Workspace, args: argparse.Namespace) -> int:
-    """``cp`` and ``er``: print ``args.map`` of the named relation."""
-    print(format_relation(args.map(_lookup(ws.relations, "relation", args.rel))))
+    """``cp`` and ``er``: print the library map of that name applied to
+    the named relation.  The map is looked up per call, not stored in
+    the parser, which outlives any rebinding of ``cp`` or ``er``."""
+    rel_map = {"cp": cp, "er": er}[args.command]
+    print(format_relation(rel_map(_lookup(ws.relations, "relation", args.rel))))
     return 0
 
 
@@ -435,7 +460,10 @@ def _cmd_catalog(_ws: Workspace, args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later :func:`run` in the process; parsing leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="infolat",
         description="Finite information lattices: flow checking, kernels, "
@@ -476,12 +504,12 @@ def _build_argparser() -> argparse.ArgumentParser:
     p = sub.add_parser("cp", parents=[common],
                        help="least complete preorder containing an equivalence")
     p.add_argument("--rel", required=True)
-    p.set_defaults(handler=_cmd_rel_map, map=cp)
+    p.set_defaults(handler=_cmd_rel_map)
 
     p = sub.add_parser("er", parents=[common],
                        help="underlying equivalence of a preorder")
     p.add_argument("--rel", required=True)
-    p.set_defaults(handler=_cmd_rel_map, map=er)
+    p.set_defaults(handler=_cmd_rel_map)
 
     p = sub.add_parser("realisable", parents=[common],
                        help="is the relation a kernel of some monotone table?")

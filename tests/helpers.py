@@ -421,6 +421,20 @@ def tokenize_scanner(source: str) -> list[tuple[str, int, int]]:
     return tokens
 
 
+def entries_walker(p, ops, sep):
+    """``cli._entries`` as a pure token walk, about five parser calls
+    per entry; the oracle for its slice path, which must read every body
+    as this does, errors and positions included.  Yields (a, op, b) with
+    the parser just past b."""
+    while p.peek() != "}":
+        a = p.name("element name")
+        op = p.expect(*ops)
+        yield a, op, p.name("element name")
+        if p.peek() == sep:
+            p.expect(sep)
+    p.expect("}")
+
+
 # --- strategies -------------------------------------------------------
 
 

@@ -8,9 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from infolat import get_example, kernel, list_examples, plotkin
+from infolat import cli, cp, get_example, kernel, list_examples, plotkin
 from infolat.cli import (Workspace, _build_argparser, _tokenize, emit_dot,
                          export_poset, export_workspace, parse_workspace, run)
 from infolat.errors import ParseError
@@ -490,13 +490,60 @@ def argvs(draw):
     return argv
 
 
-@given(argvs())
-def test_exit_code_contract_holds_for_any_argv(argv):
+def _outcome(argv: list[str]) -> tuple[str, str, int]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
+    return out.getvalue(), err.getvalue(), code
+
+
+@given(argvs())
+def test_exit_code_contract_holds_for_any_argv(argv):
+    _, err, code = _outcome(argv)
     assert code in (0, 1, 2), argv
     if code == 2:
-        assert err.getvalue(), argv
+        assert err, argv
     else:
-        assert err.getvalue() == "", argv
+        assert err == "", argv
+
+
+# --- one parser per process ---------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert _build_argparser() is _build_argparser()
+
+
+def test_parser_keeps_no_values_between_runs(tmp_path, capsys):
+    path = tmp_path / "v.ws"
+    path.write_text(export_workspace(get_example("V")), encoding="utf-8")
+    run(["kernel", "--file", str(path), "--n", "3", "--fn", "f1"])
+    run(["kernel", "--example", "kite", "--example", "V", "--fn", "g_kite"])
+    capsys.readouterr()
+    args = _build_argparser().parse_args(["kernel", "--fn", "f"])
+    assert (args.file, args.example, args.n) == ([], [], 10)
+
+
+def test_rel_maps_are_looked_up_per_run(capsys, monkeypatch):
+    # the shared parser must not keep the library maps it was built with,
+    # or a rebinding such as a tracer's wrapper would go unseen
+    argv = ["cp", "--example", "three-chain", "--rel", "S"]
+    run(argv)
+    seen = []
+    monkeypatch.setattr(cli, "cp", lambda r: seen.append(r) or cp(r))
+    run(argv)
+    capsys.readouterr()
+    assert len(seen) == 1
+
+
+@settings(derandomize=True, max_examples=15)
+@given(st.lists(argvs(), min_size=20, max_size=20))
+def test_reused_parser_answers_as_a_fresh_one(batch):
+    """300 draws: each batch back to back on one parser, then each argv
+    again on a parser built for it alone."""
+    reused = [_outcome(argv) for argv in batch]
+    fresh = []
+    for argv in batch:
+        _build_argparser.cache_clear()
+        fresh.append(_outcome(argv))
+    assert reused == fresh

@@ -11,15 +11,17 @@ import sys
 import tempfile
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from infolat import (FnTable, Poset, Rel, Workspace, build_poset,
+from infolat import (FnTable, Poset, Rel, Workspace, build_poset, cli,
                      get_example, iter_monotone_tables, list_examples)
 from infolat.cli import (_TOKEN, _tokenize, export_workspace,
                          parse_workspace, run)
-from helpers import tokenize_scanner
+from infolat.errors import ParseError
+from helpers import entries_walker, tokenize_scanner
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -213,6 +215,120 @@ def test_exit_code_contract_holds_for_any_file(content, data):
                 assert err.getvalue(), argv
             else:
                 assert err.getvalue() == "", argv
+
+
+# --- entry bodies: slices against the token walker ----------------------
+
+# reserved tokens and operators, which no name may be, and two names that
+# no poset declares
+ODD = ["<=", "->", "~", "{", "}", ";", ",", ":", "=", "elements", "zz"]
+P_NAMES, Q_NAMES = ["a", "b", "c"], ["x", "y"]
+BODY_FAULTS = ("cut", "drop", "odd name", "odd op", "insert", "repeat",
+               "unclosed")
+
+
+@st.composite
+def _entry_body(draw, entries, sep, fault):
+    """One body and its closing brace: the drawn ``entries`` with the
+    separator after every entry, after all but the last, after none or
+    after a random few, and then the ``fault``: the body cut short, a
+    token dropped, a name or operator replaced by an ``ODD`` token, an
+    ``ODD`` token inserted, the first entry repeated, or the brace left
+    out.  The tokens are joined by mostly single spaces (``x->y`` with
+    no spaces is one name)."""
+    entries = draw(entries)
+    seps = draw(st.sampled_from(["all", "trailing"] * 2 + ["none", "some"]))
+    tokens, names, ops = [], [], []
+    for k, (a, op, b) in enumerate(entries):
+        names += [len(tokens), len(tokens) + 2]
+        ops.append(len(tokens) + 1)
+        tokens += [a, op, b]
+        if (seps == "trailing" or seps == "all" and k < len(entries) - 1
+                or seps == "some" and draw(st.booleans())):
+            tokens.append(sep)
+    tokens.append("}")
+    odd = st.sampled_from(ODD)
+    if fault == "cut":
+        del tokens[draw(st.integers(0, len(tokens) - 1)):-1]
+    elif fault == "drop":
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    elif fault == "odd name" and names:
+        tokens[draw(st.sampled_from(names))] = draw(odd)
+    elif fault == "odd op" and ops:
+        tokens[draw(st.sampled_from(ops))] = draw(odd)
+    elif fault == "insert":
+        tokens.insert(draw(st.integers(0, len(tokens) - 1)), draw(odd))
+    elif fault == "repeat" and entries:
+        tokens[:0] = [*entries[0], sep]
+    elif fault == "unclosed":
+        tokens.pop()
+    gaps = draw(st.lists(st.sampled_from([" "] * 12 + ["\n", "  ", ""]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return "".join(gap + token for gap, token in zip(gaps, tokens))
+
+
+@st.composite
+def entry_body_sources(draw):
+    """A poset, a total table and a relation, whose bodies come from
+    :func:`_entry_body`; one of the bodies has a fault, and the bodies
+    before it have none, so the parse reaches it."""
+    faulty = draw(st.sampled_from(["order", "table", "pairs"]))
+    fault = draw(st.sampled_from(BODY_FAULTS))
+
+    def body(which, entries, sep):
+        return draw(_entry_body(entries, sep, fault if which == faulty
+                                else None))
+
+    upward = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
+        lambda ij: ij[0] < ij[1]).map(
+        lambda ij: (P_NAMES[ij[0]], "<=", P_NAMES[ij[1]]))
+    order = body("order", st.lists(upward, max_size=3), ",")
+    images = st.one_of(st.sampled_from(Q_NAMES).map(lambda y: [y] * 3),
+                       st.lists(st.sampled_from(Q_NAMES), min_size=3,
+                                max_size=3))
+    mapping = st.tuples(st.permutations(P_NAMES), images).map(
+        lambda xs_ys: [(x, "->", y) for x, y in zip(*xs_ys)])
+    table = body("table", mapping, ";")
+    pair = st.tuples(st.sampled_from(P_NAMES), st.sampled_from(["<=", "~"]),
+                     st.sampled_from(P_NAMES))
+    pairs = body("pairs", st.lists(pair, max_size=4), ";")
+    kind = draw(st.sampled_from(["raw", "preorder", "equiv"]))
+    return (f"poset P {{ elements: {' '.join(P_NAMES)} ; order:{order}\n"
+            f"poset Q {{ elements: {' '.join(Q_NAMES)} ; order: x <= y }}\n"
+            f"fn f : P -> Q {{{table}\n"
+            f"rel R on P kind={kind} {{{pairs}\n")
+
+
+def _parsed(source: str):
+    """The workspace, or the error's text and position."""
+    try:
+        return parse_workspace(source)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+HEAD = "poset P { elements: a b c ; order: a <= b }\n"
+FN = HEAD + "poset Q { elements: x y ; order: x <= y }\nfn f : P -> Q "
+
+
+# spelled out: no separator, a trailing one, a group cut short, reserved
+# tokens and operators as names, ``~`` in ``order:``, a key mapped twice
+# and a missing ``}``
+@settings(max_examples=300)
+@given(entry_body_sources())
+@example(HEAD + "rel R on P kind=raw { a <= b b ~ c }")
+@example(HEAD + "rel R on P kind=equiv { a ~ c ; }")
+@example(HEAD + "rel R on P kind=raw { a <= b ; c }")
+@example(HEAD + "rel R on P kind=raw { a <= ; ; c }")
+@example("poset P { elements: a b ; order: a ~ b }")
+@example("poset P { elements: a b ; order: a <= -> }")
+@example("poset P { elements: a b ; order: <= <= a }")
+@example(FN + "{ a -> x ; b -> x ; a -> y ; c -> y }")
+@example(FN + "{ a -> x ; b -> y ; c -> y ;")
+def test_entry_bodies_read_as_the_walker_reads_them(source):
+    with mock.patch.object(cli, "_entries", entries_walker):
+        expected = _parsed(source)
+    assert _parsed(source) == expected
 
 
 # --- export and parse round trip ----------------------------------------
