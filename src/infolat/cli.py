@@ -143,31 +143,23 @@ def _entries(p: _Parser, ops: tuple[str, ...],
     """``a OP b`` entries up to the closing ``}``, each followed by an
     optional ``sep``; yields (a, op, b) with the parser just past b.
 
-    A body of whole ``a OP b sep`` groups, the last ``sep`` optional, is
-    read in slices (the names a and b are its even positions); any other
-    body, and so every error, goes through the token walker."""
-    start = p.pos
-    try:
-        end = p.tokens.index("}", start)
-    except ValueError:
-        end = -1
-    body = p.tokens[start:end]
-    if (end >= 0 and len(body) % 4 in (0, 3)
-            and set(body[1::4]).issubset(ops)
-            and set(body[3::4]).issubset((sep,))
-            and _NOT_NAMES.isdisjoint(body[::2])):
-        for k in range(0, len(body), 4):
-            p.pos = start + k + 3
-            yield body[k], body[k + 1], body[k + 2]
-        p.pos = end + 1
-        return
-    while p.peek() != "}":
-        a = p.name("element name")
-        op = p.expect(*ops)
-        yield a, op, p.name("element name")
-        if p.peek() == sep:
-            p.expect(sep)
-    p.expect("}")
+    Each entry is read by index; where none stands at the cursor, the
+    parser's checking reads run from there and raise at the bad token."""
+    tokens, i = p.tokens, p.pos
+    n = len(tokens)
+    while i >= n or tokens[i] != "}":
+        if not (i + 2 < n and (op := tokens[i + 1]) in ops
+                and (a := tokens[i]) not in _NOT_NAMES
+                and (b := tokens[i + 2]) not in _NOT_NAMES):
+            p.pos = i
+            a, op, b = (p.name("element name"), p.expect(*ops),
+                        p.name("element name"))
+        i += 3
+        p.pos = i
+        yield a, op, b
+        if i < n and tokens[i] == sep:
+            i += 1
+    p.pos = i + 1
 
 
 def _parse_poset(p: _Parser, ws: Workspace) -> tuple[str, Poset]:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
 from .poset import FnTable, Poset, bits, compose_rows, transpose
-from .relation import Rel, _block_names, order_rel, require
+from .relation import Rel, _block_names, require
 
 DEFAULT_POWERDOMAIN_CAP = 5
 
@@ -94,8 +94,9 @@ def pd_union(x: PdElement, y: PdElement) -> PdElement:
     return PdElement(x.base, _convex_mask(x.base, x.mask | y.mask))
 
 
-def _em_rows(r: Rel, masks: Sequence[int]) -> tuple[int, ...]:
-    """Egli-Milner extension of r on the given subset masks: X is below
+def _em_rows(r: Rel | Poset, masks: Sequence[int]) -> tuple[int, ...]:
+    """Egli-Milner extension of r (a relation or a poset's order, read
+    through ``rows`` and ``cols``) on the given subset masks: X is below
     Y iff Y lies in the r-up-closure of X and X in the r-down-closure of
     Y.  ``members[b]``, the masks holding point b, is read off the padded
     square; the masks inside a closure are those of no point outside it."""
@@ -108,7 +109,7 @@ def _em_rows(r: Rel, masks: Sequence[int]) -> tuple[int, ...]:
         return [full & ~out for out in outside]
 
     ups = inside(compose_rows(masks, r.rows))
-    downs = inside(compose_rows(masks, transpose(r.rows)))
+    downs = inside(compose_rows(masks, r.cols))
     return tuple(up & down for up, down in zip(ups, transpose(downs)))
 
 
@@ -137,18 +138,18 @@ def plotkin(base: Poset, cap: int = DEFAULT_POWERDOMAIN_CAP) -> PlotkinPoset:
     every = _all_subset_masks(base)
     masks = [m for m, h in zip(every, _convex_masks(base, every)) if h == m]
     names = _block_names([_names_of(base, m) for m in masks])
-    rows = _em_rows(order_rel(base), masks)
+    rows = _em_rows(base, masks)
     return PlotkinPoset(names, rows, base, tuple(masks))
 
 
-def pd_unit(base: Poset, cap: int = DEFAULT_POWERDOMAIN_CAP) -> FnTable:
+def pd_unit(base: Poset) -> FnTable:
     """Singleton embedding of the base into its powerdomain."""
-    target = plotkin(base, cap)
+    target = plotkin(base)
     images = tuple(target.mask_index[1 << i] for i in range(len(base.elements)))
     return FnTable(base, target, images)
 
 
-def kleisli_extend(f: FnTable, cap: int = DEFAULT_POWERDOMAIN_CAP) -> FnTable:
+def kleisli_extend(f: FnTable) -> FnTable:
     """Extend a set-valued table to whole sets.
 
     For f from A into plotkin(B), the extension maps a convex X over A
@@ -157,24 +158,23 @@ def kleisli_extend(f: FnTable, cap: int = DEFAULT_POWERDOMAIN_CAP) -> FnTable:
     target = f.cod
     if not isinstance(target, PlotkinPoset):
         raise ValidationError("codomain is not a powerdomain carrier")
-    source = plotkin(f.dom, cap)
+    source = plotkin(f.dom)
     unions = compose_rows(source.masks, [target.masks[v] for v in f.images])
     return FnTable(source, target,
                    tuple(target.mask_index[hull]
                          for hull in _convex_masks(target.base, unions)))
 
 
-def kleisli_compose(f: FnTable, g: FnTable,
-                    cap: int = DEFAULT_POWERDOMAIN_CAP) -> FnTable:
+def kleisli_compose(f: FnTable, g: FnTable) -> FnTable:
     """Sequence two set-valued tables: run f, then g on every outcome."""
     if not isinstance(f.cod, PlotkinPoset) or f.cod.base != g.dom:
         raise ValidationError(
             "left codomain must be the powerdomain of the right domain")
-    return f.then(kleisli_extend(g, cap))
+    return f.then(kleisli_extend(g))
 
 
-def pd_lift_relation(p: Rel, cap: int = DEFAULT_POWERDOMAIN_CAP) -> Rel:
+def pd_lift_relation(p: Rel) -> Rel:
     """Egli-Milner extension of a complete preorder, on the powerdomain carrier."""
     require(p, "complete", "argument")
-    carrier = plotkin(p.carrier, cap)
+    carrier = plotkin(p.carrier)
     return Rel(carrier, _em_rows(p, list(carrier.masks)))

@@ -66,8 +66,13 @@ class Rel:
         return all((row >> i) & 1 for i, row in enumerate(self.rows))
 
     @cached_property
+    def cols(self) -> tuple[int, ...]:
+        """Transposed rows, the converse: bit i of ``cols[j]`` iff i r j."""
+        return transpose(self.rows)
+
+    @cached_property
     def is_symmetric(self) -> bool:
-        return transpose(self.rows) == self.rows
+        return self.cols == self.rows
 
     # left uncached: the library reaches it only through the cached
     # is_preorder, and benchmarks/tracing.py wraps this property's getter.
@@ -79,7 +84,7 @@ class Rel:
     def is_antisymmetric(self) -> bool:
         # row i meets column i in nothing but i itself
         return all(not (row & col & ~(1 << i)) for i, (row, col)
-                   in enumerate(zip(self.rows, transpose(self.rows))))
+                   in enumerate(zip(self.rows, self.cols)))
 
     @cached_property
     def is_preorder(self) -> bool:
@@ -159,7 +164,7 @@ def close(r: Rel, kind: str) -> Rel:
         raise ValidationError(f"unknown closure kind {kind!r}")
     rows = r.rows
     if kind == "equivalence":
-        rows = [a | b for a, b in zip(rows, transpose(rows))]
+        rows = [a | b for a, b in zip(rows, r.cols)]
     return Rel(r.carrier, tuple(close_rows(rows)))
 
 
@@ -174,7 +179,7 @@ def union(r: Rel, s: Rel) -> Rel:
 
 
 def invert(r: Rel) -> Rel:
-    return Rel(r.carrier, transpose(r.rows))
+    return Rel(r.carrier, r.cols)
 
 
 def compose(r: Rel, s: Rel) -> Rel:
@@ -283,14 +288,6 @@ def from_ordered_partition(op: OrderedPartition) -> Rel:
                                         block_masks))
 
 
-def equivalence_from_blocks(carrier: Poset, blocks: Iterable[Iterable[str]]) -> Rel:
-    """Equivalence relation with the given blocks (no order between them)."""
-    blocks = tuple(tuple(b) for b in blocks)
-    op = OrderedPartition(carrier, blocks,
-                          tuple(1 << i for i in range(len(blocks))))
-    return from_ordered_partition(op)
-
-
 def preorder_from_blocks(carrier: Poset, blocks: Iterable[Iterable[str]],
                          covers: Iterable[tuple[int, int]]) -> Rel:
     """Preorder with the given blocks and block order generated by covers."""
@@ -302,6 +299,11 @@ def preorder_from_blocks(carrier: Poset, blocks: Iterable[Iterable[str]],
         rows[b1] |= 1 << b2
     op = OrderedPartition(carrier, blocks, tuple(close_rows(rows)))
     return from_ordered_partition(op)
+
+
+def equivalence_from_blocks(carrier: Poset, blocks: Iterable[Iterable[str]]) -> Rel:
+    """Equivalence relation with the given blocks (no order between them)."""
+    return preorder_from_blocks(carrier, blocks, ())
 
 
 def block_label(block: tuple[str, ...]) -> str:

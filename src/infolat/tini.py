@@ -13,9 +13,9 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
 from .loci import iter_equivalences
-from .loi import (FnTable, Violation, _broken_rows, _pullback_rows, flow_check,
-                  loi_join, pullback)
-from .poset import Poset, compose_rows, transpose
+from .loi import (Violation, _broken_rows, _pullback_rows, flow_check, loi_join,
+                  pullback)
+from .poset import FnTable, Poset, compose_rows
 from .relation import Rel, equivalence_from_blocks, require
 
 
@@ -29,12 +29,11 @@ def compatible_extension(q: Rel) -> Rel:
     # Two up-sets of a finite preorder meet exactly when they share a
     # maximal element z (everything above z is also below it), so row x
     # is the OR of the down-sets of the maximal z above x.
-    cols = transpose(q.rows)
     tops = 0
-    for z, (up, down) in enumerate(zip(q.rows, cols)):
+    for z, (up, down) in enumerate(zip(q.rows, q.cols)):
         if not up & ~down:
             tops |= 1 << z
-    return Rel(q.carrier, compose_rows((up & tops for up in q.rows), cols))
+    return Rel(q.carrier, compose_rows((up & tops for up in q.rows), q.cols))
 
 
 def ti_flow_check(f: FnTable, pre: Rel, post: Rel) -> Violation | None:

@@ -423,9 +423,9 @@ def tokenize_scanner(source: str) -> list[tuple[str, int, int]]:
 
 def entries_walker(p, ops, sep):
     """``cli._entries`` as a pure token walk, about five parser calls
-    per entry; the oracle for its slice path, which must read every body
-    as this does, errors and positions included.  Yields (a, op, b) with
-    the parser just past b."""
+    per entry; the oracle for its one reader, which reads each entry by
+    index and must read every body as this does, errors and positions
+    included.  Yields (a, op, b) with the parser just past b."""
     while p.peek() != "}":
         a = p.name("element name")
         op = p.expect(*ops)

@@ -58,6 +58,14 @@ def test_transpose_matches_pairwise(rng, n):
 
 
 @AT_SCALE
+@given(seeded(), st.integers(1, 300))
+def test_rel_cols_is_the_cached_converse(rng, n):
+    r = Rel(random_poset(rng, n), random_rows(rng, n))
+    assert r.cols == transpose_pairwise(r.rows)
+    assert r.cols is r.cols
+
+
+@AT_SCALE
 @given(tables())
 def test_pullback_matches_pairwise(inst):
     rng, f = inst

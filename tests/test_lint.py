@@ -1,6 +1,9 @@
-"""Static checks made with the standard library's ``ast``."""
+"""Static checks made with the standard library's ``ast``, and
+``inspect`` where an imported name's home module matters."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,23 @@ def test_every_imported_name_is_used(path):
                     "# noqa: F401" not in lines[alias.lineno - 1]:
                 unused.append(f"{name} (line {alias.lineno})")
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_classes_and_functions_come_from_their_defining_module(path):
+    """``from .m import name`` must name a class or function defined in
+    ``m`` itself, not one that ``m`` imports in turn; other values (the
+    constants) are not checked."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    relayed = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        module = f"infolat.{node.module}"
+        for alias in node.names:
+            obj = getattr(importlib.import_module(module), alias.name)
+            if (inspect.isclass(obj) or inspect.isfunction(obj)) \
+                    and obj.__module__ != module:
+                relayed.append(f"{alias.name} (line {alias.lineno}) is "
+                               f"defined in {obj.__module__}")
+    assert relayed == []

@@ -12,7 +12,7 @@ from infolat import (CapExceededError, FnTable, PdElement, Rel,
                      pd_lift_relation, pd_union, pd_unit, plotkin, subset_name,
                      ti_flow_check)
 from infolat.powerdomain import _all_subset_masks, _convex_mask, _em_rows
-from helpers import (BOOLBOT, CHAIN2, CHAIN3, DIAMOND, DISC2, VEE,
+from helpers import (BOOLBOT, CHAIN2, CHAIN3, DIAMOND, DISC2, FAMILY, VEE,
                      complete_preorders, em_extension, monotone_fns,
                      preorders, random_poset, random_rows, seeded,
                      subset_masks_sorted)
@@ -108,6 +108,12 @@ class TestPlotkinCarrier:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             plotkin(discrete(tuple("abcdef")))
+
+    def test_em_rows_read_a_poset_as_its_order(self):
+        # plotkin passes the base itself, read through rows and cols
+        for base in FAMILY:
+            masks = _all_subset_masks(base)
+            assert _em_rows(base, masks) == _em_rows(order_rel(base), masks)
 
     def test_em_extension_matches_oracle(self):
         r = order_rel(VEE)
