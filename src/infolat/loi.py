@@ -10,7 +10,7 @@ union.  Kernels, knowledge sets, flow checking and the two image maps
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .poset import FnTable, compose_rows, fibres
+from .poset import FnTable, compose_nested_rows, fibres
 from .relation import Rel, close, identity_rel, intersect, require, union
 
 
@@ -106,14 +106,20 @@ def pullback(f: FnTable, r: Rel) -> Rel:
 def _pullback_rows(f: FnTable, r: Rel) -> tuple[int, ...]:
     """Rows of the pullback of r, a relation on the codomain of f.
 
-    ``preimage[v]`` holds every x with f(x) = v; the row of x is the OR
-    of ``preimage[w]`` over the w in ``r.rows[f(x)]`` that f hits.
+    ``preimage[w]`` holds every x with f(x) = w, so ``up[v]``, the OR of
+    ``preimage[w]`` over the w in ``r.rows[v]``, is every x that r
+    relates v to; the row of x is ``up[f(x)]``.  Only the values f hits
+    matter, so the other rows are emptied and the other bits cleared:
+    on a small domain the work stays small whatever r is, and the rows
+    of a transitive r still nest.
     """
     preimage = fibres(f.images, len(f.cod.elements))
     hit = 0
     for v in f.images:
         hit |= 1 << v
-    return compose_rows((r.rows[v] & hit for v in f.images), preimage)
+    up = compose_nested_rows([row & hit if fibre else 0 for row, fibre
+                              in zip(r.rows, preimage)], preimage)
+    return tuple(up[v] for v in f.images)
 
 
 def pushforward(f: FnTable, p: Rel) -> Rel:
@@ -133,7 +139,7 @@ def _image_closure(f: FnTable, p: Rel, base: Rel) -> Rel:
     """Reflexive-transitive closure of the image pairs of p added to
     ``base``, a relation on the codomain of f."""
     rows = list(base.rows)
-    images = compose_rows(p.rows, [1 << v for v in f.images])
+    images = compose_nested_rows(p.rows, [1 << v for v in f.images])
     for v, image in zip(f.images, images):
         rows[v] |= image
     return close(Rel(f.cod, tuple(rows)), "refl_trans")

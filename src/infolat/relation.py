@@ -15,8 +15,8 @@ from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .poset import (Poset, bits, close_rows, compose_rows, fibres,
-                    rows_transitive, transpose)
+from .poset import (Poset, bits, close_rows, compose_nested_rows,
+                    compose_rows, fibres, rows_transitive, transpose)
 
 
 @dataclass(frozen=True)
@@ -267,25 +267,17 @@ def _row_classes(q: Rel) -> tuple[tuple[int, ...], list[int],
 def _block_rows(rows: Sequence[int], labels: Sequence[int],
                 block_masks: Sequence[int]) -> tuple[int, ...]:
     """The relation ``rows`` induces on blocks: block b relates to every
-    block that the OR of its members' rows meets.  One step per block
-    met: the block of the lowest remaining element is recorded and all
-    of its members are cleared."""
-    out = []
-    for reach in compose_rows(block_masks, rows):
-        met = 0
-        while reach:
-            b = labels[(reach & -reach).bit_length() - 1]
-            met |= 1 << b
-            reach &= ~block_masks[b]
-        out.append(met)
-    return tuple(out)
+    block that the OR of its members' rows meets.  ``met[x]`` holds the
+    blocks that row x meets, and block b ORs ``met`` over its members."""
+    met = compose_nested_rows(rows, [1 << b for b in labels])
+    return compose_rows(block_masks, met)
 
 
 def from_ordered_partition(op: OrderedPartition) -> Rel:
     """Expand block structure back into a preorder on the carrier."""
-    block_masks = fibres(op.labels, len(op.blocks))
-    return Rel(op.carrier, compose_rows((op.block_rows[b] for b in op.labels),
-                                        block_masks))
+    up = compose_nested_rows(op.block_rows,
+                             fibres(op.labels, len(op.blocks)))
+    return Rel(op.carrier, tuple(up[b] for b in op.labels))
 
 
 def preorder_from_blocks(carrier: Poset, blocks: Iterable[Iterable[str]],

@@ -13,9 +13,8 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
 from .loci import iter_equivalences
-from .loi import (Violation, _broken_rows, _pullback_rows, flow_check, loi_join,
-                  pullback)
-from .poset import FnTable, Poset, compose_rows
+from .loi import Violation, _broken_rows, flow_check, loi_join, pullback
+from .poset import FnTable, Poset, compose_rows, fibres
 from .relation import Rel, equivalence_from_blocks, require
 
 
@@ -112,18 +111,23 @@ def observer_impossibility_search(
             raise ValidationError("relations live on different carriers")
     require(post, None, "postcondition", cod)
 
-    def rejects(g: FnTable, unsafe_rows: tuple[int, ...], t: Rel) -> bool:
-        # the encoded check fails when the joined precondition keeps one
-        return any(row & kept for row, kept in
-                   zip(unsafe_rows, _pullback_rows(g, t)))
+    def rejects(g: FnTable, preimage: list[int],
+                unsafe_rows: tuple[int, ...], t: Rel) -> bool:
+        # the encoded check fails when the joined precondition keeps an
+        # unsafe pair.  Row x of the pullback of t is the OR of
+        # preimage[w] over the w that t relates to g(x); each t is a
+        # small fresh equivalence, so its rows are composed plainly
+        kept = compose_rows((t.rows[v] for v in g.images), preimage)
+        return any(row & up for row, up in zip(unsafe_rows, kept))
 
-    ok_rows = _broken_rows(f_ok, pre, post)
-    bad_rows = [(g, _broken_rows(g, pre, post)) for g in bads]
+    k = len(cod.elements)
+    ok, *bad = [(g, fibres(g.images, k), _broken_rows(g, pre, post))
+                for g in (f_ok, *bads)]
     checked = 0
     for t in iter_equivalences(cod):
         checked += 1
-        if rejects(f_ok, ok_rows, t):
+        if rejects(*ok, t):
             continue
-        if all(rejects(g, rows, t) for g, rows in bad_rows):
+        if all(rejects(*b, t) for b in bad):
             return ObserverSearch(t, checked)
     return ObserverSearch(None, checked)

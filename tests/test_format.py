@@ -222,7 +222,9 @@ def test_exit_code_contract_holds_for_any_file(content, data):
 # reserved tokens and operators, which no name may be, and two names that
 # no poset declares
 ODD = ["<=", "->", "~", "{", "}", ";", ",", ":", "=", "elements", "zz"]
-P_NAMES, Q_NAMES = ["a", "b", "c"], ["x", "y"]
+# element names: no reserved character, operator or "z", so never an ODD
+# token, and wide enough that few drawn sources repeat
+ELEMENT = st.text("abcdxé⊥_12", min_size=1, max_size=3)
 BODY_FAULTS = ("cut", "drop", "odd name", "odd op", "insert", "repeat",
                "unclosed")
 
@@ -279,25 +281,28 @@ def entry_body_sources(draw):
         return draw(_entry_body(entries, sep, fault if which == faulty
                                 else None))
 
-    upward = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
+    p_names = draw(st.lists(ELEMENT, min_size=2, max_size=5, unique=True))
+    q_names = draw(st.lists(ELEMENT, min_size=2, max_size=3, unique=True))
+    n = len(p_names)
+    upward = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda ij: ij[0] < ij[1]).map(
-        lambda ij: (P_NAMES[ij[0]], "<=", P_NAMES[ij[1]]))
-    order = body("order", st.lists(upward, max_size=3), ",")
-    images = st.one_of(st.sampled_from(Q_NAMES).map(lambda y: [y] * 3),
-                       st.lists(st.sampled_from(Q_NAMES), min_size=3,
-                                max_size=3))
-    mapping = st.tuples(st.permutations(P_NAMES), images).map(
+        lambda ij: (p_names[ij[0]], "<=", p_names[ij[1]]))
+    order = body("order", st.lists(upward, max_size=4), ",")
+    images = st.one_of(st.sampled_from(q_names).map(lambda y: [y] * n),
+                       st.lists(st.sampled_from(q_names), min_size=n,
+                                max_size=n))
+    mapping = st.tuples(st.permutations(p_names), images).map(
         lambda xs_ys: [(x, "->", y) for x, y in zip(*xs_ys)])
     table = body("table", mapping, ";")
-    pair = st.tuples(st.sampled_from(P_NAMES), st.sampled_from(["<=", "~"]),
-                     st.sampled_from(P_NAMES))
-    pairs = body("pairs", st.lists(pair, max_size=4), ";")
+    pair = st.tuples(st.sampled_from(p_names), st.sampled_from(["<=", "~"]),
+                     st.sampled_from(p_names))
+    pairs = body("pairs", st.lists(pair, max_size=6), ";")
     kind = draw(st.sampled_from(["raw", "preorder", "equiv"]))
-    return (f"poset P {{ elements: {' '.join(P_NAMES)} ; order:{order}\n"
-            f"poset Q {{ elements: {' '.join(Q_NAMES)} ; order: x <= y }}\n"
+    return (f"poset P {{ elements: {' '.join(p_names)} ; order:{order}\n"
+            f"poset Q {{ elements: {' '.join(q_names)} ; "
+            f"order: {q_names[0]} <= {q_names[1]} }}\n"
             f"fn f : P -> Q {{{table}\n"
             f"rel R on P kind={kind} {{{pairs}\n")
-
 
 def _parsed(source: str):
     """The workspace, or the error's text and position."""

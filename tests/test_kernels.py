@@ -1,7 +1,7 @@
 """Whole-row kernels against the per-pair loops they replaced, and the
-lattice identities that tie them together, on seeded carriers of 50 to
-300 points; plus one guard at 3,000 points that takes seconds only while
-the order kernels stay near-linear in their rows."""
+lattice identities that tie them together, on seeded carriers of 1 to
+300 points; plus guards at 3,000 points that take seconds only while
+the order kernels and the set images stay near-linear in their rows."""
 
 import random
 
@@ -12,20 +12,23 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      ValidationError, all_rel, block_label, chain,
                      check_monotone, cli, close, compatible_extension,
                      compose, cp, discrete, er, flow_check, format_relation,
-                     from_ordered_partition, identity_rel, invert, kernel,
-                     order_rel, phi_realisability, pullback, quotient_map,
+                     from_ordered_partition, get_example, identity_rel,
+                     invert, kernel, order_rel, ordered_kernel,
+                     phi_realisability, pullback, quotient_map,
                      to_ordered_partition, union)
 from infolat.cli import _quote, emit_dot
-from infolat.poset import bits, close_rows, rows_transitive, transpose
+from infolat.poset import (bits, close_rows, compose_nested_rows,
+                           compose_rows, rows_transitive, transpose)
 from infolat.relation import _block_rows, preorder_from_blocks
 from helpers import (CHAIN3, block_steps_pairwise, close_rows_warshall,
                      compatible_extension_pairwise, covers_pairwise,
                      flow_check_pairwise, is_antisymmetric_pairwise,
                      is_chain_pairwise, is_transitive_pairwise,
-                     monotone_witness_pairwise, poset_checks_pairwise,
-                     pullback_pairwise, random_equivalence, random_poset,
-                     random_preorder, random_rows, seeded,
-                     strict_pairs_pairwise, transpose_pairwise)
+                     monotone_witness_pairwise, oracle_compose,
+                     poset_checks_pairwise, pullback_pairwise,
+                     random_equivalence, random_poset, random_preorder,
+                     random_rows, seeded, strict_pairs_pairwise,
+                     transpose_pairwise)
 
 SIZES = st.integers(50, 300)
 AT_SCALE = settings(max_examples=20)
@@ -200,6 +203,179 @@ def test_close_rows_matches_warshall(rng, n, shape):
     elif shape == "components":
         lay_cycles(rng, rows)
     assert close_rows(rows) == close_rows_warshall(rows)
+
+
+# --- set images: compose_rows and its nested-row jumps -------------------
+
+def pair_set(rows):
+    return {(i, j) for i, row in enumerate(rows) for j in bits(row)}
+
+
+def rows_of(pairs, n):
+    out = [0] * n
+    for i, j in pairs:
+        out[i] |= 1 << j
+    return tuple(out)
+
+
+NESTED_SHAPES = ("chain", "antichain", "ranked", "large classes", "strict",
+                 "dense raw")
+
+
+def nested_shape(rng, n, shape):
+    """Square rows on n points: a chain relabelled at random, an
+    antichain, ranked blocks with ties, a preorder on at most four
+    classes, a poset order with the diagonal dropped from most rows
+    (transitive, not reflexive), or near-full rows (not transitive)."""
+    if shape == "chain":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return tuple(relabel(up_sets(range(n)), perm))
+    if shape == "antichain":
+        return tuple(1 << i for i in range(n))
+    if shape == "ranked":
+        carrier = discrete(f"e{i}" for i in range(n))
+        return ranked_preorder(rng, carrier, ties=True).rows
+    if shape == "large classes":
+        k = rng.randint(1, min(n, 4))
+        labels = [rng.randrange(k) for _ in range(n)]
+        masks = [sum(1 << i for i in range(n) if labels[i] == b)
+                 for b in range(k)]
+        above = close_rows_warshall([rng.getrandbits(k) for _ in range(k)])
+        return tuple(sum(masks[c] for c in bits(above[b])) for b in labels)
+    if shape == "strict":
+        return tuple(row & ~(1 << i) if rng.random() < 0.8 else row
+                     for i, row in
+                     enumerate(close_rows_warshall(dag_rows(rng, n))))
+    return tuple(rng.getrandbits(n) | rng.getrandbits(n) for _ in range(n))
+
+
+def image_table(rng, n):
+    """n sparse rows of up to 2n bits, or n singletons as in a set image."""
+    if rng.random() < 0.5:
+        return [1 << rng.randrange(n) for _ in range(n)]
+    m = rng.randint(1, 2 * n)
+    return [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(n)]
+
+
+@settings(max_examples=200)
+@given(seeded(), st.integers(0, 10), st.integers(1, 10), st.integers(1, 10))
+def test_compose_rows_matches_pair_sets(rng, m, n, p):
+    # m rows over n points and a table of n rows over p points: not
+    # square unless m == n; a few rows repeat, as equal rows share work
+    rows = [rng.getrandbits(n) for _ in range(m)]
+    rows += rng.choices(rows, k=rng.randint(0, 3)) if rows else []
+    table = [rng.getrandbits(p) for _ in range(n)]
+    want = rows_of(oracle_compose(pair_set(rows), pair_set(table), n),
+                   len(rows))
+    assert compose_rows(rows, table) == want
+    assert compose_rows(iter(rows), table) == want
+
+
+@settings(max_examples=200)
+@given(seeded(), st.integers(1, 10), st.sampled_from(NESTED_SHAPES))
+def test_compose_nested_rows_matches_pair_sets(rng, n, shape):
+    rows = nested_shape(rng, n, shape)
+    table = image_table(rng, n)
+    want = rows_of(oracle_compose(pair_set(rows), pair_set(table), n), n)
+    assert compose_nested_rows(rows, table) == want
+
+
+@settings(max_examples=60)
+@given(seeded(), st.integers(1, 300), st.sampled_from(NESTED_SHAPES))
+def test_compose_nested_rows_matches_compose_rows(rng, n, shape):
+    rows = nested_shape(rng, n, shape)
+    table = image_table(rng, n)
+    assert compose_nested_rows(rows, table) == compose_rows(rows, table)
+
+
+@pytest.mark.parametrize("rows", [
+    (0b110, 0b100, 0b000),
+    (0b10, 0b00),
+    (0b1110, 0b1100, 0b1000, 0b0000),
+    (0b1111, 0b1100, 0b1000, 0b1000),
+    (0b011, 0b110, 0b100),
+])
+def test_compose_nested_rows_on_rows_that_are_not_reflexive(rows):
+    # a jump to j settles bit j as well as row j, which need not hold it:
+    # clearing row j alone would find bit j pending again and never stop
+    n = len(rows)
+    table = [1 << (2 * j) | 1 << (2 * j + 1) for j in range(n)]
+    want = rows_of(oracle_compose(pair_set(rows), pair_set(table), n), n)
+    assert compose_nested_rows(rows, table) == want
+
+
+def up_sets(values):
+    """Row p holds every q with values[q] >= values[p], one pass down the
+    distinct values."""
+    at = {}
+    for p, v in enumerate(values):
+        at.setdefault(v, []).append(p)
+    out, acc = [0] * len(values), 0
+    for v in sorted(at, reverse=True):
+        for p in at[v]:
+            acc |= 1 << p
+        for p in at[v]:
+            out[p] = acc
+    return tuple(out)
+
+
+def test_compose_nested_rows_at_3000_points():
+    # closed forms: a chain takes suffix ORs of the table, its strict
+    # part the next one, an antichain the table itself
+    n = 3000
+    rng = random.Random(15)
+    table = [rng.getrandbits(64) for _ in range(n)]
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | table[i]
+    line = up_sets(range(n))
+    assert compose_nested_rows(line, table) == tuple(suffix[:n])
+    strict = tuple(row ^ (1 << i) for i, row in enumerate(line))
+    assert compose_nested_rows(strict, table) == tuple(suffix[1:])
+    assert compose_nested_rows([1 << i for i in range(n)], table) == \
+        tuple(table)
+    # three classes in a chain and one beside them: four distinct rows,
+    # so compose_rows is cheap here too
+    labels = [rng.randrange(4) for _ in range(n)]
+    masks = [sum(1 << i for i in range(n) if labels[i] == b)
+             for b in range(4)]
+    above = [masks[0] | masks[1] | masks[2], masks[1] | masks[2], masks[2],
+             masks[3]]
+    rows = [above[b] for b in labels]
+    assert compose_nested_rows(rows, table) == compose_rows(rows, table)
+
+
+@AT_SCALE
+@given(tables(), st.sampled_from(NESTED_SHAPES))
+def test_pullback_of_nested_rows_matches_pairwise(inst, shape):
+    rng, f = inst
+    r = Rel(f.cod, nested_shape(rng, len(f.cod), shape))
+    assert pullback(f, r) == pullback_pairwise(f, r)
+
+
+def test_ordered_kernel_of_omega_at_3000_points():
+    # S1 maps into the chain 0 < 1 < ... < ω, so x is below y exactly
+    # when S1(x) is at most S1(y); the blocks are S1's fibres in order of
+    # least member, and a block is below another when its image is.
+    # Each step here once took k² bit steps, about 10 s together at this size
+    n = 3000
+    s1 = get_example("omega", n).functions["S1"]
+    images = s1.images
+    assert s1.cod.rows == up_sets(range(n + 1))
+    q = ordered_kernel(s1)
+    assert q == Rel(s1.dom, up_sets(images))
+    fibre: dict[int, list[int]] = {}
+    for x, v in enumerate(images):
+        fibre.setdefault(v, []).append(x)
+    members = sorted(fibre.values())
+    op = to_ordered_partition(q)
+    names = s1.dom.elements
+    assert op.blocks == tuple(tuple(names[x] for x in xs) for xs in members)
+    assert op.block_rows == up_sets([images[xs[0]] for xs in members])
+    assert from_ordered_partition(op) == q
+    assert format_relation(q) == " <= ".join(
+        block_label(tuple(names[x] for x in fibre[v])) for v in sorted(fibre))
 
 
 def test_preorder_from_blocks_rejects_unknown_indices():
