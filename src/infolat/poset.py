@@ -97,7 +97,11 @@ def rows_transitive(rows: Sequence[int]) -> bool:
     every bit of a strictly smaller ``rows[j]`` are settled, and of an
     equal one only bit j.  Sound because a failing row with the fewest
     bits only jumps through smaller rows, which pass, so whatever they
-    settle holds.  Every bit must index a row.
+    settle holds.  Every bit must index a row.  This is not ``R∘R ⊆ R``
+    through :func:`compose_nested_rows`: the loop stops at the first
+    failing row and builds no result rows, and on 4-6 points, where the
+    searches build their relations, the composition takes two to three
+    times as long.
     """
     for row in set(rows):
         pending = row
@@ -134,23 +138,21 @@ def compose_nested_rows(rows: Sequence[int],
     """:func:`compose_rows` for square rows, in jumps where rows nest.
 
     Row i of the result is the OR of ``table[j]`` over the set bits j of
-    ``rows[i]``; every bit must index a row.  Rows go in order of
-    increasing bit count, so a row strictly inside row i is done before
-    it; equal rows are computed once.  At the lowest pending bit j of
-    row i, a ``rows[j]`` strictly inside row i settles itself and bit j
-    at once (its result is ORed in with ``table[j]``); any other j
-    settles only itself.  The nesting is tested at every step, so the
-    result is exact for any rows: transitive rows take jumps, others
-    single steps.
+    ``rows[i]``; every bit must index a row.  Rows go in increasing
+    value, so a row strictly inside row i, a smaller number, is done
+    before it, and equal rows are neighbours, computed once.  At the
+    lowest pending bit j of row i, a ``rows[j]`` strictly inside row i
+    settles itself and bit j at once (its result is ORed in with
+    ``table[j]``); any other j settles only itself.  The nesting is
+    tested at every step, so the result is exact for any rows:
+    transitive rows take jumps, others single steps.
     """
     out = [0] * len(rows)
-    done: dict[int, int] = {}
-    for i in sorted(range(len(rows)), key=lambda i: rows[i].bit_count()):
+    prev, acc = -1, 0  # no row is negative
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
         row = rows[i]
-        acc = done.get(row)
-        if acc is None:
-            acc = 0
-            pending = row
+        if row != prev:
+            prev, acc, pending = row, 0, row
             while pending:
                 low = pending & -pending
                 j = low.bit_length() - 1
@@ -161,7 +163,6 @@ def compose_nested_rows(rows: Sequence[int],
                 else:
                     acc |= table[j]
                     pending ^= low
-            done[row] = acc
         out[i] = acc
     return tuple(out)
 
@@ -283,24 +284,12 @@ class Poset:
         return None
 
     def covers(self) -> list[tuple[int, int]]:
-        """Transitive reduction as index pairs, row-major order.
-
-        The covers of i are the minimal elements of its strict up-set.
-        Its lowest pending element j is one iff nothing else of the
-        up-set lies below j; either way nothing strictly above j is, so
-        all of row j leaves the pending mask.
-        """
-        rows, cols = self.rows, self.cols
-        out = []
-        for i, row in enumerate(rows):
-            up = pending = row ^ (1 << i)
-            while pending:
-                low = pending & -pending
-                j = low.bit_length() - 1
-                if cols[j] & up == low:
-                    out.append((i, j))
-                pending &= ~rows[j]
-        return out
+        """Transitive reduction as index pairs, row-major order: the
+        strict order minus its composition with itself."""
+        strict = [row ^ (1 << i) for i, row in enumerate(self.rows)]
+        far = compose_nested_rows(strict, strict)
+        return [(i, j) for i, (up, skip) in enumerate(zip(strict, far))
+                for j in bits(up & ~skip)]
 
 
 def build_poset(names: Iterable[str], covers: Iterable[tuple[str, str]]) -> Poset:
@@ -390,7 +379,12 @@ class FnTable:
         pending j and drops all of row j.  A failed test is a violating
         pair.  When every test passes, f is monotone on each row, by
         induction on up-set size: a j strictly above i has a smaller
-        up-set, so f(i) <= f(j) <= f(k) for each k the jump drops."""
+        up-set, so f(i) <= f(j) <= f(k) for each k the jump drops.  This
+        is not a test of the rows against the pullback of the codomain
+        order through :func:`compose_nested_rows`: the loop stops at the
+        first failing pair and builds no rows, and the pullback takes
+        several times as long, on the tables of a 4-point carrier and of
+        a 3,000-point chain alike."""
         rows, images, cod = self.dom.rows, self.images, self.cod.rows
         for i, row in enumerate(rows):
             up = cod[images[i]]

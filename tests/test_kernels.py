@@ -13,22 +13,22 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      check_monotone, cli, close, compatible_extension,
                      compose, cp, discrete, er, flow_check, format_relation,
                      from_ordered_partition, get_example, identity_rel,
-                     invert, kernel, order_rel, ordered_kernel,
-                     phi_realisability, pullback, quotient_map,
-                     to_ordered_partition, union)
+                     invert, kernel, lift, order_rel, ordered_kernel,
+                     phi_realisability, plotkin, product, pullback,
+                     quotient_map, to_ordered_partition, union)
 from infolat.cli import _quote, emit_dot
 from infolat.poset import (bits, close_rows, compose_nested_rows,
-                           compose_rows, rows_transitive, transpose)
+                           compose_rows, fibres, rows_transitive, transpose)
 from infolat.relation import _block_rows, preorder_from_blocks
-from helpers import (CHAIN3, block_steps_pairwise, close_rows_warshall,
-                     compatible_extension_pairwise, covers_pairwise,
-                     flow_check_pairwise, is_antisymmetric_pairwise,
-                     is_chain_pairwise, is_transitive_pairwise,
-                     monotone_witness_pairwise, oracle_compose,
-                     poset_checks_pairwise, pullback_pairwise,
-                     random_equivalence, random_poset, random_preorder,
-                     random_rows, seeded, strict_pairs_pairwise,
-                     transpose_pairwise)
+from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
+                     close_rows_warshall, compatible_extension_pairwise,
+                     covers_pairwise, flow_check_pairwise,
+                     is_antisymmetric_pairwise, is_chain_pairwise,
+                     is_transitive_pairwise, monotone_witness_pairwise,
+                     oracle_compose, poset_checks_pairwise,
+                     pullback_pairwise, random_equivalence, random_poset,
+                     random_preorder, random_rows, seeded,
+                     strict_pairs_pairwise, transpose_pairwise)
 
 SIZES = st.integers(50, 300)
 AT_SCALE = settings(max_examples=20)
@@ -219,14 +219,16 @@ def rows_of(pairs, n):
 
 
 NESTED_SHAPES = ("chain", "antichain", "ranked", "large classes", "strict",
-                 "dense raw")
+                 "dense raw", "sparse raw")
 
 
 def nested_shape(rng, n, shape):
     """Square rows on n points: a chain relabelled at random, an
     antichain, ranked blocks with ties, a preorder on at most four
     classes, a poset order with the diagonal dropped from most rows
-    (transitive, not reflexive), or near-full rows (not transitive)."""
+    (transitive, not reflexive), near-full rows (not transitive), or rows
+    of one to three random bits (not transitive either), where a row can
+    hold more bits than a larger one, as 0b0111 and 0b1000 do."""
     if shape == "chain":
         perm = list(range(n))
         rng.shuffle(perm)
@@ -247,6 +249,10 @@ def nested_shape(rng, n, shape):
         return tuple(row & ~(1 << i) if rng.random() < 0.8 else row
                      for i, row in
                      enumerate(close_rows_warshall(dag_rows(rng, n))))
+    if shape == "sparse raw":
+        return tuple(sum(1 << j for j in rng.sample(range(n),
+                                                    rng.randint(1, min(n, 3))))
+                     for _ in range(n))
     return tuple(rng.getrandbits(n) | rng.getrandbits(n) for _ in range(n))
 
 
@@ -450,12 +456,69 @@ def test_broken_poset_rows_raise_as_pairwise(rng, n, shape):
         assert (want is None) == (shape == "valid")
 
 
-@AT_SCALE
-@given(seeded(), SIZES)
-def test_covers_match_pairwise(rng, n):
-    carrier = Poset(tuple(f"e{i}" for i in range(n)),
-                    tuple(close_rows_warshall(dag_rows(rng, n))))
+COVER_SHAPES = ("dag", "chain", "antichain", "product", "lift",
+                "dense ranked")
+
+
+def cover_shape(rng, n, shape):
+    """A poset on at most n points: the closure of a random acyclic
+    relation, a chain relabelled at random, an antichain, a product of
+    two random posets, one of these shapes with a bottom added, or
+    points of random ranks, each below every point of a higher rank."""
+    names = tuple(f"e{i}" for i in range(n))
+    if shape == "dag":
+        return Poset(names, tuple(close_rows_warshall(dag_rows(rng, n))))
+    if shape == "chain":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return Poset(names, tuple(relabel(up_sets(range(n)), perm)))
+    if shape == "antichain":
+        return discrete(names)
+    if shape == "product":
+        a = rng.randint(1, n)
+        return product(random_poset(rng, a), random_poset(rng, n // a))
+    if shape == "lift":
+        if n == 1:
+            return discrete(names)
+        return lift(cover_shape(rng, n - 1, rng.choice(COVER_SHAPES)))
+    k = rng.randint(1, n)
+    ranks = [rng.randrange(k) for _ in range(n)]
+    level = fibres(ranks, k)
+    return Poset(names, tuple(row & ~level[rank] | 1 << i for i, (rank, row)
+                              in enumerate(zip(ranks, up_sets(ranks)))))
+
+
+@settings(max_examples=100)
+@given(seeded(), st.integers(1, 300), st.sampled_from(COVER_SHAPES))
+def test_covers_match_pairwise(rng, n, shape):
+    carrier = cover_shape(rng, n, shape)
     assert carrier.covers() == covers_pairwise(carrier)
+
+
+@pytest.mark.parametrize("base", FAMILY, ids=repr)
+def test_covers_of_powerdomains_match_pairwise(base):
+    carrier = plotkin(base)
+    assert carrier.covers() == covers_pairwise(carrier)
+
+
+def test_covers_at_3000_points():
+    # covers_pairwise takes a step per related pair, so these shapes have
+    # few: a bottom under an antichain, a short chain times an antichain,
+    # and a random tree, each point above a random earlier one
+    n = 3000
+    rng = random.Random(16)
+    names = tuple(f"e{i}" for i in range(n))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [0] * n
+    for k in range(1, n):
+        edges[perm[rng.randrange(k)]] |= 1 << perm[k]
+    tree = Poset(names, tuple(close_rows(edges)))
+    for carrier in (lift(discrete(names[1:])),
+                    product(CHAIN3, discrete(names[:n // 3])), tree):
+        assert carrier.covers() == covers_pairwise(carrier)
+    assert tree.covers() == [(i, j) for i, row in enumerate(edges)
+                             for j in bits(row)]
 
 
 @pytest.mark.parametrize("rows,error,message,pair", [

@@ -52,3 +52,35 @@ def test_classes_and_functions_come_from_their_defining_module(path):
                 relayed.append(f"{alias.name} (line {alias.lineno}) is "
                                f"defined in {obj.__module__}")
     assert relayed == []
+
+
+def scoped_nodes(tree):
+    """Every node of a module with the dotted name of the innermost
+    function or class around it, ``""`` at module level."""
+    stack = [(tree, "")]
+    while stack:
+        node, scope = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+def test_only_the_converses_transpose():
+    """``transpose`` costs n² whatever the rows, so it is called only
+    where a converse is cached or the Egli-Milner masks are read, and
+    ``Poset.covers`` takes no converse at all."""
+    callers, covers_reads = set(), []
+    for path in MODULES:
+        for scope, node in scoped_nodes(ast.parse(path.read_text(
+                encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "transpose" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                callers.add(f"{path.stem}.{scope}")
+            if path.stem == "poset" and scope == "Poset.covers" and \
+                    isinstance(node, ast.Attribute):
+                covers_reads.append(node.attr)
+    assert callers <= {"poset.Poset.cols", "relation.Rel.cols",
+                       "powerdomain._em_rows"}
+    assert "rows" in covers_reads and "cols" not in covers_reads
