@@ -12,13 +12,13 @@ witnessing that complete preorders are exactly the ordered kernels of
 monotone tables.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError
 from .loi import _fibre_images, _image_closure, pullback
-from .poset import FnTable, Poset, _monotone_tables, bits, close_rows, fibres
+from .poset import (FnTable, Poset, _monotone_tables, bits, close_rows,
+                    fibres, row_runs)
 from .relation import (Rel, _block_names, _block_rows, _row_classes, close,
                        intersect, invert, order_rel, require,
                        to_ordered_partition, union)
@@ -154,10 +154,10 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     phi = _block_rows(r.carrier.rows, labels, block_masks)
     closed = close_rows(phi)
     # the closure is antisymmetric iff its rows are pairwise distinct; the
-    # first block on a cycle is the first whose closed row occurs twice
-    seen = Counter(closed)
-    if len(seen) != len(closed):
-        b1 = next(b for b, row in enumerate(closed) if seen[row] > 1)
+    # first block on a cycle is the least whose closed row occurs twice
+    shared = [run[0] for run in row_runs(closed) if len(run) > 1]
+    if shared:
+        b1 = min(shared)
         cycle = _shortest_cycle(phi, b1)
         return RealisabilityResult(
             False, cycle=tuple(blocks[b] for b in cycle))

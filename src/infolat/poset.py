@@ -9,6 +9,7 @@ per element; bit ``j`` of ``rows[i]`` is set iff
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotMonotoneError, OrderCycleError, ValidationError
@@ -92,7 +93,8 @@ def close_rows(rows: Iterable[int]) -> list[int]:
 def rows_transitive(rows: Sequence[int]) -> bool:
     """Do the rows form a transitive relation?
 
-    Each distinct row value is tested once, by jumps: its lowest
+    Each distinct row value is tested once (equal rows are neighbours
+    once sorted, see :func:`row_runs`), by jumps: its lowest
     untested bit j needs ``rows[j]`` inside the row; then bit j and
     every bit of a strictly smaller ``rows[j]`` are settled, and of an
     equal one only bit j.  Sound because a failing row with the fewest
@@ -103,8 +105,11 @@ def rows_transitive(rows: Sequence[int]) -> bool:
     searches build their relations, the composition takes two to three
     times as long.
     """
-    for row in set(rows):
-        pending = row
+    prev = -1  # no row is negative
+    for row in sorted(rows):
+        if row == prev:
+            continue
+        prev = pending = row
         while pending:
             low = pending & -pending
             sub = rows[low.bit_length() - 1]
@@ -115,6 +120,20 @@ def rows_transitive(rows: Sequence[int]) -> bool:
             else:
                 pending &= ~(sub | low)
     return True
+
+
+def row_runs(rows: Sequence[int]) -> list[list[int]]:
+    """The indices of each distinct row value, ascending within a run;
+    runs in decreasing value.
+
+    Equal rows are found as neighbours in sorted order, not by hashing:
+    an int hashes to its value modulo 2**61 - 1, so the 10,000 up-sets
+    of a chain share 61 hash values and a set of them compares rows
+    pairwise.
+    """
+    key = rows.__getitem__
+    order = sorted(range(len(rows)), key=key, reverse=True)
+    return [list(run) for _, run in groupby(order, key)]
 
 
 def compose_rows(rows: Iterable[int], table: Sequence[int]) -> tuple[int, ...]:
@@ -191,6 +210,35 @@ def transpose(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def preorder_cols(rows: Sequence[int]) -> tuple[int, ...]:
+    """:func:`transpose` of reflexive, transitive rows: bit i of
+    ``out[j]`` iff bit j of ``rows[i]``, the down-set of j.
+
+    One pass over the classes of equal rows (:func:`row_runs`) in
+    decreasing value: a row strictly below a class has a strictly larger
+    up-set, a larger number, so it is done first.  A class's down-set is
+    its members and whatever was pushed to them.  It is pushed on in
+    jumps through the rest of the row: to the lowest pending j, and all
+    of ``rows[j]`` leaves the pending mask, since what lies above j gets
+    the down-set through j's class.  The cost follows the classes and
+    the jumps, not n².
+    """
+    out = [0] * len(rows)
+    pushed = [0] * len(rows)
+    for run in row_runs(rows):
+        down = 0
+        for m in run:
+            down |= 1 << m | pushed[m]
+        for m in run:
+            out[m] = down
+        pending = rows[run[0]] & ~down
+        while pending:
+            j = (pending & -pending).bit_length() - 1
+            pushed[j] |= down
+            pending &= ~rows[j]
+    return tuple(out)
+
+
 def _check_names(names: tuple[str, ...]) -> None:
     if not names:
         raise ValidationError("carrier must be non-empty")
@@ -244,8 +292,11 @@ class Poset:
             if not (row >> i) & 1:
                 raise ValidationError(
                     f"order not reflexive at {self.elements[i]!r}")
-        # reflexive, transitive rows are antisymmetric iff pairwise distinct
-        if len(set(self.rows)) != n or not rows_transitive(self.rows):
+        # reflexive, transitive rows are antisymmetric iff pairwise
+        # distinct, which sorted rows show as unequal neighbours
+        ordered = sorted(self.rows)
+        if any(map(int.__eq__, ordered, ordered[1:])) or \
+                not rows_transitive(self.rows):
             _raise_first_order_failure(self.elements, self.rows)
 
     def __len__(self) -> int:
@@ -260,8 +311,8 @@ class Poset:
 
     @cached_property
     def cols(self) -> tuple[int, ...]:
-        """Transposed rows: bit i of ``cols[j]`` iff element i <= element j."""
-        return transpose(self.rows)
+        """Down-sets: bit i of ``cols[j]`` iff element i <= element j."""
+        return preorder_cols(self.rows)
 
     def index(self, name: str) -> int:
         try:

@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 from .poset import (Poset, bits, close_rows, compose_nested_rows,
-                    compose_rows, fibres, rows_transitive, transpose)
+                    compose_rows, fibres, preorder_cols, row_runs,
+                    rows_transitive, transpose)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,10 @@ class Rel:
 
     @cached_property
     def cols(self) -> tuple[int, ...]:
-        """Transposed rows, the converse: bit i of ``cols[j]`` iff i r j."""
+        """Transposed rows, the converse: bit i of ``cols[j]`` iff i r j;
+        by classes and jumps for a preorder, whole-matrix otherwise."""
+        if self.is_preorder:
+            return preorder_cols(self.rows)
         return transpose(self.rows)
 
     @cached_property
@@ -252,16 +256,20 @@ def to_ordered_partition(q: Rel) -> OrderedPartition:
 
 def _row_classes(q: Rel) -> tuple[tuple[int, ...], list[int],
                                  tuple[tuple[str, ...], ...]]:
-    """Number the classes of equal rows of q by first occurrence; return
+    """Number the classes of equal rows of q by least member; return
     each row's class, each class's mask and its member names.  In a
     preorder these are the mutual classes: i, j related both ways iff
     their rows are equal."""
-    index: dict[int, int] = {}
-    labels = tuple(index.setdefault(row, len(index)) for row in q.rows)
-    block_masks = fibres(labels, len(index))
+    # each run is ascending and no two share a member, so the runs sort
+    # by their least members
+    runs = sorted(row_runs(q.rows))
+    labels = [0] * len(q.rows)
+    for b, run in enumerate(runs):
+        for m in run:
+            labels[m] = b
     names = q.carrier.elements
-    return labels, block_masks, tuple(tuple(names[j] for j in bits(mask))
-                                      for mask in block_masks)
+    return (tuple(labels), fibres(labels, len(runs)),
+            tuple(tuple(names[j] for j in run) for run in runs))
 
 
 def _block_rows(rows: Sequence[int], labels: Sequence[int],

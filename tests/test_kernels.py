@@ -15,10 +15,12 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      from_ordered_partition, get_example, identity_rel,
                      invert, kernel, lift, order_rel, ordered_kernel,
                      phi_realisability, plotkin, product, pullback,
-                     quotient_map, to_ordered_partition, union)
+                     quotient_map, ti_flow_check, to_ordered_partition,
+                     union)
 from infolat.cli import _quote, emit_dot
 from infolat.poset import (bits, close_rows, compose_nested_rows,
-                           compose_rows, fibres, rows_transitive, transpose)
+                           compose_rows, fibres, preorder_cols, row_runs,
+                           rows_transitive, transpose)
 from infolat.relation import _block_rows, preorder_from_blocks
 from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
                      close_rows_warshall, compatible_extension_pairwise,
@@ -63,6 +65,7 @@ def test_transpose_matches_pairwise(rng, n):
 @AT_SCALE
 @given(seeded(), st.integers(1, 300))
 def test_rel_cols_is_the_cached_converse(rng, n):
+    # raw rows, mostly not preorders: the whole-matrix transpose
     r = Rel(random_poset(rng, n), random_rows(rng, n))
     assert r.cols == transpose_pairwise(r.rows)
     assert r.cols is r.cols
@@ -382,6 +385,112 @@ def test_ordered_kernel_of_omega_at_3000_points():
     assert from_ordered_partition(op) == q
     assert format_relation(q) == " <= ".join(
         block_label(tuple(names[x] for x in fibre[v])) for v in sorted(fibre))
+
+
+PREORDER_SHAPES = ("chain", "antichain", "one class", "equivalence",
+                   "ranked", "large classes", "window dag", "preorder")
+
+
+def preorder_shape(rng, n, shape):
+    """Reflexive, transitive rows on n points: a chain and a window DAG
+    (each point covers up to three of the next eight, closed), both
+    relabelled at random; an antichain; one class of every point; a
+    random equivalence; the "ranked" and "large classes" preorders of
+    :func:`nested_shape`; or the closure of random pairs."""
+    if shape == "chain":
+        out, acc = [0] * n, 0
+        for p in rng.sample(range(n), n):
+            acc |= 1 << p
+            out[p] = acc
+        return tuple(out)
+    if shape == "antichain":
+        return tuple(1 << i for i in range(n))
+    if shape == "one class":
+        return ((1 << n) - 1,) * n
+    if shape == "equivalence":
+        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        masks = fibres(labels, n)
+        return tuple(masks[b] for b in labels)
+    if shape == "window dag":
+        perm = rng.sample(range(n), n)
+        rows = [0] * n
+        for i in range(n - 1):
+            for j in rng.sample(range(i + 1, min(n, i + 9)),
+                                min(3, n - 1 - i)):
+                rows[perm[i]] |= 1 << perm[j]
+        return tuple(close_rows(rows))
+    if shape == "preorder":
+        return random_preorder(rng, discrete(f"e{i}" for i in range(n))).rows
+    return nested_shape(rng, n, shape)
+
+
+def test_row_runs_group_equal_rows():
+    assert row_runs((5, 3, 5, 0, 3, 5, 7)) == [[6], [0, 2, 5], [1, 4], [3]]
+    # chain up-sets share 61 hash values in 3,000 rows; all are distinct
+    line = up_sets(range(3000))
+    assert row_runs(line) == [[i] for i in range(3000)]
+    assert row_runs(line + line) == [[i, i + 3000] for i in range(3000)]
+
+
+@settings(max_examples=100)
+@given(seeded(), st.integers(1, 300),
+       st.sampled_from(PREORDER_SHAPES + ("poset", "poset preorder")))
+def test_preorder_cols_matches_pairwise(rng, n, shape):
+    if shape == "poset":
+        rows = random_poset(rng, n).rows
+    elif shape == "poset preorder":
+        rows = random_preorder(rng, random_poset(rng, n)).rows
+    else:
+        rows = preorder_shape(rng, n, shape)
+    assert is_transitive_pairwise(rows)
+    assert preorder_cols(rows) == transpose_pairwise(rows)
+
+
+@AT_SCALE
+@given(seeded(), st.integers(1, 3000), st.sampled_from(PREORDER_SHAPES))
+def test_preorder_cols_matches_transpose(rng, n, shape):
+    rows = preorder_shape(rng, n, shape)
+    assert preorder_cols(rows) == transpose(rows)
+
+
+@AT_SCALE
+@given(seeded(), st.integers(1, 300), st.sampled_from(PREORDER_SHAPES))
+def test_cols_of_preorders_and_posets_are_the_converse(rng, n, shape):
+    carrier = discrete(f"e{i}" for i in range(n))
+    rows = preorder_shape(rng, n, shape)
+    q = Rel(carrier, rows)
+    assert q.is_preorder
+    assert q.cols == transpose_pairwise(rows)
+    assert q.cols is q.cols
+    assert q.is_symmetric == (q.cols == rows)
+    if len(set(rows)) == n:
+        # distinct rows of a preorder are a poset's order
+        p = Poset(carrier.elements, rows)
+        assert p.cols == q.cols
+        assert p.cols is p.cols
+
+
+def test_converses_at_3000_points():
+    # closed forms: a chain's down-sets are prefixes, the compatible
+    # extension of an order with a top relates everything, and a lifted
+    # antichain's relates the bottom to all and each other point to the
+    # bottom and itself.  Each converse here was an n² transpose
+    n = 3000
+    omega = get_example("omega", n)
+    s1 = omega.functions["S1"]
+    line = s1.cod
+    assert line.cols == tuple((1 << (i + 1)) - 1 for i in range(n + 1))
+    assert compatible_extension(order_rel(line)) == all_rel(line)
+    assert compatible_extension(all_rel(s1.dom)) == all_rel(s1.dom)
+    assert ti_flow_check(s1, all_rel(s1.dom), order_rel(line)) is None
+    # S1 is injective, so its kernel relates each point to itself alone
+    # and the identity is its own compatible extension
+    assert compatible_extension(kernel(s1)) == identity_rel(s1.dom)
+    fan = lift(discrete(str(i) for i in range(n - 1)))
+    full = (1 << n) - 1
+    assert fan.cols == (1,) + tuple(1 | 1 << i for i in range(1, n))
+    assert compatible_extension(order_rel(fan)).rows == \
+        (full,) + tuple(1 | 1 << i for i in range(1, n))
 
 
 def test_preorder_from_blocks_rejects_unknown_indices():

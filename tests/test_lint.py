@@ -66,21 +66,29 @@ def scoped_nodes(tree):
         stack.extend((child, scope) for child in ast.iter_child_nodes(node))
 
 
+def called_names(node):
+    func = node.func
+    return {getattr(func, "id", None), getattr(func, "attr", None)}
+
+
 def test_only_the_converses_transpose():
     """``transpose`` costs n² whatever the rows, so it is called only
-    where a converse is cached or the Egli-Milner masks are read, and
-    ``Poset.covers`` takes no converse at all."""
-    callers, covers_reads = set(), []
+    for the converse of a relation that is not a preorder and for the
+    Egli-Milner masks.  Both cached converses of an order go through
+    ``preorder_cols``, and ``Poset.covers`` takes no converse at all."""
+    callers = {"transpose": set(), "preorder_cols": set()}
+    covers_reads = []
     for path in MODULES:
         for scope, node in scoped_nodes(ast.parse(path.read_text(
                 encoding="utf-8"))):
-            if isinstance(node, ast.Call) and "transpose" in (
-                    getattr(node.func, "id", None),
-                    getattr(node.func, "attr", None)):
-                callers.add(f"{path.stem}.{scope}")
+            if isinstance(node, ast.Call):
+                for name in called_names(node) & set(callers):
+                    callers[name].add(f"{path.stem}.{scope}")
             if path.stem == "poset" and scope == "Poset.covers" and \
                     isinstance(node, ast.Attribute):
                 covers_reads.append(node.attr)
-    assert callers <= {"poset.Poset.cols", "relation.Rel.cols",
-                       "powerdomain._em_rows"}
+    assert callers["transpose"] <= {"relation.Rel.cols",
+                                    "powerdomain._em_rows"}
+    assert {"poset.Poset.cols", "relation.Rel.cols"} <= \
+        callers["preorder_cols"]
     assert "rows" in covers_reads and "cols" not in covers_reads
