@@ -13,7 +13,7 @@ monotone tables.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CapExceededError
 from .loi import _fibre_images, _image_closure, pullback
@@ -209,68 +209,95 @@ def iter_equivalences(carrier: Poset) -> Iterator[Rel]:
 def enumerate_loi(carrier: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Rel]:
     """All equivalence relations, sorted by canonical matrix bits: the
     closed supersets of the identity under the pairs i < j."""
-    n = len(carrier.elements)
-    upper = ((i, j, 1 << i | 1 << j) for i in range(n) for j in range(i + 1, n))
-    return list(_closed_supersets(
-        carrier, tuple(1 << i for i in range(n)), upper, cap))
+    start = tuple(1 << i for i in range(len(carrier.elements)))
+    return [Rel(carrier, rows)
+            for rows in _closed_supersets(start, True, cap)]
 
 
 def enumerate_loci(a: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Rel]:
     """All complete preorders on the poset, sorted by canonical matrix
     bits: the closed supersets of the carrier order."""
-    n = len(a.elements)
-    outside = ((i, j, 1 << i) for i in range(n) for j in range(n)
-               if not (a.rows[i] >> j) & 1)
-    return list(_closed_supersets(a, a.rows, outside, cap))
+    return [Rel(a, rows) for rows in _closed_supersets(a.rows, False, cap)]
 
 
-def _closed_supersets(carrier: Poset, start: tuple[int, ...],
-                      candidates: Iterable[tuple[int, int, int]],
-                      cap: int) -> Iterator[Rel]:
-    """Every closure of ``start`` plus some of the candidate pairs, each
-    once, in increasing ``bit_tuple`` order.
+def _closed_supersets(start: tuple[int, ...], symmetric: bool,
+                      cap: int) -> Iterator[tuple[int, ...]]:
+    """Yield the rows of every closure of ``start`` plus some candidate
+    pairs, each once, in increasing ``bit_tuple`` order.
 
-    Depth-first over the candidates (i, j, hit) in row-major order, on
-    an explicit stack; each node holds closed rows and a mask of
-    excluded pairs per row.  Including (i, j) ORs ``rows[i] | rows[j]``
-    into each row that meets ``hit``.  With ``hit = {i}`` that closes a
-    preorder plus (i, j), as a row holding i already holds row i; with
-    ``hit = {i, j}`` it merges two classes of an equivalence, whose rows
-    stay symmetric, so excluding (i, j) also excludes (j, i).  A branch
-    dies when a row meets its excluded mask.  Every bit before (i, j)
-    is in ``start``, an earlier candidate or the mirror of one, hence
-    decided, and including sets none that is not set already: both
-    branches keep that prefix, so exclude-first emits in order.
+    The candidates are the pairs (i, j) outside ``start``; when
+    ``symmetric``, only those with i < j.  Including (i, j) ORs
+    ``rows[i] | rows[j]`` into each row that meets ``hit``.  With
+    ``hit = {i}`` that closes a preorder plus (i, j), since a row holding
+    i already holds row i.  With ``hit = {i, j}`` (``symmetric``) it
+    merges two classes of an equivalence, whose rows stay symmetric.
+
+    Decided prefix: a stack node ``(rows, i, low)`` holds closed rows and
+    the first open position (i, j), with ``low = 1 << j``.  Every pair
+    before it in row-major order is decided: it is in a result below the
+    node iff it is in ``rows``.  So no exclusion state is kept, and the
+    node is itself a result, the least below it; each pop yields one.
+
+    Feasibility: the children are the first inclusions (i', j') at or
+    after (i, j) and outside ``rows`` that change no decided pair.  Each
+    row x < i' that holds i' gains ``rows[j']``, so that must lie inside
+    ``common``, the AND of those rows (j' itself must be in it, which
+    filters the columns of row i' first), and row i' must gain nothing
+    below j'.  Together, one whole-row test per candidate: ``rows[j']``
+    inside ``common & (rows[i'] | -bit_j')``.  When ``symmetric`` the
+    rows x < i' that hold i' are the rest of its class, so the test
+    holds iff i' and j' are each the least member of their class: a row
+    whose i' is not is skipped, and ``common`` stays all ones.  A child
+    keeps ``rows[:i']`` as it is.
+
+    Order: each result below a later first inclusion lacks every earlier
+    one, so it comes first; children are pushed in increasing position
+    and the last pushed pops first.
     """
-    n = len(carrier.elements)
+    n = len(start)
     if n > cap:
         raise CapExceededError(f"carrier has {n} elements, cap is {cap}")
-    candidates = [(i, j, 1 << j, hit) for i, j, hit in candidates]
-    end = len(candidates)
-    stack = [(start, 0, (0,) * n)]
+    full = (1 << n) - 1
+    last = n - 1
+    stack = [(start, 0, 1)]
+    pop, push = stack.pop, stack.append
     while stack:
-        rows, k, forbidden = stack.pop()
-        while k < end:
-            i, j, bit_j, hit = candidates[k]
-            if not rows[i] & bit_j:
-                break
-            k += 1
-        else:
-            yield Rel(carrier, rows)
-            continue
-        joined = rows[i] | rows[j]
-        grown = list(rows)
-        for x, row in enumerate(rows):
-            if row & hit:
-                row |= joined
-                if row & forbidden[x]:
-                    break
-                grown[x] = row
-        else:
-            stack.append((tuple(grown), k + 1, forbidden))
-        excluded = list(forbidden)
-        excluded[i] |= bit_j
-        stack.append((rows, k + 1, tuple(excluded)))
+        rows, i, low = pop()
+        yield rows
+        for i in range(i, n):
+            row = rows[i]
+            free = ~row & full & -low
+            low = 1
+            if not free:
+                continue
+            bit_i = 1 << i
+            common = -1
+            if symmetric:
+                if row & (bit_i - 1):  # i is not its class's least member
+                    continue
+                free &= -(bit_i << 1)
+            else:
+                for x in range(i):
+                    if rows[x] & bit_i:
+                        common &= rows[x]
+                free &= common
+            if not free:
+                continue
+            head = rows[:i]
+            tail = rows[i:]
+            while free:
+                bit_j = free & -free
+                free ^= bit_j
+                add = rows[bit_j.bit_length() - 1]
+                if add & ~(common & (row | -bit_j)):
+                    continue
+                if i == last:  # the one row at or after i; never symmetric
+                    push((head + (row | add,), i, bit_j << 1))
+                    continue
+                hit = bit_i | bit_j if symmetric else bit_i
+                joined = row | add
+                push((head + tuple([r | joined if r & hit else r
+                                    for r in tail]), i, bit_j << 1))
 
 
 def find_monotone_postprocessor(f: FnTable, g: FnTable,

@@ -5,6 +5,7 @@ naive fixpoint loops, independent of the bitmask machinery under test.
 """
 
 import random
+import sys
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from infolat import (FnTable, OrderCycleError, Poset, Rel, ValidationError,
                      Violation, build_poset, chain, close, discrete,
                      iter_equivalences, iter_monotone_tables, lift,
                      order_rel, rel_from_pairs, subset_name, union)
+from infolat.loci import _closed_supersets
 from infolat.poset import bits
 from infolat.powerdomain import _all_subset_masks, _em_rows
 from infolat.relation import equivalence_from_blocks
@@ -197,6 +199,58 @@ def enumerate_loci_warshall(a: Poset) -> list[Rel]:
 
     rec(base, 0, 0)
     return sorted((Rel(a, rows) for rows in found), key=Rel.bit_tuple)
+
+
+def search_trace(run):
+    """Call ``run()`` under ``sys.setprofile`` and return its result with
+    the trace of every ``loci._closed_supersets`` it drains: one
+    ``(node, children)`` per pop, in pop order, where ``children`` are
+    the nodes pushed before the next pop.  A node is a stack entry,
+    ``(rows, i, low)``; the profiler sees the stack as the list whose
+    bound ``pop`` and ``append`` the search calls."""
+    code = _closed_supersets.__code__
+    trace = []
+
+    def profile(frame, event, arg):
+        if frame.f_code is not code:
+            return
+        name = getattr(arg, "__name__", None)
+        if event == "c_call" and name == "pop":
+            trace.append((arg.__self__[-1], []))
+        elif event == "c_return" and name == "append":
+            trace[-1][1].append(arg.__self__[-1])
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, trace
+
+
+def feasible_inclusions(rows, i, low, symmetric):
+    """The children ``_closed_supersets`` should push from the node
+    ``(rows, i, low)``, by definition: each candidate pair (x, y) at or
+    after (i, low) in row-major order whose Warshall closure, together
+    with (y, x) when ``symmetric``, leaves every pair before (x, y)
+    unchanged; with the closed rows and the next position in row x."""
+    n = len(rows)
+    first = low.bit_length() - 1
+    children = []
+    for x in range(i, n):
+        for y in range(first if x == i else 0, n):
+            if (rows[x] >> y) & 1 or (symmetric and y < x):
+                continue
+            grown = list(rows)
+            grown[x] |= 1 << y
+            if symmetric:
+                grown[y] |= 1 << x
+            closed = tuple(close_rows_warshall(grown))
+            below = (1 << y) - 1
+            if closed[:x] == rows[:x] and \
+                    closed[x] & below == rows[x] & below:
+                children.append((closed, x, 2 << y))
+    return children
 
 
 def enumerate_loi_sorted(c: Poset) -> list[Rel]:
@@ -446,6 +500,16 @@ def posets(draw, max_size=5):
     covers = [(names[i], names[j])
               for j in range(n) for i in range(j) if draw(st.booleans())]
     return build_poset(names, covers)
+
+
+@st.composite
+def redeclared_posets(draw, max_size=5):
+    """A poset from :func:`posets` with its elements declared in a drawn
+    order, so that index order need not extend the order."""
+    p = draw(posets(max_size))
+    names = p.elements
+    order = draw(st.permutations(names))
+    return build_poset(order, [(names[i], names[j]) for i, j in p.covers()])
 
 
 @st.composite

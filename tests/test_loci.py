@@ -20,13 +20,15 @@ from infolat import (CapExceededError, FnTable, Poset, ValidationError,
                      order_rel, ordered_kernel, ordered_knowledge_set,
                      phi_realisability, pushforward, quotient_map,
                      rel_from_pairs, union)
+from infolat.loci import _closed_supersets
 from helpers import (BELL, BOOLBOT, CHAIN2, CHAIN3, CHAIN4, DIAMOND, DISC2,
                      DISC3, FAMILY, VEE, all_preorder_pair_sets,
                      complete_preorders, enumerate_loci_warshall,
-                     enumerate_loi_sorted, equivalences, fn_between_family,
-                     idx_pairs, is_complete_preorder_exhaustive, monotone_fns,
-                     oracle_close, posets, preorders, rel_of_pairs,
-                     set_partitions)
+                     enumerate_loi_sorted, equivalences, feasible_inclusions,
+                     fn_between_family, idx_pairs,
+                     is_complete_preorder_exhaustive, monotone_fns,
+                     oracle_close, preorders, redeclared_posets,
+                     rel_of_pairs, search_trace, set_partitions)
 
 LOCI_VEE = enumerate_loci(VEE)
 LOI_VEE = enumerate_loi(VEE)
@@ -89,13 +91,38 @@ class TestEnumeration:
             n, must_contain=frozenset(idx_pairs(order_rel(carrier))))}
         assert got == want
 
-    @given(posets(max_size=5))
+    @given(redeclared_posets(max_size=5))
     def test_matches_warshall_oracle_in_order(self, carrier):
         got = enumerate_loci(carrier)
         assert got == enumerate_loci_warshall(carrier)
         # the search emits in canonical order without sorting
         keys = [q.bit_tuple() for q in got]
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    @settings(max_examples=60)
+    @given(st.data(), redeclared_posets(max_size=5), st.booleans())
+    def test_inclusions_keep_exactly_the_decided_pairs(self, data, carrier,
+                                                       symmetric):
+        # the whole-row feasibility rule against its definition, at
+        # nodes the search reaches: each child pushed is a Warshall
+        # closure that changes no pair before its inclusion, and every
+        # such closure is pushed, in increasing position
+        start = (identity_rel(carrier) if symmetric else order_rel(carrier)).rows
+        results, trace = search_trace(
+            lambda: list(_closed_supersets(start, symmetric, 5)))
+        assert [node[0] for node, _ in trace] == results
+        for node, children in data.draw(st.lists(st.sampled_from(trace),
+                                                 min_size=1, max_size=6)):
+            assert children == feasible_inclusions(*node, symmetric)
+
+    @pytest.mark.parametrize("carrier,loci,loi", [
+        (discrete(("p", "q", "r", "s")), 355, 15), (VEE, 14, 15)],
+        ids=["discrete4", "V"])
+    def test_every_node_is_a_result(self, carrier, loci, loi):
+        for enumerate_, count in [(enumerate_loci, loci), (enumerate_loi, loi)]:
+            results, trace = search_trace(lambda: enumerate_(carrier))
+            assert len(results) == len(trace) == count
+            assert sum(len(children) for _, children in trace) == count - 1
 
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 29), (4, 355),
                                          (5, 6942), (6, 209527)])
@@ -122,7 +149,7 @@ class TestEnumeration:
         assert len(enumerate_loi(carrier, cap=8)) == count
         assert sum(1 for _ in iter_equivalences(carrier)) == count
 
-    @given(posets(max_size=6))
+    @given(redeclared_posets(max_size=6))
     def test_loi_matches_sorted_partitions_in_order(self, carrier):
         assert enumerate_loi(carrier) == enumerate_loi_sorted(carrier)
 
