@@ -291,7 +291,7 @@ def _closed_supersets(start: tuple[int, ...], symmetric: bool,
                 add = rows[bit_j.bit_length() - 1]
                 if add & ~(common & (row | -bit_j)):
                     continue
-                if i == last:  # the one row at or after i; never symmetric
+                if i == last:  # tail is (row,), never symmetric: same child, built faster
                     push((head + (row | add,), i, bit_j << 1))
                     continue
                 hit = bit_i | bit_j if symmetric else bit_i

@@ -92,9 +92,6 @@ class Rel:
 
     @cached_property
     def is_preorder(self) -> bool:
-        # the carrier's own order rows passed Poset's checks already
-        if self.rows == self.carrier.rows:
-            return True
         return self.is_reflexive and self.is_transitive
 
     @cached_property

@@ -8,12 +8,10 @@ from infolat import (OrderCycleError, OrderedPartition, Rel, ValidationError,
                      from_ordered_partition, identity_rel, intersect, invert,
                      order_rel, rel_from_pairs, restrict_rel,
                      to_ordered_partition, union)
-from infolat import relation
-from infolat.poset import rows_transitive
 from infolat.relation import equivalence_from_blocks, preorder_from_blocks
-from helpers import (CHAIN3, CHAIN4, FAMILY, VEE, idx_pairs, oracle_close,
-                     oracle_compose, preorders, random_poset,
-                     random_rows, redeclared_posets, rel_of_pairs, seeded)
+from helpers import (CHAIN3, CHAIN4, VEE, idx_pairs, oracle_close,
+                     oracle_compose, preorders, random_poset, random_rows,
+                     rel_of_pairs, seeded)
 
 pair_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                       max_size=10)
@@ -87,31 +85,6 @@ def test_predicates_match_definitions(r):
         (a, d) in ps for a, b in ps for c, d in ps if b == c)
     assert r.is_antisymmetric == all(
         a == b for a, b in ps if (b, a) in ps)
-
-
-@given(redeclared_posets(max_size=6), seeded())
-def test_is_preorder_matches_rows_transitive(carrier, rng):
-    # order rows take the verdict from the carrier, any others test it
-    n = len(carrier)
-    for rows in (carrier.rows, tuple(list(carrier.rows)),
-                 random_rows(rng, n),
-                 tuple(row | 1 << i for i, row in enumerate(random_rows(rng, n)))):
-        r = Rel(carrier, rows)
-        assert r.is_preorder == (r.is_reflexive and rows_transitive(rows))
-
-
-def test_order_rel_is_a_preorder_without_a_transitivity_test(monkeypatch):
-    calls = []
-
-    def counted(rows):
-        calls.append(rows)
-        return rows_transitive(rows)
-    monkeypatch.setattr(relation, "rows_transitive", counted)
-    for carrier in FAMILY:
-        assert order_rel(carrier).is_preorder
-    assert calls == []
-    assert not Rel(VEE, (3, 6, 4, 8)).is_preorder
-    assert calls == [(3, 6, 4, 8)]
 
 
 def test_restrict_keeps_agreeing_pairs():
