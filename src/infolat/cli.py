@@ -38,10 +38,19 @@ OPERATORS = ("<=", "->", "~")
 # tokens that cannot be a name
 _NOT_NAMES = RESERVED | set(OPERATORS)
 
-# a token is "<=" (which wins over the reserved "=" in it), one reserved
-# character, or a run of other non-space characters up to the next "<="
+# a token is a name, "<=" (which wins over the reserved "=" in it) or one
+# reserved character; a name runs over other non-space characters up to
+# the next "<=".  Most tokens are names, so the name run is tried first.
+# Its class leaves out "<", so only a "<" pays for the lookahead for "=";
+# each pass of the loop after it ends on such a "<", which keeps matching
+# linear with plain greedy quantifiers (the possessive and atomic forms
+# need Python 3.11).  An empty alternative, not "?", guards the loop, so
+# a name with no "<" enters no repeat.
 _CLASS = re.escape("".join(sorted(RESERVED)))
-_TOKEN = re.compile(rf"<=|[{_CLASS}]|(?:(?!<=)[^\s{_CLASS}])+")
+_RUN = rf"[^\s{_CLASS}<]*"
+_LT = "<(?!=)"
+_TOKEN = re.compile(rf"(?:[^\s{_CLASS}<]|{_LT}){_RUN}"
+                    rf"(?:{_LT}(?:{_RUN}{_LT})*{_RUN}|)|<=|[{_CLASS}]")
 
 
 @dataclass(frozen=True)
@@ -167,10 +176,18 @@ def _parse_poset(p: _Parser, ws: Workspace) -> tuple[str, Poset]:
     p.expect("{")
     p.expect("elements")
     p.expect(":")
-    elements = []
-    while p.peek() != ";":
-        elements.append(p.name("element name"))
-    p.expect(";")
+    # the names up to the ";" in one slice; if a token there is not a
+    # name, or no ";" follows, reading name by name raises where it fails
+    tokens, start = p.tokens, p.pos
+    try:
+        end = tokens.index(";", start)
+    except ValueError:
+        end = len(tokens)
+    elements = tokens[start:end]
+    if end == len(tokens) or not _NOT_NAMES.isdisjoint(elements):
+        while True:  # until the first token that is not a name raises
+            p.name("element name")
+    p.pos = end + 1
     p.expect("order")
     p.expect(":")
     covers = [(a, b) for a, _, b in _entries(p, ("<=",), ",")]

@@ -354,11 +354,11 @@ def build_poset(names: Iterable[str], covers: Iterable[tuple[str, str]]) -> Pose
     index = {name: i for i, name in enumerate(elems)}
     rows = [0] * len(elems)
     for a, b in covers:
-        if a not in index:
-            raise ValidationError(f"unknown element {a!r} in order pair")
-        if b not in index:
-            raise ValidationError(f"unknown element {b!r} in order pair")
-        rows[index[a]] |= 1 << index[b]
+        try:
+            rows[index[a]] |= 1 << index[b]
+        except KeyError as exc:
+            raise ValidationError(
+                f"unknown element {exc.args[0]!r} in order pair") from None
     return Poset(elems, tuple(close_rows(rows)))
 
 
@@ -479,7 +479,11 @@ def check_monotone(dom: Poset, cod: Poset, table: Mapping[str, str]) -> FnTable:
         known = set(dom.elements)
         extra = next(x for x in table if x not in known)
         raise ValidationError(f"table mentions unknown element {extra!r}")
-    images = tuple(cod.index(table[x]) for x in dom.elements)
+    index = cod._index
+    try:
+        images = tuple([index[table[x]] for x in dom.elements])
+    except KeyError as exc:
+        raise ValidationError(f"unknown element {exc.args[0]!r}") from None
     fn = FnTable(dom, cod, images)
     witness = fn.monotone_witness()
     if witness is not None:

@@ -109,9 +109,15 @@ def _same_carrier(r: Rel, s: Rel) -> None:
 
 
 def rel_from_pairs(carrier: Poset, pairs: Iterable[tuple[str, str]]) -> Rel:
-    rows = [0] * len(carrier.elements)
+    """The relation holding exactly ``pairs``; the first unknown name,
+    each pair read left to right, is the one reported."""
+    index = carrier._index
+    rows = [0] * len(index)
     for a, b in pairs:
-        rows[carrier.index(a)] |= 1 << carrier.index(b)
+        try:
+            rows[index[a]] |= 1 << index[b]
+        except KeyError as exc:
+            raise ValidationError(f"unknown element {exc.args[0]!r}") from None
     return Rel(carrier, tuple(rows))
 
 

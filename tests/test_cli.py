@@ -20,6 +20,8 @@ from infolat.powerdomain import DEFAULT_POWERDOMAIN_CAP
 GOLDEN = Path(__file__).parent / "golden"
 
 ALL_NAMES = list_examples()
+# a two-element antichain for the parse error cases to build on
+XY = "poset A { elements: x y ; order: }\n"
 
 
 class TestTokenizer:
@@ -104,6 +106,21 @@ class TestParse:
         ("poset A { elements: x ; order: }\n"
          "  poset B { elements: p q ; order: p <= q, q <= p }",
          "2:3: antisymmetry violated: 'p' and 'q' are below each other"),
+        # every syntax error of a body comes before its unknown names,
+        # and of those the first read is reported
+        (XY + "rel R on A kind=raw { x <= z ; x -> x }",
+         "2:34: expected '<=' or '~', got '->'"),
+        (XY + "rel R on A kind=raw { z <= x ; x ~ w }",
+         "2:1: unknown element 'z'"),
+        (XY + "rel R on A kind=equiv { x ~ w ; q <= x }",
+         "2:1: unknown element 'w'"),
+        (XY + "fn f : A -> A { x -> q ; y -> x }",
+         "2:1: unknown element 'q'"),
+        # an element list ends at its first token that is not a name
+        ("poset A { elements: x { y ; order: }",
+         "1:23: expected element name, got '{'"),
+        ("poset A { elements: x y",
+         "1:23: expected element name (at end of input)"),
         ("", None),
         (" \t\r\n\u2028\n ", None),
     ])

@@ -36,7 +36,14 @@ SOURCE_TEXT = st.lists(
     max_size=60).map("".join)
 
 
+# runs of "<", inside names and before "<="
 @given(SOURCE_TEXT)
+@example("a<b<=c")
+@example("<<<=")
+@example("a<")
+@example("<")
+@example("x<-y")
+@example("<~<=,")
 def test_tokenizer_matches_character_scanner(source):
     tokens = _tokenize(source)
     assert [(t.text, t.line, t.col) for t in tokens] == \
@@ -44,6 +51,15 @@ def test_tokenizer_matches_character_scanner(source):
     # the parser reads texts from one scan of the whole source and asks
     # _tokenize for positions only when it reports an error
     assert _TOKEN.findall(source) == [t.text for t in tokens]
+
+
+@pytest.mark.parametrize("source", ["a<" * 50_000, "<" * 100_000],
+                         ids=["a<", "<"])
+def test_long_runs_of_lt_are_one_token(source):
+    # each pass of the name loop consumes a "<", so these match without
+    # backtracking; a form that could split a run two ways would take
+    # time quadratic in it here
+    assert _TOKEN.findall(source) == [source]
 
 
 def test_every_line_boundary_is_token_whitespace():

@@ -1,9 +1,11 @@
 """Static checks made with the standard library's ``ast``, and
-``inspect`` where an imported name's home module matters."""
+``inspect`` where an imported name's home module matters; a compiled
+pattern is read off its imported module."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,37 @@ def test_only_the_converses_transpose():
     assert {"poset.Poset.cols", "relation.Rel.cols"} <= \
         callers["preorder_cols"]
     assert "rows" in covers_reads and "cols" not in covers_reads
+
+
+def needs_python_311(pattern: str) -> bool:
+    """Whether a pattern has a possessive quantifier (``*+``, ``++``,
+    ``?+``, ``}+``) or an atomic group (``(?>``), read with escapes and
+    character classes taken out, where these are literal characters."""
+    bare = re.sub(r"\\.", "e", pattern)
+    bare = re.sub(r"\[\^?\]?[^\]]*\]", "c", bare)
+    return re.search(r"[*+?}]\+|\(\?>", bare) is not None
+
+
+def test_patterns_compile_on_python_310():
+    """``pyproject.toml`` promises Python 3.10, which has neither form;
+    newer versions compile them, so a test run there would not notice
+    one.  Every ``re.compile`` in ``src`` is a module-level assignment,
+    and the check reads its compiled text off the module."""
+    assert [needs_python_311(p) for p in
+            ("a*+", "a++", "a?+", "a{2}+", "(?>a)", r"\*+", "[*+]", "a+?")] \
+        == [True] * 5 + [False] * 3
+    stray, newer = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func) == "re.compile"]
+        if not calls:
+            continue
+        module = importlib.import_module(f"infolat.{path.stem}")
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and node.value in calls:
+                calls.remove(node.value)
+                newer += [f"{path.stem}.{target.id}" for target in node.targets
+                          if needs_python_311(getattr(module, target.id).pattern)]
+        stray += [f"{path.stem} line {node.lineno}" for node in calls]
+    assert stray == [] and newer == []

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infolat import (OrderCycleError, OrderedPartition, Rel, ValidationError,
-                     all_rel, block_label, build_poset, close, compose, discrete, format_relation,
+                     all_rel, block_label, build_poset, check_monotone, close,
+                     compose, discrete, format_relation,
                      from_ordered_partition, identity_rel, intersect, invert,
                      order_rel, rel_from_pairs, restrict_rel,
                      to_ordered_partition, union)
@@ -28,6 +29,20 @@ def test_from_pairs_and_holds():
 def test_from_pairs_unknown_name():
     with pytest.raises(ValidationError):
         rel_from_pairs(VEE, [("a", "nope")])
+
+
+def test_first_unknown_name_is_reported():
+    # pairs in order, each read left to right
+    with pytest.raises(ValidationError) as exc:
+        rel_from_pairs(VEE, [("a", "zz"), ("yy", "a")])
+    assert str(exc.value) == "unknown element 'zz'"
+    with pytest.raises(ValidationError) as exc:
+        rel_from_pairs(VEE, [("yy", "zz")])
+    assert str(exc.value) == "unknown element 'yy'"
+    # images in the domain's element order, not the table's
+    with pytest.raises(ValidationError) as exc:
+        check_monotone(VEE, CHAIN3, {"b": "zz", "⊥": "0", "c": "q", "a": "1"})
+    assert str(exc.value) == "unknown element 'q'"
 
 
 def test_builtin_shapes():
