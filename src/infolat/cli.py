@@ -15,9 +15,10 @@ violated (witness printed), 2 = input error (message on stderr).
 
 import argparse
 import functools
-import re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .catalog import Workspace, get_example, list_examples
@@ -38,19 +39,15 @@ OPERATORS = ("<=", "->", "~")
 # tokens that cannot be a name
 _NOT_NAMES = RESERVED | set(OPERATORS)
 
-# a token is a name, "<=" (which wins over the reserved "=" in it) or one
-# reserved character; a name runs over other non-space characters up to
-# the next "<=".  Most tokens are names, so the name run is tried first.
-# Its class leaves out "<", so only a "<" pays for the lookahead for "=";
-# each pass of the loop after it ends on such a "<", which keeps matching
-# linear with plain greedy quantifiers (the possessive and atomic forms
-# need Python 3.11).  An empty alternative, not "?", guards the loop, so
-# a name with no "<" enters no repeat.
-_CLASS = re.escape("".join(sorted(RESERVED)))
-_RUN = rf"[^\s{_CLASS}<]*"
-_LT = "<(?!=)"
-_TOKEN = re.compile(rf"(?:[^\s{_CLASS}<]|{_LT}){_RUN}"
-                    rf"(?:{_LT}(?:{_RUN}{_LT})*{_RUN}|)|<=|[{_CLASS}]")
+
+def _token_texts(source: str) -> list[str]:
+    """Token texts: ``<=``, one reserved character, or a maximal run of
+    other non-space characters that stops before any ``<=``."""
+    for c in RESERVED:
+        source = source.replace(c, f" {c} ")
+    # exact: padding put a space right before every "=", so "< =" can only
+    # stand where the source had "<="
+    return source.replace("< =", " <= ").split()
 
 
 @dataclass(frozen=True)
@@ -61,14 +58,17 @@ class Token:
 
 
 def _tokenize(source: str) -> list[Token]:
-    """Tokens with their ``line:col``.  The parser reads only the token
-    texts, ``_TOKEN.findall(source)``, and calls this for positions when
-    it reports an error; both scans find the same tokens because every
-    line boundary of ``str.splitlines`` is whitespace to ``_TOKEN``, so
-    no token spans a line."""
-    return [Token(m.group(), lineno, m.start() + 1)
-            for lineno, line in enumerate(source.splitlines(), start=1)
-            for m in _TOKEN.finditer(line)]
+    """:func:`_token_texts` with each token's ``line:col``.  Only
+    whitespace lies between two tokens, so the first match of a token's
+    text after the previous token is the token itself."""
+    starts = [0, *accumulate(map(len, source.splitlines(keepends=True)))]
+    tokens, end = [], 0
+    for text in _token_texts(source):
+        start = source.index(text, end)
+        end = start + len(text)
+        line = bisect_right(starts, start)
+        tokens.append(Token(text, line, start - starts[line - 1] + 1))
+    return tokens
 
 
 class _Parser:
@@ -77,7 +77,7 @@ class _Parser:
 
     def __init__(self, source: str):
         self.source = source
-        self.tokens = _TOKEN.findall(source)
+        self.tokens = _token_texts(source)
         self.pos = 0
 
     def _fail(self, message: str) -> ParseError:
@@ -316,7 +316,7 @@ def _load_workspace(args: argparse.Namespace) -> Workspace:
         ws.merge(get_example(name, n=args.n))
     for path in args.file:
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8-sig") as handle:
                 text = handle.read()
         # ValueError: undecodable bytes, or a NUL in the path
         except (OSError, ValueError) as exc:

@@ -439,8 +439,8 @@ def strict_pairs_pairwise(p: Poset) -> list[tuple[int, int]]:
 
 def tokenize_scanner(source: str) -> list[tuple[str, int, int]]:
     """(text, line, col) of each token, by scanning character by
-    character: the reader's tokenizer before it became one regular
-    expression, kept as its oracle.  ``<=`` is a token even inside a
+    character: the reader's first tokenizer, kept as the oracle of
+    ``cli._tokenize``.  ``<=`` is a token even inside a
     run, each of ``{ } ; : , =`` is a token, and whitespace separates."""
     reserved = set("{};:,=")
     tokens = []

@@ -212,11 +212,17 @@ class TestRun:
             "{0 1 2 3 4 5 6 7 8 9}\n"
 
     def test_cp_er_on_file_relation(self, capsys, tmp_path):
+        # a byte-order mark is dropped as the file's first character only;
+        # anywhere else it is part of a name
         path = tmp_path / "k.ws"
-        path.write_text("rel K on V kind=equiv { c ~ b }", encoding="utf-8")
-        base = ["--example", "V", "--file", str(path), "--rel", "K"]
-        assert self.out(capsys, ["cp"] + base, 0) == "{⊥} <= {c b} <= {a}\n"
-        assert self.out(capsys, ["er"] + base, 0) == "{⊥} {c b} {a}\n"
+        for bom, name in [("", "K"), ("\ufeff", "K"), ("\ufeff", "K\ufeff")]:
+            path.write_text(f"{bom}rel {name} on V kind=equiv {{ c ~ b }}",
+                            encoding="utf-8")
+            base = ["--example", "V", "--file", str(path), "--rel", name]
+            assert self.out(capsys, ["cp"] + base, 0) == \
+                "{⊥} <= {c b} <= {a}\n"
+            assert self.out(capsys, ["er"] + base, 0) == "{⊥} {c b} {a}\n"
+        self.out(capsys, ["cp"] + base[:-1] + ["K"], 2)
 
     def test_realisable_with_witness(self, capsys, tmp_path):
         path = tmp_path / "k.ws"

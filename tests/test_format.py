@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from infolat import (FnTable, Poset, Rel, Workspace, build_poset, cli,
                      get_example, iter_monotone_tables, list_examples)
-from infolat.cli import (_TOKEN, _tokenize, export_workspace,
+from infolat.cli import (RESERVED, _token_texts, _tokenize, export_workspace,
                          parse_workspace, run)
 from infolat.errors import ParseError
 from helpers import entries_walker, tokenize_scanner
@@ -44,30 +44,44 @@ SOURCE_TEXT = st.lists(
 @example("<")
 @example("x<-y")
 @example("<~<=,")
+# "<" then "=" only as one source "<="
+@example("a< =b")
+@example("=<=")
+@example("<=<=")
+@example("<{=")
+@example("<==")
+@example("kind=raw")
 def test_tokenizer_matches_character_scanner(source):
     tokens = _tokenize(source)
     assert [(t.text, t.line, t.col) for t in tokens] == \
         tokenize_scanner(source)
     # the parser reads texts from one scan of the whole source and asks
     # _tokenize for positions only when it reports an error
-    assert _TOKEN.findall(source) == [t.text for t in tokens]
+    assert _token_texts(source) == [t.text for t in tokens]
 
 
 @pytest.mark.parametrize("source", ["a<" * 50_000, "<" * 100_000],
                          ids=["a<", "<"])
 def test_long_runs_of_lt_are_one_token(source):
-    # each pass of the name loop consumes a "<", so these match without
-    # backtracking; a form that could split a run two ways would take
-    # time quadratic in it here
-    assert _TOKEN.findall(source) == [source]
+    # a run of "<" with no "=" is one name, read in linear time
+    assert _token_texts(source) == [source]
 
 
 def test_every_line_boundary_is_token_whitespace():
     # why the whole-source scan finds no token spanning a line
-    breaks = [c for c in map(chr, range(sys.maxunicode + 1))
-              if len(f"a{c}b".splitlines()) == 2]
+    codes = "".join(map(chr, range(sys.maxunicode + 1)))
+    breaks = [c for c in codes if len(f"a{c}b".splitlines()) == 2]
     assert "\r" in breaks and "\u2028" in breaks
-    assert all(_TOKEN.findall(f"a{c}b") == ["a", "b"] for c in breaks)
+    assert all(_token_texts(f"a{c}b") == ["a", "b"] for c in breaks)
+    # every code point in one source: whitespace splits, a reserved
+    # character is a token of its own, and any other stays in the name
+    expected, last = [], 0
+    for c in sorted({c for c in codes if c.isspace()} | RESERVED):
+        expected += [f"a{d}b" for d in codes[last:ord(c)]]
+        expected += ["a", "b"] if c.isspace() else ["a", c, "b"]
+        last = ord(c) + 1
+    expected += [f"a{d}b" for d in codes[last:]]
+    assert _token_texts("a" + "b a".join(codes) + "b") == expected
 
 
 # --- grammar-shaped files through the CLI -------------------------------
