@@ -27,7 +27,8 @@ from .loci import (DEFAULT_ENUMERATION_CAP, cp, enumerate_loci, enumerate_loi,
                    er, ordered_kernel, ordered_knowledge_set,
                    phi_realisability)
 from .loi import flow_check, kernel, knowledge_set
-from .poset import FnTable, Poset, bits, build_poset, check_monotone
+from .poset import (FnTable, Poset, bits, build_poset, check_monotone,
+                    row_covers)
 from .powerdomain import DEFAULT_POWERDOMAIN_CAP, plotkin
 from .relation import (OrderedPartition, Rel, all_rel, block_label, close,
                        format_relation, identity_rel, order_rel,
@@ -287,22 +288,22 @@ def emit_dot(obj: Poset | OrderedPartition, full: bool = False) -> str:
     """``digraph`` text for a poset or ordered partition.
 
     Nodes appear in canonical order; edges are the covering pairs of
-    the (block) order, sorted lexicographically, or every non-reflexive
-    pair with ``full``.
+    the poset's rows or the partition's ``block_rows``, sorted
+    lexicographically, or every non-reflexive pair with ``full``.
     """
     if isinstance(obj, OrderedPartition):
         labels = [block_label(b) for b in obj.blocks]
-        skeleton = obj.order
+        rows = obj.block_rows
     else:
         labels = list(obj.elements)
-        skeleton = obj
+        rows = obj.rows
     lines = ["digraph {"]
     lines.extend(f"  {_quote(label)};" for label in labels)
     if full:
-        pairs = [(i, j) for i, row in enumerate(skeleton.rows)
+        pairs = [(i, j) for i, row in enumerate(rows)
                  for j in bits(row & ~(1 << i))]
     else:
-        pairs = skeleton.covers()
+        pairs = row_covers(rows)
     edges = sorted(f"  {_quote(labels[i])} -> {_quote(labels[j])};"
                    for i, j in pairs)
     lines.extend(edges)

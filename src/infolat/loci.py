@@ -19,9 +19,8 @@ from .errors import CapExceededError
 from .loi import _fibre_images, _image_closure, pullback
 from .poset import (FnTable, Poset, _monotone_tables, bits, close_rows,
                     fibres, row_runs)
-from .relation import (Rel, _block_names, _block_rows, _row_classes, close,
-                       intersect, invert, order_rel, require,
-                       to_ordered_partition, union)
+from .relation import (Rel, _block_names, _quotient, close, intersect,
+                       invert, order_rel, require, union)
 from .relation import is_complete_preorder  # noqa: F401  (re-exported)
 
 DEFAULT_ENUMERATION_CAP = 6
@@ -150,8 +149,7 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     obstruction.  It passes each of its blocks once.
     """
     require(r, "equivalence", "argument")
-    labels, block_masks, blocks = _row_classes(r)
-    phi = _block_rows(r.carrier.rows, labels, block_masks)
+    labels, blocks, phi = _quotient(r, r.carrier.rows)
     closed = close_rows(phi)
     # the closure is antisymmetric iff its rows are pairwise distinct; the
     # first block on a cycle is the least whose closed row occurs twice
@@ -173,9 +171,8 @@ def quotient_map(q: Rel) -> FnTable:
     is q itself.
     """
     require(q, "complete", "argument")
-    op = to_ordered_partition(q)
-    target = Poset(_block_names(op.blocks), op.block_rows)
-    return FnTable(q.carrier, target, op.labels)
+    labels, blocks, block_rows = _quotient(q, q.rows)
+    return FnTable(q.carrier, Poset(_block_names(blocks), block_rows), labels)
 
 
 def iter_equivalences(carrier: Poset) -> Iterator[Rel]:

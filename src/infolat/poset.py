@@ -239,6 +239,15 @@ def preorder_cols(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def row_covers(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """Hasse covers of partial-order rows as index pairs, row-major
+    order: the strict order minus its composition with itself."""
+    strict = [row ^ (1 << i) for i, row in enumerate(rows)]
+    far = compose_nested_rows(strict, strict)
+    return [(i, j) for i, (up, skip) in enumerate(zip(strict, far))
+            for j in bits(up & ~skip)]
+
+
 def _check_names(names: tuple[str, ...]) -> None:
     if not names:
         raise ValidationError("carrier must be non-empty")
@@ -335,12 +344,8 @@ class Poset:
         return None
 
     def covers(self) -> list[tuple[int, int]]:
-        """Transitive reduction as index pairs, row-major order: the
-        strict order minus its composition with itself."""
-        strict = [row ^ (1 << i) for i, row in enumerate(self.rows)]
-        far = compose_nested_rows(strict, strict)
-        return [(i, j) for i, (up, skip) in enumerate(zip(strict, far))
-                for j in bits(up & ~skip)]
+        """Transitive reduction as index pairs, row-major order."""
+        return row_covers(self.rows)
 
 
 def build_poset(names: Iterable[str], covers: Iterable[tuple[str, str]]) -> Poset:

@@ -3,21 +3,22 @@
 Provides closure operators, boolean relation algebra, classification
 predicates, and the two-way translation between preorders and ordered
 partitions (blocks of mutually related elements plus a partial order on
-the blocks).  An ordered partition carries its block labelling: the
-block of each carrier element (``labels``) and the block order as a
-``Poset`` (``order``), both built once when it is validated, so the
-rest of the library never maps block names back to carrier indices.
+the blocks).  The library reads a preorder's quotient straight off its
+rows (``_quotient``); ``OrderedPartition`` is the public, validated view
+of it, whose block labelling (``labels``) and block order as a ``Poset``
+(``order``) are built once, so its users never map block names back.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import count
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 from .poset import (Poset, bits, close_rows, compose_nested_rows,
-                    compose_rows, fibres, preorder_cols, row_runs,
-                    rows_transitive, transpose)
+                    compose_rows, fibres, preorder_cols, row_covers,
+                    row_runs, rows_transitive, transpose)
 
 
 @dataclass(frozen=True)
@@ -255,17 +256,19 @@ def to_ordered_partition(q: Rel) -> OrderedPartition:
     """
     if not q.is_preorder:
         raise ValidationError("only a preorder has an ordered partition")
-    labels, block_masks, blocks = _row_classes(q)
-    return OrderedPartition(q.carrier, blocks,
-                            _block_rows(q.rows, labels, block_masks))
+    _, blocks, block_rows = _quotient(q, q.rows)
+    return OrderedPartition(q.carrier, blocks, block_rows)
 
 
-def _row_classes(q: Rel) -> tuple[tuple[int, ...], list[int],
-                                 tuple[tuple[str, ...], ...]]:
-    """Number the classes of equal rows of q by least member; return
-    each row's class, each class's mask and its member names.  In a
-    preorder these are the mutual classes: i, j related both ways iff
-    their rows are equal."""
+def _quotient(q: Rel, rows: Sequence[int]) -> tuple[
+        tuple[int, ...], tuple[tuple[str, ...], ...], tuple[int, ...]]:
+    """The classes of equal rows of q, numbered by least member (in a
+    preorder, its mutual classes), and the relation ``rows`` induces on
+    them: each element's class, each class's member names, and per
+    class the classes that a row of one of its members meets.
+    ``rows = q.rows`` gives a preorder's block order.  The realisability
+    test passes the carrier's rows, as its blocks step along the carrier
+    order; those differ within a class, so every member's row counts."""
     # each run is ascending and no two share a member, so the runs sort
     # by their least members
     runs = sorted(row_runs(q.rows))
@@ -273,18 +276,11 @@ def _row_classes(q: Rel) -> tuple[tuple[int, ...], list[int],
     for b, run in enumerate(runs):
         for m in run:
             labels[m] = b
-    names = q.carrier.elements
-    return (tuple(labels), fibres(labels, len(runs)),
-            tuple(tuple(names[j] for j in run) for run in runs))
-
-
-def _block_rows(rows: Sequence[int], labels: Sequence[int],
-                block_masks: Sequence[int]) -> tuple[int, ...]:
-    """The relation ``rows`` induces on blocks: block b relates to every
-    block that the OR of its members' rows meets.  ``met[x]`` holds the
-    blocks that row x meets, and block b ORs ``met`` over its members."""
     met = compose_nested_rows(rows, [1 << b for b in labels])
-    return compose_rows(block_masks, met)
+    names = q.carrier.elements
+    return (tuple(labels),
+            tuple(tuple(names[j] for j in run) for run in runs),
+            tuple(reduce(or_, map(met.__getitem__, run)) for run in runs))
 
 
 def from_ordered_partition(op: OrderedPartition) -> Rel:
@@ -340,17 +336,17 @@ def format_relation(rel: Rel) -> str:
     """
     if not rel.is_preorder:
         return "pairs: " + " ".join(f"({a},{b})" for a, b in rel.pairs())
-    op = to_ordered_partition(rel)
-    labels = [block_label(b) for b in op.blocks]
-    k = len(op.blocks)
-    if all(op.block_rows[b] == 1 << b for b in range(k)):
+    _, blocks, block_rows = _quotient(rel, rel.rows)
+    labels = [block_label(b) for b in blocks]
+    k = len(blocks)
+    if all(block_rows[b] == 1 << b for b in range(k)):
         return " ".join(labels)
     # a finite poset is a chain iff its up-sets have pairwise distinct
     # sizes; the largest goes first
-    sizes = [row.bit_count() for row in op.block_rows]
+    sizes = [row.bit_count() for row in block_rows]
     if len(set(sizes)) == k:
         by_height = sorted(range(k), key=lambda b: -sizes[b])
         return " <= ".join(labels[b] for b in by_height)
     covers = ", ".join(f"{labels[i]} <= {labels[j]}"
-                       for i, j in op.order.covers())
+                       for i, j in row_covers(block_rows))
     return " ".join(labels) + " ord: " + covers

@@ -11,9 +11,10 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from infolat import (FnTable, OrderCycleError, Poset, Rel, ValidationError,
-                     Violation, build_poset, chain, close, discrete,
-                     iter_equivalences, iter_monotone_tables, lift,
-                     order_rel, rel_from_pairs, subset_name, union)
+                     Violation, block_label, build_poset, chain, close,
+                     discrete, iter_equivalences, iter_monotone_tables, lift,
+                     order_rel, rel_from_pairs, subset_name,
+                     to_ordered_partition, union)
 from infolat.loci import _closed_supersets
 from infolat.poset import bits
 from infolat.powerdomain import _all_subset_masks, _em_rows
@@ -351,6 +352,38 @@ def covers_pairwise(p: Poset) -> list[tuple[int, int]]:
             if not row & p.cols[j] & ~(1 << i) & ~(1 << j):
                 out.append((i, j))
     return out
+
+
+def mutual_classes_pairwise(q: Rel) -> tuple[tuple[str, ...], ...]:
+    """The classes of elements related both ways by the preorder q, as
+    member names in declaration order, in order of least member, tested
+    pair by pair."""
+    names, classes = q.carrier.elements, []
+    for i in range(len(names)):
+        mutual = tuple(names[j] for j in range(len(names))
+                       if q.holds_idx(i, j) and q.holds_idx(j, i))
+        if mutual[0] == names[i]:
+            classes.append(mutual)
+    return tuple(classes)
+
+
+def format_relation_via_partition(rel: Rel) -> str:
+    """``format_relation`` as it read through the validated ordered
+    partition and the Hasse covers of its block-order ``Poset``."""
+    if not rel.is_preorder:
+        return "pairs: " + " ".join(f"({a},{b})" for a, b in rel.pairs())
+    op = to_ordered_partition(rel)
+    labels = [block_label(b) for b in op.blocks]
+    k = len(op.blocks)
+    if all(op.block_rows[b] == 1 << b for b in range(k)):
+        return " ".join(labels)
+    sizes = [row.bit_count() for row in op.block_rows]
+    if len(set(sizes)) == k:
+        by_height = sorted(range(k), key=lambda b: -sizes[b])
+        return " <= ".join(labels[b] for b in by_height)
+    covers = ", ".join(f"{labels[i]} <= {labels[j]}"
+                       for i, j in op.order.covers())
+    return " ".join(labels) + " ord: " + covers
 
 
 def transpose_pairwise(rows) -> tuple[int, ...]:

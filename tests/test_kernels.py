@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      ValidationError, all_rel, block_label, chain,
                      check_monotone, cli, close, compatible_extension,
-                     compose, cp, discrete, er, flow_check, format_relation,
+                     compose, cp, discrete, enumerate_loci, enumerate_loi,
+                     er, flow_check, format_relation,
                      from_ordered_partition, get_example, identity_rel,
                      invert, kernel, lift, order_rel, ordered_kernel,
                      phi_realisability, plotkin, product, pullback,
@@ -19,18 +20,20 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      union)
 from infolat.cli import _quote, emit_dot
 from infolat.poset import (bits, close_rows, compose_nested_rows,
-                           compose_rows, fibres, preorder_cols, row_runs,
-                           rows_transitive, transpose)
-from infolat.relation import _block_rows, preorder_from_blocks
+                           compose_rows, fibres, preorder_cols, row_covers,
+                           row_runs, rows_transitive, transpose)
+from infolat.relation import _quotient, preorder_from_blocks
 from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
                      close_rows_warshall, compatible_extension_pairwise,
                      covers_pairwise, flow_check_pairwise,
+                     format_relation_via_partition,
                      is_antisymmetric_pairwise, is_chain_pairwise,
                      is_transitive_pairwise, monotone_witness_pairwise,
-                     oracle_compose, poset_checks_pairwise,
-                     pullback_pairwise, random_equivalence, random_poset,
-                     random_preorder, random_rows, seeded,
-                     strict_pairs_pairwise, transpose_pairwise)
+                     mutual_classes_pairwise, oracle_compose,
+                     poset_checks_pairwise, pullback_pairwise,
+                     random_equivalence, random_poset, random_preorder,
+                     random_rows, seeded, strict_pairs_pairwise,
+                     transpose_pairwise)
 
 SIZES = st.integers(50, 300)
 AT_SCALE = settings(max_examples=20)
@@ -655,14 +658,7 @@ def test_ordered_partition_block_rows(inst):
     rng, carrier = inst
     q = random_preorder(rng, carrier)
     op = to_ordered_partition(q)
-    # the mutual classes, pairwise, in order of least member
-    names, classes = carrier.elements, []
-    for i in range(len(names)):
-        mutual = tuple(names[j] for j in range(len(names))
-                       if q.holds_idx(i, j) and q.holds_idx(j, i))
-        if mutual[0] == names[i]:
-            classes.append(mutual)
-    assert op.blocks == tuple(classes)
+    assert op.blocks == mutual_classes_pairwise(q)
     reps = [carrier.index(block[0]) for block in op.blocks]
     for b1, r1 in enumerate(reps):
         want = sum(1 << b2 for b2, r2 in enumerate(reps) if q.holds_idx(r1, r2))
@@ -710,6 +706,27 @@ def test_format_relation_finds_chains_as_pairwise(rng, n, shape):
         assert text.startswith(" ".join(labels) + " ord: ")
     if shape == "chain":
         assert is_chain_pairwise(op.block_rows)
+
+
+def assert_formats_as_the_partition_route(r):
+    assert format_relation(r) == format_relation_via_partition(r)
+    if r.is_preorder:
+        op = to_ordered_partition(r)
+        assert row_covers(op.block_rows) == covers_pairwise(op.order)
+
+
+@pytest.mark.parametrize("carrier", FAMILY, ids=repr)
+def test_format_relation_matches_the_partition_route_on_lattices(carrier):
+    for r in enumerate_loci(carrier) + enumerate_loi(carrier):
+        assert_formats_as_the_partition_route(r)
+
+
+@settings(max_examples=200)
+@given(seeded(), st.integers(1, 60))
+def test_format_relation_matches_the_partition_route(rng, n):
+    carrier = random_poset(rng, n)
+    assert_formats_as_the_partition_route(random_preorder(rng, carrier))
+    assert_formats_as_the_partition_route(Rel(carrier, random_rows(rng, n)))
 
 
 @AT_SCALE
@@ -810,7 +827,7 @@ def test_block_steps_and_realisability_witnesses(inst):
     raw = random_equivalence(rng, carrier)
     # er(cp(r)) is always realisable, so both outcomes are exercised
     for r in (raw, er(cp(raw))):
-        blocks = to_ordered_partition(r).blocks
+        blocks = mutual_classes_pairwise(r)
         masks = block_masks(carrier, blocks)
         index = [0] * len(carrier)
         for b, mask in enumerate(masks):
@@ -818,16 +835,18 @@ def test_block_steps_and_realisability_witnesses(inst):
                 if (mask >> x) & 1:
                     index[x] = b
         steps = block_steps_pairwise(carrier, masks)
-        assert _block_rows(carrier.rows, index, masks) == tuple(steps)
+        assert _quotient(r, carrier.rows) == (tuple(index), blocks,
+                                              tuple(steps))
         result = phi_realisability(r)
         start = first_block_on_a_cycle(steps)
         assert result.realisable == (start is None)
         if result.realisable:
-            # the blocks read off the rows are the ordered partition's
             assert result.witness_poset.elements == \
                 tuple("+".join(b) for b in blocks)
             assert kernel(result.witness_fn) == r
             assert result.witness_fn.is_monotone
+            # the same codomain elements and rows, and the same images
+            assert result.witness_fn == quotient_map(cp(r))
         else:
             assert result.cycle[0] == blocks[start]
             assert_simple_cycle(blocks, result.cycle, steps)

@@ -77,23 +77,28 @@ def test_only_the_converses_transpose():
     """``transpose`` costs n² whatever the rows, so it is called only
     for the converse of a relation that is not a preorder and for the
     Egli-Milner masks.  Both cached converses of an order go through
-    ``preorder_cols``, and ``Poset.covers`` takes no converse at all."""
-    callers = {"transpose": set(), "preorder_cols": set()}
-    covers_reads = []
+    ``preorder_cols``, and the Hasse covers (``poset.row_covers``, which
+    ``Poset.covers`` calls) take no converse at all."""
+    callers = {"transpose": set(), "preorder_cols": set(),
+               "row_covers": set()}
+    covers_nodes = []
     for path in MODULES:
         for scope, node in scoped_nodes(ast.parse(path.read_text(
                 encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 for name in called_names(node) & set(callers):
                     callers[name].add(f"{path.stem}.{scope}")
-            if path.stem == "poset" and scope == "Poset.covers" and \
-                    isinstance(node, ast.Attribute):
-                covers_reads.append(node.attr)
+            if path.stem == "poset" and scope == "row_covers":
+                covers_nodes.append(node)
     assert callers["transpose"] <= {"relation.Rel.cols",
                                     "powerdomain._em_rows"}
     assert {"poset.Poset.cols", "relation.Rel.cols"} <= \
         callers["preorder_cols"]
-    assert "rows" in covers_reads and "cols" not in covers_reads
+    assert "poset.Poset.covers" in callers["row_covers"] and covers_nodes
+    assert "poset.row_covers" not in \
+        callers["transpose"] | callers["preorder_cols"]
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "cols"
+                   for node in covers_nodes)
 
 
 def needs_python_311(pattern: str) -> bool:
