@@ -10,7 +10,7 @@ union.  Kernels, knowledge sets, flow checking and the two image maps
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .poset import FnTable, compose_nested_rows, fibres
+from .poset import FnTable, fibres, image_rows, pull_rows
 from .relation import Rel, close, identity_rel, intersect, require, union
 
 
@@ -90,7 +90,7 @@ def _broken_rows(f: FnTable, pre: Rel, post: Rel) -> tuple[int, ...]:
     """Row i holds every j that pre relates to i while post does not
     relate f(i) to f(j): the pre pairs the flow property rejects."""
     return tuple(row & ~ok for row, ok in
-                 zip(pre.rows, _pullback_rows(f, post)))
+                 zip(pre.rows, pull_rows(post.rows, f.images)))
 
 
 def pullback(f: FnTable, r: Rel) -> Rel:
@@ -100,26 +100,7 @@ def pullback(f: FnTable, r: Rel) -> Rel:
     is the pullback of the identity relation.
     """
     require(r, None, "relation", f.cod)
-    return Rel(f.dom, _pullback_rows(f, r))
-
-
-def _pullback_rows(f: FnTable, r: Rel) -> tuple[int, ...]:
-    """Rows of the pullback of r, a relation on the codomain of f.
-
-    ``preimage[w]`` holds every x with f(x) = w, so ``up[v]``, the OR of
-    ``preimage[w]`` over the w in ``r.rows[v]``, is every x that r
-    relates v to; the row of x is ``up[f(x)]``.  Only the values f hits
-    matter, so the other rows are emptied and the other bits cleared:
-    on a small domain the work stays small whatever r is, and the rows
-    of a transitive r still nest.
-    """
-    preimage = fibres(f.images, len(f.cod.elements))
-    hit = 0
-    for v in f.images:
-        hit |= 1 << v
-    up = compose_nested_rows([row & hit if fibre else 0 for row, fibre
-                              in zip(r.rows, preimage)], preimage)
-    return tuple(up[v] for v in f.images)
+    return Rel(f.dom, pull_rows(r.rows, f.images))
 
 
 def pushforward(f: FnTable, p: Rel) -> Rel:
@@ -138,11 +119,9 @@ def pushforward(f: FnTable, p: Rel) -> Rel:
 def _image_closure(f: FnTable, p: Rel, base: Rel) -> Rel:
     """Reflexive-transitive closure of the image pairs of p added to
     ``base``, a relation on the codomain of f."""
-    rows = list(base.rows)
-    images = compose_nested_rows(p.rows, [1 << v for v in f.images])
-    for v, image in zip(f.images, images):
-        rows[v] |= image
-    return close(Rel(f.cod, tuple(rows)), "refl_trans")
+    image = image_rows(p.rows, f.images, len(base.rows))
+    return close(Rel(f.cod, tuple(map(int.__or__, base.rows, image))),
+                 "refl_trans")
 
 
 def find_postprocessor(f: FnTable, g: FnTable) -> FnTable | None:

@@ -195,6 +195,37 @@ def fibres(labels: Iterable[int], k: int) -> list[int]:
     return out
 
 
+def pull_rows(rows: Sequence[int], images: Sequence[int]) -> tuple[int, ...]:
+    """Pullback of square ``rows`` through a table: row x holds every y
+    with bit ``images[y]`` in ``rows[images[x]]``.
+
+    ``up[v]``, the OR of the fibre of each w in ``rows[v]``, holds every
+    y that row v reaches; the row of x is ``up[images[x]]``.  Only the
+    values the table hits matter, so the other rows are emptied and the
+    other bits cleared: on a small domain the work stays small whatever
+    the rows are, and transitive rows still nest.
+    """
+    preimage = fibres(images, len(rows))
+    hit = 0
+    for v in images:
+        hit |= 1 << v
+    up = compose_nested_rows([row & hit if fibre else 0 for row, fibre
+                              in zip(rows, preimage)], preimage)
+    return tuple(up[v] for v in images)
+
+
+def image_rows(rows: Sequence[int], images: Sequence[int],
+               k: int) -> tuple[int, ...]:
+    """Direct image of square ``rows`` under a table into ``0 .. k-1``:
+    row v holds ``images[y]`` for every y that the row of some x with
+    image v holds."""
+    out = [0] * k
+    met = compose_nested_rows(rows, [1 << v for v in images])
+    for v, row in zip(images, met):
+        out[v] |= row
+    return tuple(out)
+
+
 def transpose(rows: Sequence[int]) -> tuple[int, ...]:
     """Converse of bitmask rows: bit i of ``out[j]`` iff bit j of ``rows[i]``.
 

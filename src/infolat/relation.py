@@ -10,15 +10,14 @@ of it, whose block labelling (``labels``) and block order as a ``Poset``
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import count
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .poset import (Poset, bits, close_rows, compose_nested_rows,
-                    compose_rows, fibres, preorder_cols, row_covers,
-                    row_runs, rows_transitive, transpose)
+from .poset import (Poset, bits, close_rows, compose_rows, image_rows,
+                    preorder_cols, pull_rows, row_covers, row_runs,
+                    rows_transitive, transpose)
 
 
 @dataclass(frozen=True)
@@ -200,11 +199,10 @@ def compose(r: Rel, s: Rel) -> Rel:
 
 
 def restrict_rel(r: Rel, target: Poset) -> Rel:
-    """Restrict to a sub-carrier, matched up by element name: each kept
-    source index goes to its target bit, and every other index to 0."""
+    """Restrict to a sub-carrier, matched up by element name: the
+    pullback of r through each target element's source index."""
     src = [r.carrier.index(name) for name in target.elements]
-    table = fibres(src, len(r.carrier.elements))
-    return Rel(target, compose_rows((r.rows[i] for i in src), table))
+    return Rel(target, pull_rows(r.rows, src))
 
 
 @dataclass(frozen=True)
@@ -264,8 +262,8 @@ def _quotient(q: Rel, rows: Sequence[int]) -> tuple[
         tuple[int, ...], tuple[tuple[str, ...], ...], tuple[int, ...]]:
     """The classes of equal rows of q, numbered by least member (in a
     preorder, its mutual classes), and the relation ``rows`` induces on
-    them: each element's class, each class's member names, and per
-    class the classes that a row of one of its members meets.
+    them: each element's class, each class's member names, and the image
+    of ``rows`` under the labels (per class, the classes a member's row meets);
     ``rows = q.rows`` gives a preorder's block order.  The realisability
     test passes the carrier's rows, as its blocks step along the carrier
     order; those differ within a class, so every member's row counts."""
@@ -276,18 +274,15 @@ def _quotient(q: Rel, rows: Sequence[int]) -> tuple[
     for b, run in enumerate(runs):
         for m in run:
             labels[m] = b
-    met = compose_nested_rows(rows, [1 << b for b in labels])
     names = q.carrier.elements
     return (tuple(labels),
             tuple(tuple(names[j] for j in run) for run in runs),
-            tuple(reduce(or_, map(met.__getitem__, run)) for run in runs))
+            image_rows(rows, labels, len(runs)))
 
 
 def from_ordered_partition(op: OrderedPartition) -> Rel:
     """Expand block structure back into a preorder on the carrier."""
-    up = compose_nested_rows(op.block_rows,
-                             fibres(op.labels, len(op.blocks)))
-    return Rel(op.carrier, tuple(up[b] for b in op.labels))
+    return Rel(op.carrier, pull_rows(op.block_rows, op.labels))
 
 
 def preorder_from_blocks(carrier: Poset, blocks: Iterable[Iterable[str]],

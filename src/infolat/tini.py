@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from .errors import CapExceededError, ValidationError
 from .loci import iter_equivalences
 from .loi import Violation, _broken_rows, flow_check, loi_join, pullback
-from .poset import FnTable, Poset, compose_rows, fibres
+from .poset import FnTable, Poset, compose_nested_rows, image_rows
 from .relation import Rel, equivalence_from_blocks, require
 
 
@@ -32,7 +32,8 @@ def compatible_extension(q: Rel) -> Rel:
     for z, (up, down) in enumerate(zip(q.rows, q.cols)):
         if not up & ~down:
             tops |= 1 << z
-    return Rel(q.carrier, compose_rows((up & tops for up in q.rows), q.cols))
+    return Rel(q.carrier,
+               compose_nested_rows([up & tops for up in q.rows], q.cols))
 
 
 def ti_flow_check(f: FnTable, pre: Rel, post: Rel) -> Violation | None:
@@ -111,23 +112,17 @@ def observer_impossibility_search(
             raise ValidationError("relations live on different carriers")
     require(post, None, "postcondition", cod)
 
-    def rejects(g: FnTable, preimage: list[int],
-                unsafe_rows: tuple[int, ...], t: Rel) -> bool:
-        # the encoded check fails when the joined precondition keeps an
-        # unsafe pair.  Row x of the pullback of t is the OR of
-        # preimage[w] over the w that t relates to g(x); each t is a
-        # small fresh equivalence, so its rows are composed plainly
-        kept = compose_rows((t.rows[v] for v in g.images), preimage)
-        return any(row & up for row, up in zip(unsafe_rows, kept))
-
-    k = len(cod.elements)
-    ok, *bad = [(g, fibres(g.images, k), _broken_rows(g, pre, post))
+    # the encoded check fails for g when t relates g(x) to g(y) for a
+    # pair (x, y) of _broken_rows(g, pre, post): when row v of t meets
+    # row v of the image of those pairs under g, so a candidate costs
+    # one AND per codomain value
+    ok, *bad = [image_rows(_broken_rows(g, pre, post), g.images, len(cod))
                 for g in (f_ok, *bads)]
     checked = 0
     for t in iter_equivalences(cod):
         checked += 1
-        if rejects(*ok, t):
+        if any(map(int.__and__, ok, t.rows)):
             continue
-        if all(rejects(*b, t) for b in bad):
+        if all(any(map(int.__and__, unsafe, t.rows)) for unsafe in bad):
             return ObserverSearch(t, checked)
     return ObserverSearch(None, checked)

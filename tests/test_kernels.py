@@ -20,8 +20,9 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      union)
 from infolat.cli import _quote, emit_dot
 from infolat.poset import (bits, close_rows, compose_nested_rows,
-                           compose_rows, fibres, preorder_cols, row_covers,
-                           row_runs, rows_transitive, transpose)
+                           compose_rows, fibres, image_rows, preorder_cols,
+                           pull_rows, row_covers, row_runs, rows_transitive,
+                           transpose)
 from infolat.relation import _quotient, preorder_from_blocks
 from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
                      close_rows_warshall, compatible_extension_pairwise,
@@ -315,6 +316,36 @@ def test_compose_nested_rows_on_rows_that_are_not_reflexive(rows):
     table = [1 << (2 * j) | 1 << (2 * j + 1) for j in range(n)]
     want = rows_of(oracle_compose(pair_set(rows), pair_set(table), n), n)
     assert compose_nested_rows(rows, table) == want
+
+
+def partial_table(rng, m, k):
+    """m images into k values, drawn from a random non-empty subset of
+    them, so a table often leaves values unhit."""
+    hit = rng.sample(range(k), rng.randint(1, k))
+    return [rng.choice(hit) for _ in range(m)]
+
+
+# m against k: domains smaller and larger than the codomain
+@settings(max_examples=200)
+@given(seeded(), st.integers(1, 10), st.integers(1, 10),
+       st.sampled_from(NESTED_SHAPES))
+def test_pull_rows_matches_pair_sets(rng, m, k, shape):
+    rows = nested_shape(rng, k, shape)
+    images = partial_table(rng, m, k)
+    pairs = pair_set(rows)
+    want = {(x, y) for x in range(m) for y in range(m)
+            if (images[x], images[y]) in pairs}
+    assert pull_rows(rows, images) == rows_of(want, m)
+
+
+@settings(max_examples=200)
+@given(seeded(), st.integers(1, 10), st.integers(1, 10),
+       st.sampled_from(NESTED_SHAPES))
+def test_image_rows_matches_pair_sets(rng, m, k, shape):
+    rows = nested_shape(rng, m, shape)
+    images = partial_table(rng, m, k)
+    want = {(images[x], images[y]) for x, y in pair_set(rows)}
+    assert image_rows(rows, images, k) == rows_of(want, k)
 
 
 def up_sets(values):

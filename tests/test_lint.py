@@ -101,6 +101,24 @@ def test_only_the_converses_transpose():
                    for node in covers_nodes)
 
 
+def test_only_the_row_kernels_pull_back_and_take_images():
+    """Pullbacks go through ``poset.pull_rows`` and direct images
+    through ``poset.image_rows``, so outside ``poset.py`` only the
+    kernel and the enumeration of equivalences build fibres, and only
+    the compatible extension composes square rows itself."""
+    callers = {"fibres": set(), "compose_nested_rows": set()}
+    for path in MODULES:
+        if path.stem == "poset":
+            continue
+        for scope, node in scoped_nodes(ast.parse(path.read_text(
+                encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                for name in called_names(node) & set(callers):
+                    callers[name].add(f"{path.stem}.{scope}")
+    assert callers == {"fibres": {"loi.kernel", "loci.iter_equivalences"},
+                       "compose_nested_rows": {"tini.compatible_extension"}}
+
+
 def needs_python_311(pattern: str) -> bool:
     """Whether a pattern has a possessive quantifier (``*+``, ``++``,
     ``?+``, ``}+``) or an atomic group (``(?>``), read with escapes and

@@ -1,5 +1,7 @@
 """Termination-insensitive checking: extensions, observers, impossibility."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from infolat import (CapExceededError, FnTable, ValidationError, all_rel,
 from infolat.relation import equivalence_from_blocks
 from helpers import (BOOLBOT, CHAIN3, DISC2, DISC3, VEE, complete_preorders,
                      equivalences, fn_between_family, idx_pairs, monotone_fns,
-                     posets, preorders)
+                     posets, preorders, random_equivalence, random_poset)
 
 KITE = get_example("kite")
 DIA = get_example("diamond-counterexample")
@@ -252,15 +254,35 @@ class TestObserverSearch:
                                                  max_size=2))]
         pre = data.draw(equivalences(dom))
         post = data.draw(equivalences(cod))
-        # the public encoded check on every candidate, in search order
-        want, checked = None, 0
-        for t in iter_equivalences(cod):
-            checked += 1
-            if (ti_via_observer(f_ok, pre, post, t) is None
-                    and all(ti_via_observer(g, pre, post, t) is not None
-                            for g in bads)):
-                want = t
-                break
         res = observer_impossibility_search(f_ok, bads, pre, post)
-        assert (res.separating, res.checked) == (want, checked)
+        assert (res.separating, res.checked) == \
+            search_by_definition(f_ok, bads, pre, post)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_search_by_definition_on_the_kite(self, seed):
+        # a six-point codomain, 203 candidates: seeded tables from two to
+        # four points, one or two of them bad
+        rng = random.Random(seed)
+        kite = KITE.posets["Kite"]
+        dom = random_poset(rng, rng.randint(2, 4))
+        f_ok, *bads = [FnTable(dom, kite, tuple(rng.randrange(len(kite))
+                                                for _ in dom.elements))
+                       for _ in range(rng.randint(2, 3))]
+        pre = random_equivalence(rng, dom)
+        post = rng.choice((identity_rel(kite), random_equivalence(rng, kite)))
+        res = observer_impossibility_search(f_ok, bads, pre, post)
+        assert (res.separating, res.checked) == \
+            search_by_definition(f_ok, bads, pre, post)
+
+
+def search_by_definition(f_ok, bads, pre, post):
+    """The public encoded check on every candidate, in search order."""
+    checked = 0
+    for t in iter_equivalences(f_ok.cod):
+        checked += 1
+        if (ti_via_observer(f_ok, pre, post, t) is None
+                and all(ti_via_observer(g, pre, post, t) is not None
+                        for g in bads)):
+            return t, checked
+    return None, checked
 
