@@ -313,5 +313,6 @@ def find_monotone_postprocessor(f: FnTable, g: FnTable,
             f"search space {k}**{m} exceeds bound {bound}")
     if required is None:
         return None
-    choices = [range(k) if want is None else (want,) for want in required]
+    choices = [(1 << k) - 1 if want is None else 1 << want
+               for want in required]
     return next(_monotone_tables(g.cod, f.cod, choices), None)

@@ -541,43 +541,41 @@ def constant_fn(dom: Poset, cod: Poset, value: str) -> FnTable:
 def iter_monotone_tables(dom: Poset, cod: Poset) -> Iterator[FnTable]:
     """All monotone tables dom -> cod, lexicographic on image tuples.
 
-    Depth-first with partial-monotonicity pruning; exponential in the
-    domain size.
+    Depth-first over one mask of the images left to try per position;
+    exponential in the domain size.
     """
-    every = range(len(cod.elements))
+    every = (1 << len(cod.elements)) - 1
     return _monotone_tables(dom, cod, [every] * len(dom.elements))
 
 
 def _monotone_tables(dom: Poset, cod: Poset,
-                     choices: Sequence[Iterable[int]]) -> Iterator[FnTable]:
-    """Monotone tables whose image at position i is drawn from
-    ``choices[i]``, in the order the choices give."""
+                     choices: Sequence[int]) -> Iterator[FnTable]:
+    """Monotone tables whose image at i is a bit of the mask ``choices[i]``,
+    in image-tuple order.  Position i tries, lowest bit first, what is left
+    of ``choices[i]`` in the up-set of each earlier image below it and the
+    down-set of each earlier image above it; an empty mask is a dead end."""
     n = len(dom.elements)
     images: list[int] = []
-
-    def feasible(pos: int, candidate: int) -> bool:
-        earlier = (1 << pos) - 1
-        return (all(cod.leq_idx(images[prev], candidate)
-                    for prev in bits(dom.cols[pos] & earlier))
-                and all(cod.leq_idx(candidate, images[prev])
-                        for prev in bits(dom.rows[pos] & earlier)))
-
-    # one iterator over the remaining choices per assigned position,
-    # plus one for the position being filled
-    pending = [iter(choices[0])]
-    while pending:
-        pos = len(images)
-        for candidate in pending[-1]:
-            if feasible(pos, candidate):
-                break
-        else:
-            pending.pop()
+    left = [choices[0]]  # per position so far: images not yet tried
+    while left:
+        mask = left[-1]
+        if not mask:
+            left.pop()
             if images:
                 images.pop()
             continue
-        images.append(candidate)
-        if pos + 1 == n:
+        low = mask & -mask
+        left[-1] = mask ^ low
+        images.append(low.bit_length() - 1)
+        pos = len(images)
+        if pos == n:
             yield FnTable(dom, cod, tuple(images))
             images.pop()
-        else:
-            pending.append(iter(choices[pos + 1]))
+            continue
+        earlier = (1 << pos) - 1
+        mask = choices[pos]
+        for q in bits(dom.cols[pos] & earlier):
+            mask &= cod.rows[images[q]]
+        for q in bits(dom.rows[pos] & earlier):
+            mask &= cod.cols[images[q]]
+        left.append(mask)

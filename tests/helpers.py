@@ -4,6 +4,7 @@ The oracle functions recompute everything from plain pair sets with
 naive fixpoint loops, independent of the bitmask machinery under test.
 """
 
+import itertools
 import random
 import sys
 from functools import lru_cache
@@ -451,6 +452,15 @@ def monotone_witness_pairwise(f: FnTable) -> tuple[str, str] | None:
             if not f.cod.leq_idx(f.images[i], f.images[j]):
                 return f.dom.elements[i], f.dom.elements[j]
     return None
+
+
+def monotone_tables_pairwise(dom: Poset, cod: Poset) -> list[FnTable]:
+    """Every table dom -> cod that :func:`monotone_witness_pairwise`
+    finds no broken pair in, in ``itertools.product`` order, which is
+    lexicographic on image tuples."""
+    every = (FnTable(dom, cod, images) for images in itertools.product(
+        range(len(cod.elements)), repeat=len(dom.elements)))
+    return [f for f in every if monotone_witness_pairwise(f) is None]
 
 
 def is_chain_pairwise(rows) -> bool:

@@ -27,7 +27,8 @@ from helpers import (BELL, BOOLBOT, CHAIN2, CHAIN3, CHAIN4, DIAMOND, DISC2,
                      enumerate_loi_sorted, equivalences, feasible_inclusions,
                      fn_between_family, idx_pairs,
                      is_complete_preorder_exhaustive, monotone_fns,
-                     oracle_close, preorders, redeclared_posets,
+                     monotone_tables_pairwise, oracle_close, posets,
+                     preorders, redeclared_posets,
                      rel_of_pairs, search_trace, set_partitions)
 
 LOCI_VEE = enumerate_loci(VEE)
@@ -392,6 +393,25 @@ class TestMonotonePostprocessor:
         brute = [t for t in tables
                  if t.is_monotone and g.then(t).images == f.images]
         assert p == (brute[0] if brute else None)
+
+    @given(st.data(), posets(max_size=4), redeclared_posets(max_size=5),
+           redeclared_posets(max_size=4), st.booleans())
+    def test_matches_pairwise_oracle_when_index_order_is_not_the_order(
+            self, data, a, mid, cod, composed):
+        # g fixes the images of the points it hits; f is p after g for a
+        # drawn table p, or any table
+        tables = lambda dom, k: st.tuples(
+            *[st.integers(0, k - 1)] * len(dom.elements))
+        g = FnTable(a, mid, data.draw(tables(a, len(mid.elements))))
+        if composed:
+            p = data.draw(tables(mid, len(cod.elements)))
+            f = FnTable(a, cod, tuple(p[v] for v in g.images))
+        else:
+            f = FnTable(a, cod, data.draw(tables(a, len(cod.elements))))
+        brute = [t for t in monotone_tables_pairwise(mid, cod)
+                 if g.then(t).images == f.images]
+        assert find_monotone_postprocessor(f, g) == \
+            (brute[0] if brute else None)
 
     def test_bound_enforced(self):
         f = get_example("parity", n=4).functions["f1"]

@@ -4,14 +4,15 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset,
                      ValidationError, build_poset, chain, check_monotone,
                      constant_fn, discrete, identity_fn,
                      iter_monotone_tables, lift, product)
 from helpers import (BOOLBOT, CHAIN2, CHAIN3, DIAMOND, DISC2, FAMILY, VEE,
-                     directed_subsets, posets)
+                     directed_subsets, monotone_tables_pairwise, posets,
+                     redeclared_posets)
 
 
 class TestConstruction:
@@ -211,6 +212,15 @@ class TestEnumeration:
         every = (FnTable(p, BOOLBOT, images) for images in
                  itertools.product(range(k), repeat=len(p.elements)))
         assert tables == [t for t in every if t.is_monotone]
+
+    @given(redeclared_posets(max_size=5), redeclared_posets(max_size=4))
+    @example(build_poset(("t", "b"), (("b", "t"),)), CHAIN2)
+    def test_matches_pairwise_oracle_when_index_order_is_not_the_order(
+            self, dom, cod):
+        # an element may be declared before one below it, so the search
+        # must check earlier positions above the current one as well
+        assert list(iter_monotone_tables(dom, cod)) == \
+            monotone_tables_pairwise(dom, cod)
 
 
 @pytest.mark.parametrize("p", FAMILY, ids=lambda p: "x".join(p.elements[:2]))
