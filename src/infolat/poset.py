@@ -100,10 +100,10 @@ def rows_transitive(rows: Sequence[int]) -> bool:
     equal one only bit j.  Sound because a failing row with the fewest
     bits only jumps through smaller rows, which pass, so whatever they
     settle holds.  Every bit must index a row.  This is not ``R∘R ⊆ R``
-    through :func:`compose_nested_rows`: the loop stops at the first
-    failing row and builds no result rows, and on 4-6 points, where the
-    searches build their relations, the composition takes two to three
-    times as long.
+    through :func:`compose_rows`: the loop stops at the first failing
+    row and builds no result rows, and on 4-6 points, where the searches
+    build their relations, the composition takes two to three times as
+    long.
     """
     prev = -1  # no row is negative
     for row in sorted(rows):
@@ -138,34 +138,22 @@ def row_runs(rows: Sequence[int]) -> list[list[int]]:
 
 def compose_rows(rows: Iterable[int], table: Sequence[int]) -> tuple[int, ...]:
     """Row i of the result is the OR of ``table[j]`` over the set bits j
-    of the i-th row; equal rows are computed once."""
-    done: dict[int, int] = {}
-    out = []
-    for row in rows:
-        acc = done.get(row)
-        if acc is None:
-            acc = 0
-            for j in bits(row):
-                acc |= table[j]
-            done[row] = acc
-        out.append(acc)
-    return tuple(out)
+    of the i-th row; every bit must index the table.  A bit past the
+    last row reads an empty row, which sorts first and settles nothing.
 
-
-def compose_nested_rows(rows: Sequence[int],
-                        table: Sequence[int]) -> tuple[int, ...]:
-    """:func:`compose_rows` for square rows, in jumps where rows nest.
-
-    Row i of the result is the OR of ``table[j]`` over the set bits j of
-    ``rows[i]``; every bit must index a row.  Rows go in increasing
-    value, so a row strictly inside row i, a smaller number, is done
-    before it, and equal rows are neighbours, computed once.  At the
-    lowest pending bit j of row i, a ``rows[j]`` strictly inside row i
-    settles itself and bit j at once (its result is ORed in with
-    ``table[j]``); any other j settles only itself.  The nesting is
-    tested at every step, so the result is exact for any rows:
-    transitive rows take jumps, others single steps.
+    Rows go in increasing value, so a row strictly inside row i, a
+    smaller number, is done before it, and equal rows are neighbours,
+    computed once.  At the lowest pending bit j of row i, a ``rows[j]``
+    strictly inside row i settles itself and bit j at once (its result
+    is ORed in with ``table[j]``); any other j settles only itself.  The
+    nesting is tested at every step, so the result is exact for any
+    rows: transitive rows take jumps, others single steps.
     """
+    if not isinstance(rows, (list, tuple)):
+        rows = list(rows)
+    n = len(rows)
+    if n < len(table):
+        rows = [*rows, *[0] * (len(table) - n)]
     out = [0] * len(rows)
     prev, acc = -1, 0  # no row is negative
     for i in sorted(range(len(rows)), key=rows.__getitem__):
@@ -183,7 +171,7 @@ def compose_nested_rows(rows: Sequence[int],
                     acc |= table[j]
                     pending ^= low
         out[i] = acc
-    return tuple(out)
+    return tuple(out[:n])
 
 
 def fibres(labels: Iterable[int], k: int) -> list[int]:
@@ -209,8 +197,8 @@ def pull_rows(rows: Sequence[int], images: Sequence[int]) -> tuple[int, ...]:
     hit = 0
     for v in images:
         hit |= 1 << v
-    up = compose_nested_rows([row & hit if fibre else 0 for row, fibre
-                              in zip(rows, preimage)], preimage)
+    up = compose_rows([row & hit if fibre else 0
+                       for row, fibre in zip(rows, preimage)], preimage)
     return tuple(up[v] for v in images)
 
 
@@ -220,7 +208,7 @@ def image_rows(rows: Sequence[int], images: Sequence[int],
     row v holds ``images[y]`` for every y that the row of some x with
     image v holds."""
     out = [0] * k
-    met = compose_nested_rows(rows, [1 << v for v in images])
+    met = compose_rows(rows, [1 << v for v in images])
     for v, row in zip(images, met):
         out[v] |= row
     return tuple(out)
@@ -274,7 +262,7 @@ def row_covers(rows: Sequence[int]) -> list[tuple[int, int]]:
     """Hasse covers of partial-order rows as index pairs, row-major
     order: the strict order minus its composition with itself."""
     strict = [row ^ (1 << i) for i, row in enumerate(rows)]
-    far = compose_nested_rows(strict, strict)
+    far = compose_rows(strict, strict)
     return [(i, j) for i, (up, skip) in enumerate(zip(strict, far))
             for j in bits(up & ~skip)]
 
@@ -468,10 +456,10 @@ class FnTable:
         induction on up-set size: a j strictly above i has a smaller
         up-set, so f(i) <= f(j) <= f(k) for each k the jump drops.  This
         is not a test of the rows against the pullback of the codomain
-        order through :func:`compose_nested_rows`: the loop stops at the
-        first failing pair and builds no rows, and the pullback takes
-        several times as long, on the tables of a 4-point carrier and of
-        a 3,000-point chain alike."""
+        order through :func:`compose_rows`: the loop stops at the first
+        failing pair and builds no rows, and the pullback takes several
+        times as long, on the tables of a 4-point carrier and of a
+        3,000-point chain alike."""
         rows, images, cod = self.dom.rows, self.images, self.cod.rows
         for i, row in enumerate(rows):
             up = cod[images[i]]

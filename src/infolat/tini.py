@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from .errors import CapExceededError, ValidationError
 from .loci import iter_equivalences
 from .loi import Violation, _broken_rows, flow_check, loi_join, pullback
-from .poset import FnTable, Poset, compose_nested_rows, image_rows
+from .poset import FnTable, Poset, compose_rows, image_rows
 from .relation import Rel, equivalence_from_blocks, require
 
 
@@ -32,8 +32,7 @@ def compatible_extension(q: Rel) -> Rel:
     for z, (up, down) in enumerate(zip(q.rows, q.cols)):
         if not up & ~down:
             tops |= 1 << z
-    return Rel(q.carrier,
-               compose_nested_rows([up & tops for up in q.rows], q.cols))
+    return Rel(q.carrier, compose_rows([up & tops for up in q.rows], q.cols))
 
 
 def ti_flow_check(f: FnTable, pre: Rel, post: Rel) -> Violation | None:

@@ -387,6 +387,19 @@ def format_relation_via_partition(rel: Rel) -> str:
     return " ".join(labels) + " ord: " + covers
 
 
+def compose_rows_bitwise(rows, table) -> tuple[int, ...]:
+    """Row i is the OR of ``table[j]`` over the set bits j of the i-th
+    row, one bit at a time: the definition that ``poset.compose_rows``
+    computes in jumps."""
+    out = []
+    for row in rows:
+        acc = 0
+        for j in bits(row):
+            acc |= table[j]
+        out.append(acc)
+    return tuple(out)
+
+
 def transpose_pairwise(rows) -> tuple[int, ...]:
     """Converse of bitmask rows, one set bit at a time."""
     cols = [0] * len(rows)

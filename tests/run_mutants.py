@@ -2,10 +2,12 @@
 
     python tests/run_mutants.py
 
-Copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory (``pyproject.toml`` puts the copy's own ``src`` on the path,
-ahead of ``PYTHONPATH``, so they go together), applies one mutant at a
-time there, runs its tests with ``pytest -x`` and restores the file.  A
+Copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to a
+temporary directory (``pyproject.toml`` puts the copy's own ``src`` on
+the path, ahead of ``PYTHONPATH``, so they go together, and
+``tests/test_format.py`` reads the README's examples), applies one
+mutant at a time there, runs its tests with ``pytest -x`` and restores
+the file.  A
 mutant is killed when a test fails and survives when all pass; one that
 no longer applies, or a run that ends otherwise (a collection or usage
 error), is an error.  Prints two lines per mutant and exits 1 unless
@@ -58,6 +60,7 @@ def main() -> int:
         shutil.copytree(ROOT / "src", work / "src", ignore=SKIP)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=SKIP)
         shutil.copy2(ROOT / "pyproject.toml", work)
+        shutil.copy2(ROOT / "README.md", work)
         env = dict(os.environ, PYTHONPATH=str(work / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
         for i, (file, old, new, tests) in enumerate(MUTANTS):

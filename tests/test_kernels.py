@@ -19,15 +19,14 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      quotient_map, ti_flow_check, to_ordered_partition,
                      union)
 from infolat.cli import _quote, emit_dot
-from infolat.poset import (bits, close_rows, compose_nested_rows,
-                           compose_rows, fibres, image_rows, preorder_cols,
-                           pull_rows, row_covers, row_runs, rows_transitive,
-                           transpose)
+from infolat.poset import (bits, close_rows, compose_rows, fibres,
+                           image_rows, preorder_cols, pull_rows, row_covers,
+                           row_runs, rows_transitive, transpose)
 from infolat.relation import _quotient, preorder_from_blocks
 from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
                      close_rows_warshall, compatible_extension_pairwise,
-                     covers_pairwise, flow_check_pairwise,
-                     format_relation_via_partition,
+                     compose_rows_bitwise, covers_pairwise,
+                     flow_check_pairwise, format_relation_via_partition,
                      is_antisymmetric_pairwise, is_chain_pairwise,
                      is_transitive_pairwise, monotone_witness_pairwise,
                      mutual_classes_pairwise, oracle_compose,
@@ -291,7 +290,7 @@ def test_compose_nested_rows_matches_pair_sets(rng, n, shape):
     rows = nested_shape(rng, n, shape)
     table = image_table(rng, n)
     want = rows_of(oracle_compose(pair_set(rows), pair_set(table), n), n)
-    assert compose_nested_rows(rows, table) == want
+    assert compose_rows(rows, table) == want
 
 
 @settings(max_examples=60)
@@ -299,7 +298,17 @@ def test_compose_nested_rows_matches_pair_sets(rng, n, shape):
 def test_compose_nested_rows_matches_compose_rows(rng, n, shape):
     rows = nested_shape(rng, n, shape)
     table = image_table(rng, n)
-    assert compose_nested_rows(rows, table) == compose_rows(rows, table)
+    assert compose_rows(rows, table) == compose_rows_bitwise(rows, table)
+
+
+@settings(max_examples=30)
+@given(seeded(), st.integers(1, 300), st.sampled_from(NESTED_SHAPES),
+       st.sampled_from(NESTED_SHAPES))
+def test_compose_matches_bitwise_at_scale(rng, n, shape_r, shape_s):
+    carrier = discrete(f"e{i}" for i in range(n))
+    r = Rel(carrier, nested_shape(rng, n, shape_r))
+    s = Rel(carrier, nested_shape(rng, n, shape_s))
+    assert compose(r, s).rows == compose_rows_bitwise(r.rows, s.rows)
 
 
 @pytest.mark.parametrize("rows", [
@@ -315,7 +324,7 @@ def test_compose_nested_rows_on_rows_that_are_not_reflexive(rows):
     n = len(rows)
     table = [1 << (2 * j) | 1 << (2 * j + 1) for j in range(n)]
     want = rows_of(oracle_compose(pair_set(rows), pair_set(table), n), n)
-    assert compose_nested_rows(rows, table) == want
+    assert compose_rows(rows, table) == want
 
 
 def partial_table(rng, m, k):
@@ -373,20 +382,25 @@ def test_compose_nested_rows_at_3000_points():
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | table[i]
     line = up_sets(range(n))
-    assert compose_nested_rows(line, table) == tuple(suffix[:n])
+    assert compose_rows(line, table) == tuple(suffix[:n])
     strict = tuple(row ^ (1 << i) for i, row in enumerate(line))
-    assert compose_nested_rows(strict, table) == tuple(suffix[1:])
-    assert compose_nested_rows([1 << i for i in range(n)], table) == \
-        tuple(table)
+    assert compose_rows(strict, table) == tuple(suffix[1:])
+    assert compose_rows([1 << i for i in range(n)], table) == tuple(table)
     # three classes in a chain and one beside them: four distinct rows,
-    # so compose_rows is cheap here too
+    # so the bitwise definition is cheap on the rows of the classes
     labels = [rng.randrange(4) for _ in range(n)]
     masks = [sum(1 << i for i in range(n) if labels[i] == b)
              for b in range(4)]
     above = [masks[0] | masks[1] | masks[2], masks[1] | masks[2], masks[2],
              masks[3]]
     rows = [above[b] for b in labels]
-    assert compose_nested_rows(rows, table) == compose_rows(rows, table)
+    by_class = compose_rows_bitwise(above, table)
+    assert compose_rows(rows, table) == tuple(by_class[b] for b in labels)
+
+
+def test_compose_of_a_chain_order_with_itself_at_3000_points():
+    c = chain(f"e{i}" for i in range(3000))
+    assert compose(order_rel(c), order_rel(c)) == order_rel(c)
 
 
 @AT_SCALE

@@ -105,8 +105,9 @@ def test_only_the_row_kernels_pull_back_and_take_images():
     """Pullbacks go through ``poset.pull_rows`` and direct images
     through ``poset.image_rows``, so outside ``poset.py`` only the
     kernel and the enumeration of equivalences build fibres, and only
-    the compatible extension composes square rows itself."""
-    callers = {"fibres": set(), "compose_nested_rows": set()}
+    the compatible extension, ``compose`` and the powerdomain's set
+    images call the composition kernel itself."""
+    callers = {"fibres": set(), "compose_rows": set()}
     for path in MODULES:
         if path.stem == "poset":
             continue
@@ -116,7 +117,12 @@ def test_only_the_row_kernels_pull_back_and_take_images():
                 for name in called_names(node) & set(callers):
                     callers[name].add(f"{path.stem}.{scope}")
     assert callers == {"fibres": {"loi.kernel", "loci.iter_equivalences"},
-                       "compose_nested_rows": {"tini.compatible_extension"}}
+                       "compose_rows": {"tini.compatible_extension",
+                                        "relation.compose",
+                                        "powerdomain._convex_masks",
+                                        "powerdomain._em_rows",
+                                        "powerdomain._em_rows.inside",
+                                        "powerdomain.kleisli_extend"}}
 
 
 def needs_python_311(pattern: str) -> bool:
