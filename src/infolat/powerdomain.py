@@ -96,21 +96,19 @@ def pd_union(x: PdElement, y: PdElement) -> PdElement:
 
 def _em_rows(r: Rel | Poset, masks: Sequence[int]) -> tuple[int, ...]:
     """Egli-Milner extension of r (a relation or a poset's order, read
-    through ``rows`` and ``cols``) on the given subset masks: X is below
-    Y iff Y lies in the r-up-closure of X and X in the r-down-closure of
-    Y.  ``members[b]``, the masks holding point b, is read off the padded
-    square; the masks inside a closure are those of no point outside it."""
+    through ``rows``) on the given subset masks: X is below Y iff each
+    point of Y is in the r-image of X and Y meets r(x) for each x in X.
+    One composition finds the Y that fail: bit p of X's row, a point
+    outside its image, reads the masks holding p (off the padded square),
+    bit n + x, for x in X, the masks that miss r(x)."""
     n, full = len(r.rows), (1 << len(masks)) - 1
     members = transpose([*masks, *[0] * n])[:n]
+    misses = [full & ~meets for meets in compose_rows(r.rows, members)]
     points = (1 << n) - 1
-
-    def inside(closures: Iterable[int]) -> list[int]:
-        outside = compose_rows((points & ~c for c in closures), members)
-        return [full & ~out for out in outside]
-
-    ups = inside(compose_rows(masks, r.rows))
-    downs = inside(compose_rows(masks, r.cols))
-    return tuple(up & down for up, down in zip(ups, transpose(downs)))
+    fails = compose_rows([points & ~up | x << n for x, up in
+                          zip(masks, compose_rows(masks, r.rows))],
+                         [*members, *misses])
+    return tuple(full & ~fail for fail in fails)
 
 
 @dataclass(frozen=True, repr=False)
@@ -177,4 +175,4 @@ def pd_lift_relation(p: Rel) -> Rel:
     """Egli-Milner extension of a complete preorder, on the powerdomain carrier."""
     require(p, "complete", "argument")
     carrier = plotkin(p.carrier)
-    return Rel(carrier, _em_rows(p, list(carrier.masks)))
+    return Rel(carrier, _em_rows(p, carrier.masks))

@@ -17,7 +17,7 @@ from infolat import (FnTable, OrderCycleError, Poset, Rel, ValidationError,
                      order_rel, rel_from_pairs, subset_name,
                      to_ordered_partition, union)
 from infolat.loci import _closed_supersets
-from infolat.poset import bits
+from infolat.poset import bits, compose_rows, transpose
 from infolat.powerdomain import _all_subset_masks, _em_rows
 from infolat.relation import equivalence_from_blocks
 
@@ -81,11 +81,6 @@ def set_partitions(items):
         for i in range(len(part)):
             yield part[:i] + [[head] + part[i]] + part[i + 1:]
         yield [[head]] + part
-
-
-def all_equivalence_pair_sets(n):
-    for part in set_partitions(range(n)):
-        yield {(a, b) for block in part for a in block for b in block}
 
 
 def all_preorder_pair_sets(n, must_contain=frozenset()):
@@ -285,6 +280,24 @@ def em_extension(r: Rel) -> Rel:
     """
     masks = _all_subset_masks(r.carrier)
     return Rel(subset_space(r.carrier), _em_rows(r, masks))
+
+
+def em_rows_by_converse(r: Rel, masks) -> tuple[int, ...]:
+    """Egli-Milner rows one clause at a time: row X holds the masks
+    inside the r-image of X, ANDed with the converse of the rows of the
+    masks inside each r-down-closure (read through ``r.cols``); the
+    route ``powerdomain._em_rows`` took before one composition did both."""
+    n, full = len(r.rows), (1 << len(masks)) - 1
+    members = transpose([*masks, *[0] * n])[:n]
+    points = (1 << n) - 1
+
+    def inside(closures) -> list[int]:
+        outside = compose_rows((points & ~c for c in closures), members)
+        return [full & ~out for out in outside]
+
+    ups = inside(compose_rows(masks, r.rows))
+    downs = inside(compose_rows(masks, r.cols))
+    return tuple(up & down for up, down in zip(ups, transpose(downs)))
 
 
 # --- per-pair kernels -------------------------------------------------

@@ -10,9 +10,11 @@ mutant at a time there, runs its tests with ``pytest -x`` and restores
 the file.  A
 mutant is killed when a test fails and survives when all pass; one that
 no longer applies, or a run that ends otherwise (a collection or usage
-error), is an error.  Prints two lines per mutant and exits 1 unless
-every mutant was killed.  Standard library only, besides the suite's
-own pytest.
+error), is an error.  A run still going after ``TIMEOUT_S`` seconds is
+stopped, its pytest process killed, and the mutant counts as killed
+with the verdict ``timeout``: a mutant that makes the library loop.
+Prints two lines per mutant and exits 1 unless every mutant was killed.
+Standard library only, besides the suite's own pytest.
 """
 
 import os
@@ -27,6 +29,7 @@ from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIP = shutil.ignore_patterns("__pycache__")
+TIMEOUT_S = 60
 
 
 def run_one(work: Path, env: dict, file: str, old: str, new: str,
@@ -43,7 +46,10 @@ def run_one(work: Path, env: dict, file: str, old: str, new: str,
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-rf",
              "-p", "no:cacheprovider", *tests],
-            cwd=work, env=env, capture_output=True, text=True)
+            cwd=work, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", f"no result in {TIMEOUT_S} s"
     finally:
         path.write_text(text, encoding="utf-8")
     lines = run.stdout.splitlines() or [run.stderr.strip()]
@@ -70,9 +76,11 @@ def main() -> int:
             first = old.strip().splitlines()[0]
             print(f"{i:3} {verdict:8} {time.perf_counter() - t0:6.1f}s  "
                   f"{file}: {first}\n{'':20}{detail}", flush=True)
-    print(f"{verdicts.count('killed')} of {len(verdicts)} killed in "
+    killed = verdicts.count("killed") + verdicts.count("timeout")
+    print(f"{killed} of {len(verdicts)} killed "
+          f"({verdicts.count('timeout')} by the time limit) in "
           f"{time.perf_counter() - start:.1f}s")
-    return 0 if verdicts.count("killed") == len(verdicts) else 1
+    return 0 if killed == len(verdicts) else 1
 
 
 if __name__ == "__main__":

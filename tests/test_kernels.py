@@ -22,11 +22,13 @@ from infolat.cli import _quote, emit_dot
 from infolat.poset import (bits, close_rows, compose_rows, fibres,
                            image_rows, preorder_cols, pull_rows, row_covers,
                            row_runs, rows_transitive, transpose)
+from infolat.powerdomain import _em_rows
 from infolat.relation import _quotient, preorder_from_blocks
 from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
                      close_rows_warshall, compatible_extension_pairwise,
                      compose_rows_bitwise, covers_pairwise,
-                     flow_check_pairwise, format_relation_via_partition,
+                     em_rows_by_converse, flow_check_pairwise,
+                     format_relation_via_partition,
                      is_antisymmetric_pairwise, is_chain_pairwise,
                      is_transitive_pairwise, monotone_witness_pairwise,
                      mutual_classes_pairwise, oracle_compose,
@@ -355,6 +357,23 @@ def test_image_rows_matches_pair_sets(rng, m, k, shape):
     images = partial_table(rng, m, k)
     want = {(images[x], images[y]) for x, y in pair_set(rows)}
     assert image_rows(rows, images, k) == rows_of(want, k)
+
+
+# raw rows, reflexive or not: one composition does both Egli-Milner clauses
+@settings(max_examples=200)
+@given(seeded(), st.integers(1, 6))
+def test_em_rows_match_the_converse_route_on_raw_rows(rng, n):
+    r = Rel(discrete(tuple(f"x{i}" for i in range(n))), random_rows(rng, n))
+    masks = range(1, 1 << n)
+    assert _em_rows(r, masks) == em_rows_by_converse(r, masks)
+
+
+@pytest.mark.parametrize("base", [discrete(tuple("abcdefghij")),
+                                  chain(tuple("abcdefghij"))],
+                         ids=["discrete", "chain"])
+def test_em_rows_match_the_converse_route_on_plotkin_masks(base):
+    masks = plotkin(base, cap=10).masks
+    assert _em_rows(base, masks) == em_rows_by_converse(base, masks)
 
 
 def up_sets(values):

@@ -110,7 +110,7 @@ class TestPlotkinCarrier:
             plotkin(discrete(tuple("abcdef")))
 
     def test_em_rows_read_a_poset_as_its_order(self):
-        # plotkin passes the base itself, read through rows and cols
+        # plotkin passes the base itself, read through rows
         for base in FAMILY:
             masks = _all_subset_masks(base)
             assert _em_rows(base, masks) == _em_rows(order_rel(base), masks)
