@@ -19,7 +19,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .catalog import Workspace, get_example, list_examples
 from .errors import InfolatError, ParseError, ValidationError
@@ -30,7 +30,7 @@ from .loi import flow_check, kernel, knowledge_set
 from .poset import (FnTable, Poset, bits, build_poset, check_monotone,
                     row_covers)
 from .powerdomain import DEFAULT_POWERDOMAIN_CAP, plotkin
-from .relation import (OrderedPartition, Rel, all_rel, block_label, close,
+from .relation import (Rel, all_rel, block_label, close,
                        format_relation, identity_rel, order_rel,
                        rel_from_pairs, require, to_ordered_partition)
 from .tini import ti_flow_check
@@ -284,19 +284,15 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def emit_dot(obj: Poset | OrderedPartition, full: bool = False) -> str:
-    """``digraph`` text for a poset or ordered partition.
+def emit_dot(labels: Sequence[str], rows: Sequence[int],
+             full: bool = False) -> str:
+    """``digraph`` text for labelled rows: a poset's elements and rows,
+    or an ordered partition's block labels and ``block_rows``.
 
-    Nodes appear in canonical order; edges are the covering pairs of
-    the poset's rows or the partition's ``block_rows``, sorted
-    lexicographically, or every non-reflexive pair with ``full``.
+    Nodes appear in label order; edges are the covering pairs of the
+    rows, sorted lexicographically, or every non-reflexive pair with
+    ``full``.
     """
-    if isinstance(obj, OrderedPartition):
-        labels = [block_label(b) for b in obj.blocks]
-        rows = obj.block_rows
-    else:
-        labels = list(obj.elements)
-        rows = obj.rows
     lines = ["digraph {"]
     lines.extend(f"  {_quote(label)};" for label in labels)
     if full:
@@ -431,11 +427,12 @@ def _cmd_hasse(ws: Workspace, args: argparse.Namespace) -> int:
     if (args.poset is None) == (args.rel is None):
         raise ValidationError("give exactly one of --poset or --rel")
     if args.poset is not None:
-        text = emit_dot(_single_poset(ws, args.poset)[1], full=args.full)
+        p = _single_poset(ws, args.poset)[1]
+        labels, rows = p.elements, p.rows
     else:
-        rel = _lookup(ws.relations, "relation", args.rel)
-        text = emit_dot(to_ordered_partition(rel), full=args.full)
-    sys.stdout.write(text)
+        op = to_ordered_partition(_lookup(ws.relations, "relation", args.rel))
+        labels, rows = [block_label(b) for b in op.blocks], op.block_rows
+    sys.stdout.write(emit_dot(labels, rows, full=args.full))
     return 0
 
 

@@ -214,15 +214,15 @@ def image_rows(rows: Sequence[int], images: Sequence[int],
     return tuple(out)
 
 
-def transpose(rows: Sequence[int]) -> tuple[int, ...]:
-    """Converse of bitmask rows: bit i of ``out[j]`` iff bit j of ``rows[i]``.
+def transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """Converse of an m × n matrix: bit i of ``out[j]`` iff bit j of ``rows[i]``.
 
-    Whole-matrix: each row becomes a fixed-width binary string, most
-    significant bit first, and ``zip`` reads the columns off those
+    Whole-matrix: each of the m >= 1 rows fits in n bits and becomes an
+    n-character binary string, and ``zip`` reads the n columns off those
     strings.  Taking the rows last to first puts row i at bit i of each
     column; the columns come out from bit n-1 down to bit 0.
     """
-    width = f"0{len(rows)}b"
+    width = f"0{n}b"
     strs = [format(row, width) for row in reversed(rows)]
     cols = [int(col, 2) for col in map("".join, zip(*strs))]
     cols.reverse()

@@ -99,10 +99,10 @@ def _em_rows(r: Rel | Poset, masks: Sequence[int]) -> tuple[int, ...]:
     through ``rows``) on the given subset masks: X is below Y iff each
     point of Y is in the r-image of X and Y meets r(x) for each x in X.
     One composition finds the Y that fail: bit p of X's row, a point
-    outside its image, reads the masks holding p (off the padded square),
-    bit n + x, for x in X, the masks that miss r(x)."""
+    outside its image, reads the masks holding p (the n columns of the
+    masks), bit n + x, for x in X, the masks that miss r(x)."""
     n, full = len(r.rows), (1 << len(masks)) - 1
-    members = transpose([*masks, *[0] * n])[:n]
+    members = transpose(masks, n)
     misses = [full & ~meets for meets in compose_rows(r.rows, members)]
     points = (1 << n) - 1
     fails = compose_rows([points & ~up | x << n for x, up in

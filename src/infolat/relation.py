@@ -72,7 +72,7 @@ class Rel:
         by classes and jumps for a preorder, whole-matrix otherwise."""
         if self.is_preorder:
             return preorder_cols(self.rows)
-        return transpose(self.rows)
+        return transpose(self.rows, len(self.rows))
 
     @cached_property
     def is_symmetric(self) -> bool:

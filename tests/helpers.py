@@ -17,7 +17,7 @@ from infolat import (FnTable, OrderCycleError, Poset, Rel, ValidationError,
                      order_rel, rel_from_pairs, subset_name,
                      to_ordered_partition, union)
 from infolat.loci import _closed_supersets
-from infolat.poset import bits, compose_rows, transpose
+from infolat.poset import bits, compose_rows
 from infolat.powerdomain import _all_subset_masks, _em_rows
 from infolat.relation import equivalence_from_blocks
 
@@ -288,7 +288,7 @@ def em_rows_by_converse(r: Rel, masks) -> tuple[int, ...]:
     masks inside each r-down-closure (read through ``r.cols``); the
     route ``powerdomain._em_rows`` took before one composition did both."""
     n, full = len(r.rows), (1 << len(masks)) - 1
-    members = transpose([*masks, *[0] * n])[:n]
+    members = transpose_pairwise(masks, n)
     points = (1 << n) - 1
 
     def inside(closures) -> list[int]:
@@ -297,7 +297,8 @@ def em_rows_by_converse(r: Rel, masks) -> tuple[int, ...]:
 
     ups = inside(compose_rows(masks, r.rows))
     downs = inside(compose_rows(masks, r.cols))
-    return tuple(up & down for up, down in zip(ups, transpose(downs)))
+    return tuple(up & down for up, down in
+                 zip(ups, transpose_pairwise(downs, len(downs))))
 
 
 # --- per-pair kernels -------------------------------------------------
@@ -413,9 +414,9 @@ def compose_rows_bitwise(rows, table) -> tuple[int, ...]:
     return tuple(out)
 
 
-def transpose_pairwise(rows) -> tuple[int, ...]:
-    """Converse of bitmask rows, one set bit at a time."""
-    cols = [0] * len(rows)
+def transpose_pairwise(rows, n: int) -> tuple[int, ...]:
+    """Converse of bitmask rows of n bits, one set bit at a time."""
+    cols = [0] * n
     for i, row in enumerate(rows):
         for j in bits(row):
             cols[j] |= 1 << i

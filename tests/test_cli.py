@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import subprocess
 import sys
@@ -156,8 +157,8 @@ class TestParse:
 
 def test_emit_dot_full_adds_transitive_edges():
     v = get_example("V").posets["V"]
-    plain = emit_dot(v)
-    full = emit_dot(v, full=True)
+    plain = emit_dot(v.elements, v.rows)
+    full = emit_dot(v.elements, v.rows, full=True)
     assert '"⊥" -> "a"' not in plain
     assert '"⊥" -> "a"' in full and '"⊥" -> "b"' in full
 
@@ -471,12 +472,19 @@ def test_cap_defaults_are_the_library_defaults(argv, default):
     assert _build_argparser().parse_args(argv).cap == default
 
 
-BUNDLE_VALUES = {example: _values(example) for example in ALL_NAMES}
-NAMES = sorted({name for values in BUNDLE_VALUES.values()
-                for names in values.values() for name in names})
-WORDS = sorted(set(SUBCOMMANDS) | set(NAMES) | {"--help"}
-               | {flag for spec in SUBCOMMANDS.values() for part in spec
-                  for flag in part})
+@functools.cache
+def bundle_words():
+    """The option values of each bundle, every name among them, and every
+    word an argv can hold.  Built at the first draw, not at import, so a
+    fault in building a bundle fails the tests that draw argvs and the
+    rest of the file still runs."""
+    values = {example: _values(example) for example in ALL_NAMES}
+    names = sorted({name for bundle in values.values()
+                    for names in bundle.values() for name in names})
+    words = sorted(set(SUBCOMMANDS) | set(names) | {"--help"}
+                   | {flag for spec in SUBCOMMANDS.values() for part in spec
+                      for flag in part})
+    return values, names, words
 
 
 @st.composite
@@ -490,13 +498,14 @@ def argvs(draw):
     command = draw(st.sampled_from([None] + list(SUBCOMMANDS)))
     required, options, switches = SUBCOMMANDS.get(command, ([], [], []))
     example = draw(st.sampled_from(ALL_NAMES))
-    values = BUNDLE_VALUES[example]
+    bundles, all_names, all_words = bundle_words()
+    values = bundles[example]
 
     def value(option):
         # one value in eight is any name
-        names = values[option] or NAMES
+        names = values[option] or all_names
         return st.integers(0, 7).flatmap(
-            lambda k: st.sampled_from(NAMES if k == 0 else names))
+            lambda k: st.sampled_from(all_names if k == 0 else names))
 
     argv = [] if command is None else [command, "--example", example]
     for option in required:
@@ -507,7 +516,7 @@ def argvs(draw):
         st.sampled_from(switches or ["--help"]).map(lambda w: [w]),
         st.integers(0, 5).map(lambda n: ["--n", str(n)])]
     if draw(st.integers(0, 3)) == 0:
-        pieces.append(st.sampled_from(WORDS).map(lambda w: [w]))
+        pieces.append(st.sampled_from(all_words).map(lambda w: [w]))
     for words in draw(st.lists(st.one_of(pieces), max_size=4)):
         argv += words
     return argv

@@ -59,12 +59,14 @@ def scale_posets(draw):
 
 
 @AT_SCALE
-@given(seeded(), st.integers(0, 300))
-def test_transpose_matches_pairwise(rng, n):
-    rows = random_rows(rng, n)
-    cols = transpose(rows)
-    assert cols == transpose_pairwise(rows)
-    assert transpose(cols) == rows
+@given(seeded(), st.integers(1, 300), st.integers(1, 300))
+def test_transpose_matches_pairwise(rng, m, n):
+    # m rows of n bits, m and n drawn apart as for the Egli-Milner masks
+    width = (1 << n) - 1
+    rows = tuple(row & width for row in random_rows(rng, max(m, n))[:m])
+    cols = transpose(rows, n)
+    assert cols == transpose_pairwise(rows, n)
+    assert transpose(cols, m) == rows
 
 
 @AT_SCALE
@@ -72,7 +74,7 @@ def test_transpose_matches_pairwise(rng, n):
 def test_rel_cols_is_the_cached_converse(rng, n):
     # raw rows, mostly not preorders: the whole-matrix transpose
     r = Rel(random_poset(rng, n), random_rows(rng, n))
-    assert r.cols == transpose_pairwise(r.rows)
+    assert r.cols == transpose_pairwise(r.rows, n)
     assert r.cols is r.cols
 
 
@@ -288,7 +290,7 @@ def test_compose_rows_matches_pair_sets(rng, m, n, p):
 
 @settings(max_examples=200)
 @given(seeded(), st.integers(1, 10), st.sampled_from(NESTED_SHAPES))
-def test_compose_nested_rows_matches_pair_sets(rng, n, shape):
+def test_compose_rows_matches_pair_sets_on_nested_shapes(rng, n, shape):
     rows = nested_shape(rng, n, shape)
     table = image_table(rng, n)
     want = rows_of(oracle_compose(pair_set(rows), pair_set(table), n), n)
@@ -297,7 +299,7 @@ def test_compose_nested_rows_matches_pair_sets(rng, n, shape):
 
 @settings(max_examples=60)
 @given(seeded(), st.integers(1, 300), st.sampled_from(NESTED_SHAPES))
-def test_compose_nested_rows_matches_compose_rows(rng, n, shape):
+def test_compose_rows_matches_bitwise_on_nested_shapes(rng, n, shape):
     rows = nested_shape(rng, n, shape)
     table = image_table(rng, n)
     assert compose_rows(rows, table) == compose_rows_bitwise(rows, table)
@@ -320,7 +322,7 @@ def test_compose_matches_bitwise_at_scale(rng, n, shape_r, shape_s):
     (0b1111, 0b1100, 0b1000, 0b1000),
     (0b011, 0b110, 0b100),
 ])
-def test_compose_nested_rows_on_rows_that_are_not_reflexive(rows):
+def test_compose_rows_on_rows_that_are_not_reflexive(rows):
     # a jump to j settles bit j as well as row j, which need not hold it:
     # clearing row j alone would find bit j pending again and never stop
     n = len(rows)
@@ -391,7 +393,7 @@ def up_sets(values):
     return tuple(out)
 
 
-def test_compose_nested_rows_at_3000_points():
+def test_compose_rows_at_3000_points():
     # closed forms: a chain takes suffix ORs of the table, its strict
     # part the next one, an antichain the table itself
     n = 3000
@@ -510,14 +512,14 @@ def test_preorder_cols_matches_pairwise(rng, n, shape):
     else:
         rows = preorder_shape(rng, n, shape)
     assert is_transitive_pairwise(rows)
-    assert preorder_cols(rows) == transpose_pairwise(rows)
+    assert preorder_cols(rows) == transpose_pairwise(rows, n)
 
 
 @AT_SCALE
 @given(seeded(), st.integers(1, 3000), st.sampled_from(PREORDER_SHAPES))
 def test_preorder_cols_matches_transpose(rng, n, shape):
     rows = preorder_shape(rng, n, shape)
-    assert preorder_cols(rows) == transpose(rows)
+    assert preorder_cols(rows) == transpose(rows, n)
 
 
 @AT_SCALE
@@ -527,7 +529,7 @@ def test_cols_of_preorders_and_posets_are_the_converse(rng, n, shape):
     rows = preorder_shape(rng, n, shape)
     q = Rel(carrier, rows)
     assert q.is_preorder
-    assert q.cols == transpose_pairwise(rows)
+    assert q.cols == transpose_pairwise(rows, n)
     assert q.cols is q.cols
     assert q.is_symmetric == (q.cols == rows)
     if len(set(rows)) == n:
@@ -798,13 +800,13 @@ def test_format_relation_matches_the_partition_route(rng, n):
 def test_emit_dot_full_matches_pairwise(inst):
     rng, carrier = inst
     op = to_ordered_partition(random_preorder(rng, carrier))
-    for obj, labels, skeleton in (
-            (carrier, carrier.elements, carrier),
-            (op, [block_label(b) for b in op.blocks], op.order)):
+    for labels, rows, skeleton in (
+            (carrier.elements, carrier.rows, carrier),
+            ([block_label(b) for b in op.blocks], op.block_rows, op.order)):
         edges = sorted(f"  {_quote(labels[i])} -> {_quote(labels[j])};"
                        for i, j in strict_pairs_pairwise(skeleton))
         nodes = [f"  {_quote(label)};" for label in labels]
-        assert emit_dot(obj, full=True).splitlines() == \
+        assert emit_dot(labels, rows, full=True).splitlines() == \
             ["digraph {", *nodes, *edges, "}"]
 
 

@@ -74,21 +74,25 @@ def called_names(node):
 
 
 def test_only_the_converses_transpose():
-    """``transpose`` costs n² whatever the rows, so it is called only
+    """``transpose`` costs m · n whatever the rows, so it is called only
     for the converse of a relation that is not a preorder and for the
-    Egli-Milner masks.  Both cached converses of an order go through
+    Egli-Milner masks.  Every call states the width, and the m masks go
+    in as they are, with no padding to a square and no slice of its
+    columns.  Both cached converses of an order go through
     ``preorder_cols``, and neither the Hasse covers (``poset.row_covers``,
     which ``Poset.covers`` calls) nor the Egli-Milner rows take a
     converse of the relation."""
     callers = {"transpose": set(), "preorder_cols": set(),
                "row_covers": set()}
-    covers_nodes, em_nodes = [], []
+    covers_nodes, em_nodes, transposes = [], [], []
     for path in MODULES:
         for scope, node in scoped_nodes(ast.parse(path.read_text(
                 encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 for name in called_names(node) & set(callers):
                     callers[name].add(f"{path.stem}.{scope}")
+                if "transpose" in called_names(node):
+                    transposes.append((f"{path.stem}.{scope}", node))
             if path.stem == "poset" and scope == "row_covers":
                 covers_nodes.append(node)
             if path.stem == "powerdomain" and scope == "_em_rows":
@@ -103,6 +107,12 @@ def test_only_the_converses_transpose():
     for nodes in (covers_nodes, em_nodes):
         assert nodes and not any(isinstance(node, ast.Attribute)
                                  and node.attr == "cols" for node in nodes)
+    assert transposes and all(len(call.args) == 2 and not call.keywords
+                              for _, call in transposes)
+    em_args = [call.args[0] for scope, call in transposes
+               if scope == "powerdomain._em_rows"]
+    assert [getattr(arg, "id", None) for arg in em_args] == ["masks"]
+    assert not any(isinstance(node, ast.Slice) for node in em_nodes)
 
 
 def test_only_the_row_kernels_pull_back_and_take_images():

@@ -17,7 +17,17 @@ from helpers import (BOOLBOT, CHAIN2, CHAIN3, DIAMOND, DISC2, FAMILY, VEE,
                      preorders, random_poset, random_rows, seeded,
                      subset_masks_sorted)
 
-ND = get_example("nd-bool")
+
+@pytest.fixture(scope="module")
+def nd():
+    return get_example("nd-bool")
+
+
+def fns_into_pd(dom, base):
+    """Monotone tables from dom into plotkin(base).  Like the bundle in
+    ``nd``, the powerdomain is built when a test runs, not at import, so
+    a fault in it fails those tests and the rest of the file still runs."""
+    return st.deferred(lambda: monotone_fns(dom, plotkin(base)))
 
 
 def oracle_convex(members: set[str], base) -> set[str]:
@@ -172,32 +182,32 @@ class TestKleisli:
         assert u("T") == "T"
         assert u.is_monotone
 
-    @given(monotone_fns(DISC2, plotkin(BOOLBOT)))
+    @given(fns_into_pd(DISC2, BOOLBOT))
     def test_left_unit(self, f):
         assert kleisli_compose(pd_unit(DISC2), f).images == f.images
 
-    @given(monotone_fns(DISC2, plotkin(BOOLBOT)))
+    @given(fns_into_pd(DISC2, BOOLBOT))
     def test_right_unit(self, f):
         assert kleisli_compose(f, pd_unit(BOOLBOT)).images == f.images
 
-    @given(monotone_fns(DISC2, plotkin(CHAIN2)),
-           monotone_fns(CHAIN2, plotkin(BOOLBOT)),
-           monotone_fns(BOOLBOT, plotkin(CHAIN3)))
+    @given(fns_into_pd(DISC2, CHAIN2),
+           fns_into_pd(CHAIN2, BOOLBOT),
+           fns_into_pd(BOOLBOT, CHAIN3))
     def test_associativity(self, f, g, h):
         lhs = kleisli_compose(kleisli_compose(f, g), h)
         rhs = kleisli_compose(f, kleisli_compose(g, h))
         assert lhs.images == rhs.images
 
     @pytest.mark.parametrize("f, g", [
-        (pd_unit(DISC2), pd_unit(CHAIN2)),
-        (identity_fn(CHAIN2), pd_unit(CHAIN2)),
+        (lambda: pd_unit(DISC2), lambda: pd_unit(CHAIN2)),
+        (lambda: identity_fn(CHAIN2), lambda: pd_unit(CHAIN2)),
     ], ids=["other-base", "not-set-valued"])
     def test_compose_needs_matching_carriers(self, f, g):
         with pytest.raises(ValidationError, match="^left codomain must be "
                            "the powerdomain of the right domain$"):
-            kleisli_compose(f, g)
+            kleisli_compose(f(), g())
 
-    @given(monotone_fns(CHAIN2, plotkin(BOOLBOT)))
+    @given(fns_into_pd(CHAIN2, BOOLBOT))
     def test_extension_is_monotone(self, f):
         ext = kleisli_extend(f)
         assert ext.is_monotone
@@ -257,25 +267,25 @@ class TestLiftedRelations:
 
 
 class TestNondeterministicBool:
-    def test_choice_program_is_ti_secure(self):
-        c = ND.functions["C"]
-        bool_ = ND.posets["Bool"]
+    def test_choice_program_is_ti_secure(self, nd):
+        c = nd.functions["C"]
+        bool_ = nd.posets["Bool"]
         assert ti_flow_check(c, all_rel(bool_), order_rel(c.cod)) is None
 
-    def test_but_not_sensitively_secure(self):
-        c = ND.functions["C"]
-        bool_ = ND.posets["Bool"]
+    def test_but_not_sensitively_secure(self, nd):
+        c = nd.functions["C"]
+        bool_ = nd.posets["Bool"]
         assert flow_check(c, all_rel(bool_), order_rel(c.cod)) is not None
 
-    def test_pure_leak_rejected_even_ti(self):
-        bool_ = ND.posets["Bool"]
-        pbool = ND.posets["PBool"]
+    def test_pure_leak_rejected_even_ti(self, nd):
+        bool_ = nd.posets["Bool"]
+        pbool = nd.posets["PBool"]
         leak = check_monotone(bool_, pbool, {"True": "T", "False": "F"})
         assert ti_flow_check(leak, all_rel(bool_),
                              order_rel(pbool)) is not None
 
-    def test_lower_diamond_is_compatible(self):
-        pbool = ND.posets["PBool"]
+    def test_lower_diamond_is_compatible(self, nd):
+        pbool = nd.posets["PBool"]
         ext = compatible_extension(order_rel(pbool))
         assert ext.holds("⊥+T", "⊥+F")
         assert not ext.holds("T", "F")
