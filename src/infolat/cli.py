@@ -177,18 +177,14 @@ def _parse_poset(p: _Parser, ws: Workspace) -> tuple[str, Poset]:
     p.expect("{")
     p.expect("elements")
     p.expect(":")
-    # the names up to the ";" in one slice; if a token there is not a
-    # name, or no ";" follows, reading name by name raises where it fails
-    tokens, start = p.tokens, p.pos
-    try:
-        end = tokens.index(";", start)
-    except ValueError:
-        end = len(tokens)
-    elements = tokens[start:end]
-    if end == len(tokens) or not _NOT_NAMES.isdisjoint(elements):
-        while True:  # until the first token that is not a name raises
-            p.name("element name")
-    p.pos = end + 1
+    # names by index; unless ";" ends them, a checking read raises there
+    tokens, end = p.tokens, p.pos
+    while end < len(tokens) and tokens[end] not in _NOT_NAMES:
+        end += 1
+    elements, p.pos = tokens[p.pos:end], end
+    if p.peek() != ";":
+        p.name("element name")
+    p.pos += 1
     p.expect("order")
     p.expect(":")
     covers = [(a, b) for a, _, b in _entries(p, ("<=",), ",")]

@@ -10,7 +10,7 @@ union.  Kernels, knowledge sets, flow checking and the two image maps
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .poset import FnTable, fibres, image_rows, pull_rows
+from .poset import FnTable, broken_rows, fibres, image_rows, pull_rows
 from .relation import Rel, close, identity_rel, intersect, require, union
 
 
@@ -75,22 +75,13 @@ def flow_check(f: FnTable, pre: Rel, post: Rel) -> Violation | None:
     """
     require(pre, None, "precondition", f.dom)
     require(post, None, "postcondition", f.cod)
-    # the lowest bit of the first broken row is the row-major first
-    # violation
-    for i, bad in enumerate(_broken_rows(f, pre, post)):
+    for i, bad in enumerate(broken_rows(pre.rows, post.rows, f.images)):
         if bad:
             j = (bad & -bad).bit_length() - 1
             names, out = f.dom.elements, f.cod.elements
             return Violation(names[i], names[j],
                              out[f.images[i]], out[f.images[j]])
     return None
-
-
-def _broken_rows(f: FnTable, pre: Rel, post: Rel) -> tuple[int, ...]:
-    """Row i holds every j that pre relates to i while post does not
-    relate f(i) to f(j): the pre pairs the flow property rejects."""
-    return tuple(row & ~ok for row, ok in
-                 zip(pre.rows, pull_rows(post.rows, f.images)))
 
 
 def pullback(f: FnTable, r: Rel) -> Rel:

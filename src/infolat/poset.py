@@ -202,6 +202,15 @@ def pull_rows(rows: Sequence[int], images: Sequence[int]) -> tuple[int, ...]:
     return tuple(up[v] for v in images)
 
 
+def broken_rows(pre: Sequence[int], post: Sequence[int],
+                images: Sequence[int]) -> tuple[int, ...]:
+    """Row x holds every y that ``pre`` relates to x while ``post`` does
+    not relate ``images[x]`` to ``images[y]``: the pairs that break the
+    flow judgement ``pre ⇒ post`` of a table, whose first pair, row-major,
+    is the lowest bit of the first non-empty row."""
+    return tuple(row & ~ok for row, ok in zip(pre, pull_rows(post, images)))
+
+
 def image_rows(rows: Sequence[int], images: Sequence[int],
                k: int) -> tuple[int, ...]:
     """Direct image of square ``rows`` under a table into ``0 .. k-1``:
@@ -473,15 +482,14 @@ class FnTable:
 
     def monotone_witness(self) -> tuple[str, str] | None:
         """First pair (x, y), row-major, with x <= y but f(x) not <= f(y),
-        if any; the pairs are scanned only when :attr:`is_monotone`
-        fails."""
+        if any: the order judged as a flow ``<= ⇒ <=``, read off
+        :func:`broken_rows` only when :attr:`is_monotone` fails."""
         if self.is_monotone:
             return None
-        for i, row in enumerate(self.dom.rows):
-            for j in bits(row):
-                if not self.cod.leq_idx(self.images[i], self.images[j]):
-                    return self.dom.elements[i], self.dom.elements[j]
-        return None
+        broken = broken_rows(self.dom.rows, self.cod.rows, self.images)
+        i, row = next((i, row) for i, row in enumerate(broken) if row)
+        j = (row & -row).bit_length() - 1
+        return self.dom.elements[i], self.dom.elements[j]
 
     def then(self, g: "FnTable") -> "FnTable":
         """Composition: apply ``self`` first, then ``g``."""

@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
 from .loci import iter_equivalences
-from .loi import Violation, _broken_rows, flow_check, loi_join, pullback
-from .poset import FnTable, Poset, compose_rows, image_rows
+from .loi import Violation, flow_check, loi_join, pullback
+from .poset import FnTable, Poset, broken_rows, compose_rows, image_rows
 from .relation import Rel, equivalence_from_blocks, require
 
 
@@ -112,11 +112,11 @@ def observer_impossibility_search(
     require(post, None, "postcondition", cod)
 
     # the encoded check fails for g when t relates g(x) to g(y) for a
-    # pair (x, y) of _broken_rows(g, pre, post): when row v of t meets
-    # row v of the image of those pairs under g, so a candidate costs
-    # one AND per codomain value
-    ok, *bad = [image_rows(_broken_rows(g, pre, post), g.images, len(cod))
-                for g in (f_ok, *bads)]
+    # pair (x, y) of g's broken_rows: when row v of t meets row v of the
+    # image of those pairs under g, so a candidate costs one AND per
+    # codomain value
+    ok, *bad = [image_rows(broken_rows(pre.rows, post.rows, g.images),
+                           g.images, len(cod)) for g in (f_ok, *bads)]
     checked = 0
     for t in iter_equivalences(cod):
         checked += 1

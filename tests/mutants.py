@@ -27,6 +27,8 @@ EM_ROWS = ["tests/test_powerdomain.py::TestRowUnionsAgainstPairSets::"
            "test_em_rows_match_the_converse_route_on_raw_rows",
            "tests/test_kernels.py::"
            "test_em_rows_match_the_converse_route_on_plotkin_masks"]
+BROKEN_ROWS = ["tests/test_kernels.py::test_flow_check_matches_pairwise",
+               "tests/test_tini.py::TestObserverSearch"]
 ENTRIES = ["tests/test_format.py::"
            "test_entry_bodies_read_as_the_walker_reads_them",
            "tests/test_cli.py::TestParse::test_errors_carry_positions"]
@@ -88,8 +90,8 @@ MUTANTS = [
       "tests/test_tini.py::TestTiFlow"]),
     # the observer search: image rows of the codomain values reversed
     ("src/infolat/tini.py",
-     "g.images, len(cod))\n",
-     "g.images, len(cod))[::-1]\n",
+     "g.images, len(cod)) for g in",
+     "g.images, len(cod))[::-1] for g in",
      ["tests/test_tini.py::TestObserverSearch"]),
     # compose_rows: rows fewer than the table left unpadded, so a bit past
     # the last row reads outside them; this breaks plotkin, whose
@@ -188,6 +190,24 @@ MUTANTS = [
      "key=key)",
      ["tests/test_kernels.py::test_row_runs_group_equal_rows",
       "tests/test_kernels.py::test_preorder_cols_matches_pairwise"]),
+    # broken_rows: the pairs that keep the flow taken for those that
+    # break it
+    ("src/infolat/poset.py",
+     "row & ~ok for row, ok in",
+     "row & ok for row, ok in",
+     BROKEN_ROWS),
+    # broken_rows: the precondition pulled back in place of the
+    # postcondition
+    ("src/infolat/poset.py",
+     "pull_rows(post, images)",
+     "pull_rows(pre, images)",
+     BROKEN_ROWS),
+    # monotone_witness: the highest broken bit of the first broken row,
+    # not the lowest
+    ("src/infolat/poset.py",
+     "        j = (row & -row).bit_length() - 1\n",
+     "        j = row.bit_length() - 1\n",
+     ["tests/test_kernels.py::test_monotone_witness_matches_pairwise"]),
     # _closed_supersets: no AND of the earlier rows that hold i
     ("src/infolat/loci.py",
      "                        common &= rows[x]\n",
@@ -230,6 +250,13 @@ MUTANTS = [
      "source.index(text, end)",
      "source.index(text)",
      TOKENS),
+    # _parse_poset: the token that ends an element list left unchecked,
+    # so any stop token ends it as ";" does
+    ("src/infolat/cli.py",
+     '    if p.peek() != ";":\n'
+     '        p.name("element name")\n',
+     "",
+     ["tests/test_cli.py::TestParse::test_errors_carry_positions"]),
     # _entries: the parser moved past an entry only after its consumer ran
     ("src/infolat/cli.py",
      "        p.pos = i\n"

@@ -853,6 +853,10 @@ def test_monotone_witness_matches_pairwise(rng, n, breaks):
     want = monotone_witness_pairwise(f)
     assert f.monotone_witness() == want
     assert f.is_monotone == (want is None)
+    # monotonicity is the flow judgement from the order to the order
+    flow = flow_check(f, order_rel(f.dom), order_rel(f.cod))
+    assert (flow is None) == (want is None)
+    assert flow is None or (flow.a, flow.a_prime) == want
     if want is None:
         assert check_monotone(f.dom, f.cod, f.mapping()) == f
         return

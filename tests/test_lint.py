@@ -138,6 +138,27 @@ def test_only_the_row_kernels_pull_back_and_take_images():
                                         "powerdomain.kleisli_extend"}}
 
 
+def test_one_kernel_judges_flows():
+    """The pairs that break a flow ``pre ⇒ post`` are formed by
+    ``poset.broken_rows`` alone: outside ``poset.py`` only the flow check
+    and the observer search call it, and ``FnTable.monotone_witness``,
+    the judgement ``<= ⇒ <=``, reads its pair off the kernel with no
+    pair-by-pair scan through ``bits`` or ``leq_idx``."""
+    callers, witness_calls = set(), set()
+    for path in MODULES:
+        for scope, node in scoped_nodes(ast.parse(path.read_text(
+                encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if path.stem != "poset" and "broken_rows" in called_names(node):
+                callers.add(f"{path.stem}.{scope}")
+            if f"{path.stem}.{scope}" == "poset.FnTable.monotone_witness":
+                witness_calls |= called_names(node)
+    assert callers == {"loi.flow_check", "tini.observer_impossibility_search"}
+    assert "broken_rows" in witness_calls
+    assert not witness_calls & {"bits", "leq_idx"}
+
+
 def needs_python_311(pattern: str) -> bool:
     """Whether a pattern has a possessive quantifier (``*+``, ``++``,
     ``?+``, ``}+``) or an atomic group (``(?>``), read with escapes and

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -31,6 +32,8 @@ from helpers import (BELL, BOOLBOT, CHAIN2, CHAIN3, CHAIN4, DIAMOND, DISC2,
                      preorders, redeclared_posets,
                      rel_of_pairs, search_trace, set_partitions)
 
+# labelled posets on k points, OEIS A001035
+A001035 = (1, 1, 3, 19, 219, 4231)
 LOCI_VEE = enumerate_loci(VEE)
 LOI_VEE = enumerate_loi(VEE)
 
@@ -130,6 +133,18 @@ class TestEnumeration:
     def test_discrete_counts_follow_a000798(self, n, count):
         carrier = discrete(tuple(f"e{i}" for i in range(n)))
         assert len(enumerate_loci(carrier)) == count
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_each_partition_carries_the_posets_of_its_classes(self, n):
+        """On discrete n, the results with the same mutual classes are the
+        partial orders of those classes: A001035(k) of them for k
+        classes, and A001035(n) antisymmetric results in all."""
+        carrier = discrete(tuple(f"e{i}" for i in range(n)))
+        results = enumerate_loci(carrier)
+        assert Counter(er(q) for q in results) == \
+            {eq: A001035[len(set(eq.rows))]
+             for eq in iter_equivalences(carrier)}
+        assert sum(q.is_antisymmetric for q in results) == A001035[n]
 
     def test_pinned_counts(self):
         assert len(LOCI_VEE) == 14
