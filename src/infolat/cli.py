@@ -16,9 +16,6 @@ violated (witness printed), 2 = input error (message on stderr).
 import argparse
 import functools
 import sys
-from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .catalog import Workspace, get_example, list_examples
@@ -51,30 +48,23 @@ def _token_texts(source: str) -> list[str]:
     return source.replace("< =", " <= ").split()
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(source: str) -> list[Token]:
-    """:func:`_token_texts` with each token's ``line:col``.  Only
-    whitespace lies between two tokens, so the first match of a token's
-    text after the previous token is the token itself."""
-    starts = [0, *accumulate(map(len, source.splitlines(keepends=True)))]
-    tokens, end = [], 0
-    for text in _token_texts(source):
+def _position(source: str, texts: Sequence[str], k: int) -> tuple[int, int]:
+    """``line:col`` of token ``k`` of ``texts``, the token texts of
+    ``source``.  Only whitespace lies between two tokens, so the first
+    match of a token's text after the previous token is the token itself."""
+    start = end = 0
+    for text in texts[:k + 1]:
         start = source.index(text, end)
         end = start + len(text)
-        line = bisect_right(starts, start)
-        tokens.append(Token(text, line, start - starts[line - 1] + 1))
-    return tokens
+    # lines as str.splitlines counts them; the sentinel keeps a line that
+    # ends right before the token
+    lines = (source[:start] + "x").splitlines()
+    return len(lines), len(lines[-1])
 
 
 class _Parser:
-    """Walks the token texts of ``source``; positions come from
-    :func:`_tokenize` only when an error is built."""
+    """Walks the token texts of ``source``; an error asks
+    :func:`_position` for the ``line:col`` of the one token it names."""
 
     def __init__(self, source: str):
         self.source = source
@@ -82,13 +72,12 @@ class _Parser:
         self.pos = 0
 
     def _fail(self, message: str) -> ParseError:
-        tokens = _tokenize(self.source)
-        if self.pos < len(tokens):
-            t = tokens[self.pos]
-            return ParseError(message, t.line, t.col)
-        # only reached after a keyword token, so there is a last token
-        t = tokens[-1]
-        return ParseError(message + " (at end of input)", t.line, t.col)
+        k = self.pos
+        if k >= len(self.tokens):
+            # only reached after a keyword token, so there is a last token
+            k = len(self.tokens) - 1
+            message += " (at end of input)"
+        return ParseError(message, *_position(self.source, self.tokens, k))
 
     def done(self) -> bool:
         return self.pos >= len(self.tokens)

@@ -9,7 +9,7 @@ per element; bit ``j`` of ``rows[i]`` is set iff
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import count, groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotMonotoneError, OrderCycleError, ValidationError
@@ -286,6 +286,20 @@ def _check_names(names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
+def unique_names(names: Iterable[str]) -> tuple[str, ...]:
+    """``names`` with each later copy of a name given the first suffix
+    ``#2``, ``#3``, ... that is no other name."""
+    names = list(names)
+    taken, seen = set(names), set()
+    for i, name in enumerate(names):
+        if name in seen:
+            names[i] = next(new for k in count(2)
+                            if (new := f"{name}#{k}") not in taken)
+            taken.add(names[i])
+        seen.add(name)
+    return tuple(names)
+
+
 def _raise_first_order_failure(elements: tuple[str, ...],
                                rows: tuple[int, ...]) -> None:
     """Raise for the first pair, row-major, that breaks transitivity or
@@ -420,8 +434,10 @@ def lift(a: Poset) -> Poset:
 
 
 def product(a: Poset, b: Poset) -> Poset:
-    """Componentwise order on pairs, named ``x.y``, in row-major order."""
-    names = tuple(f"{x}.{y}" for x in a.elements for y in b.elements)
+    """Componentwise order on pairs, named ``x.y``, in row-major order.
+    Names with ``.`` can clash (``a`` with ``b.c``, ``a.b`` with ``c``);
+    a later clashing pair takes a suffix by :func:`unique_names`."""
+    names = unique_names(f"{x}.{y}" for x in a.elements for y in b.elements)
     nb = len(b.elements)
     # spread[i] holds bit i2 * nb for each i2 above i; times a row of b,
     # it places that row in the block of each such i2, with no carries

@@ -11,13 +11,12 @@ of it, whose block labelling (``labels``) and block order as a ``Poset``
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 from .poset import (Poset, bits, close_rows, compose_rows, image_rows,
                     preorder_cols, pull_rows, row_covers, row_runs,
-                    rows_transitive, transpose)
+                    rows_transitive, transpose, unique_names)
 
 
 @dataclass(frozen=True)
@@ -310,16 +309,8 @@ def block_label(block: tuple[str, ...]) -> str:
 def _block_names(blocks: Sequence[Sequence[str]]) -> tuple[str, ...]:
     """Names for a poset of blocks (a quotient or a powerdomain): members
     joined by ``+``; a later copy of a join (``{a b}``, ``{a+b}``) takes
-    the first suffix ``#2``, ``#3``, ... that is no other name."""
-    names = ["+".join(block) for block in blocks]
-    taken, seen = set(names), set()
-    for i, join in enumerate(names):
-        if join in seen:
-            names[i] = next(name for k in count(2)
-                            if (name := f"{join}#{k}") not in taken)
-            taken.add(names[i])
-        seen.add(join)
-    return tuple(names)
+    a suffix by :func:`unique_names`."""
+    return unique_names(map("+".join, blocks))
 
 
 def format_relation(rel: Rel) -> str:

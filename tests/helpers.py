@@ -510,8 +510,9 @@ def strict_pairs_pairwise(p: Poset) -> list[tuple[int, int]]:
 def tokenize_scanner(source: str) -> list[tuple[str, int, int]]:
     """(text, line, col) of each token, by scanning character by
     character: the reader's first tokenizer, kept as the oracle of
-    ``cli._tokenize``.  ``<=`` is a token even inside a
-    run, each of ``{ } ; : , =`` is a token, and whitespace separates."""
+    ``cli._token_texts`` and ``cli._position``.  ``<=`` is a token even
+    inside a run, each of ``{ } ; : , =`` is a token, and whitespace
+    separates."""
     reserved = set("{};:,=")
     tokens = []
     for lineno, line in enumerate(source.splitlines(), start=1):

@@ -70,6 +70,14 @@ MUTANTS = [
      "        hit |= 1 << v\n",
      "        hit |= 0\n",
      ["tests/test_kernels.py::test_pull_rows_matches_pair_sets"]),
+    # product: clashing pair names left without a suffix
+    ("src/infolat/poset.py",
+     '    names = unique_names(f"{x}.{y}" for x in a.elements '
+     'for y in b.elements)\n',
+     '    names = tuple(f"{x}.{y}" for x in a.elements '
+     'for y in b.elements)\n',
+     ["tests/test_poset.py::TestCombinators::"
+      "test_product_suffixes_clashing_pair_names"]),
     # row_covers: the strict order, not its covers
     ("src/infolat/poset.py",
      "for j in bits(up & ~skip)]",
@@ -235,20 +243,31 @@ MUTANTS = [
      '    return source.replace("< =", " <= ").split()\n',
      "    return source.split()\n",
      TOKENS),
-    # _tokenize: line starts without the line breaks
+    # _position: lines broken only at "\n", not at every line break
     ("src/infolat/cli.py",
-     "source.splitlines(keepends=True)",
-     "source.splitlines()",
+     '    lines = (source[:start] + "x").splitlines()\n',
+     '    lines = (source[:start] + "x").split("\\n")\n',
      TOKENS),
-    # _tokenize: columns counted from 0
+    # _position: columns counted from 0
     ("src/infolat/cli.py",
-     "start - starts[line - 1] + 1",
-     "start - starts[line - 1]",
+     "    return len(lines), len(lines[-1])\n",
+     "    return len(lines), len(lines[-1]) - 1\n",
      TOKENS),
-    # _tokenize: every token searched from the start of the source
+    # _position: every token searched from the start of the source
     ("src/infolat/cli.py",
      "source.index(text, end)",
      "source.index(text)",
+     TOKENS),
+    # _position: no sentinel, so a line that ends right before the token
+    # is lost (and the first token has no line at all)
+    ("src/infolat/cli.py",
+     '    lines = (source[:start] + "x").splitlines()\n',
+     "    lines = source[:start].splitlines()\n",
+     TOKENS),
+    # _position: the token before token k found instead of token k
+    ("src/infolat/cli.py",
+     "    for text in texts[:k + 1]:\n",
+     "    for text in texts[:k]:\n",
      TOKENS),
     # _parse_poset: the token that ends an element list left unchecked,
     # so any stop token ends it as ";" does

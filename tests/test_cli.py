@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infolat import cli, cp, get_example, kernel, list_examples, plotkin
-from infolat.cli import (Workspace, _build_argparser, _tokenize, emit_dot,
-                         export_poset, export_workspace, parse_workspace, run)
+from infolat.cli import (Workspace, _build_argparser, _position, _token_texts,
+                         emit_dot, export_poset, export_workspace,
+                         parse_workspace, run)
 from infolat.errors import ParseError
 from infolat.loci import DEFAULT_ENUMERATION_CAP
 from infolat.powerdomain import DEFAULT_POWERDOMAIN_CAP
@@ -27,22 +28,23 @@ XY = "poset A { elements: x y ; order: }\n"
 
 class TestTokenizer:
     def test_reserved_characters_split(self):
-        texts = [t.text for t in _tokenize("a<=b,c:d;{}")]
+        texts = _token_texts("a<=b,c:d;{}")
         assert texts == ["a", "<=", "b", ",", "c", ":", "d", ";", "{", "}"]
 
     def test_arrow_and_tilde_are_plain_tokens(self):
         # only whitespace, reserved characters and "<=" separate tokens,
         # so -> and ~ must stand alone to be recognised
-        assert [t.text for t in _tokenize("x -> y ~ z")] == \
-            ["x", "->", "y", "~", "z"]
-        assert [t.text for t in _tokenize("x->y")] == ["x->y"]
+        assert _token_texts("x -> y ~ z") == ["x", "->", "y", "~", "z"]
+        assert _token_texts("x->y") == ["x->y"]
 
     def test_positions_are_line_and_column(self):
-        tokens = _tokenize("x\n  y z")
-        assert [(t.line, t.col) for t in tokens] == [(1, 1), (2, 3), (2, 5)]
+        source = "x\n  y z"
+        texts = _token_texts(source)
+        assert [_position(source, texts, k) for k in range(len(texts))] == \
+            [(1, 1), (2, 3), (2, 5)]
 
     def test_equals_inside_kind_clause(self):
-        assert [t.text for t in _tokenize("kind=raw")] == ["kind", "=", "raw"]
+        assert _token_texts("kind=raw") == ["kind", "=", "raw"]
 
 
 class TestParse:
@@ -101,6 +103,8 @@ class TestParse:
         ("poset A { elements: x ; order: }\u2028fn f : A -> A {",
          "2:15: expected element name (at end of input)"),
         ("poset A {\r\n", "1:9: expected 'elements' (at end of input)"),
+        (XY + "rel R on A kind\n\r\n\x0c\u2028",
+         "2:12: expected '=' (at end of input)"),
         # a validation error is reported at its declaration's keyword
         ("poset A { elements: x y ; order: }\r\n\u2028  fn f : A -> A { x -> x }",
          "3:3: table not total, missing 'y'"),

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from infolat import (FnTable, Poset, Rel, Workspace, build_poset, cli,
                      get_example, iter_monotone_tables, list_examples)
-from infolat.cli import (RESERVED, _token_texts, _tokenize, export_workspace,
+from infolat.cli import (RESERVED, _position, _token_texts, export_workspace,
                          parse_workspace, run)
 from infolat.errors import ParseError
 from helpers import entries_walker, tokenize_scanner
@@ -51,13 +51,20 @@ SOURCE_TEXT = st.lists(
 @example("<{=")
 @example("<==")
 @example("kind=raw")
+# each line break str.splitlines knows, right before a token
+@example("a\rb")
+@example("a\r\nb")
+@example("a\x0bb")
+@example("a\x0cb")
+@example("a\x1cb")
+@example("a\x85b")
+@example("a\u2028b")
 def test_tokenizer_matches_character_scanner(source):
-    tokens = _tokenize(source)
-    assert [(t.text, t.line, t.col) for t in tokens] == \
-        tokenize_scanner(source)
     # the parser reads texts from one scan of the whole source and asks
-    # _tokenize for positions only when it reports an error
-    assert _token_texts(source) == [t.text for t in tokens]
+    # _position for the position of a token only when it reports an error
+    texts = _token_texts(source)
+    assert [(text, *_position(source, texts, k))
+            for k, text in enumerate(texts)] == tokenize_scanner(source)
 
 
 @pytest.mark.parametrize("source", ["a<" * 50_000, "<" * 100_000],

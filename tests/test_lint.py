@@ -159,6 +159,29 @@ def test_one_kernel_judges_flows():
     assert not witness_calls & {"bits", "leq_idx"}
 
 
+SOURCES = sorted([*Path(infolat.__file__).parent.glob("*.py"),
+                  *Path(__file__).parent.glob("*.py")])
+
+
+def test_sources_parse_as_python_310():
+    """``pyproject.toml`` promises Python 3.10; every module of the
+    package and of the tests must parse with its grammar, which has no
+    ``except*`` (3.11), ``type`` statement or generic parameter list
+    (3.12)."""
+    for newer in ("try:\n    pass\nexcept* E:\n    pass\n",
+                  "type X = int\n", "def f[T](x: T) -> T:\n    return x\n"):
+        with pytest.raises(SyntaxError):
+            ast.parse(newer, feature_version=(3, 10))
+    failing = []
+    for path in SOURCES:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                      feature_version=(3, 10))
+        except SyntaxError as exc:
+            failing.append(f"{path.parent.name}/{path.name}: {exc}")
+    assert len(SOURCES) > len(MODULES) and failing == []
+
+
 def needs_python_311(pattern: str) -> bool:
     """Whether a pattern has a possessive quantifier (``*+``, ``++``,
     ``?+``, ``}+``) or an atomic group (``(?>``), read with escapes and

@@ -8,7 +8,7 @@ from hypothesis import example, given
 
 from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset,
                      ValidationError, build_poset, chain, check_monotone,
-                     constant_fn, discrete, identity_fn,
+                     constant_fn, discrete, get_example, identity_fn,
                      iter_monotone_tables, lift, product)
 from helpers import (BOOLBOT, CHAIN2, CHAIN3, DIAMOND, DISC2, FAMILY, VEE,
                      directed_subsets, monotone_tables_pairwise, posets,
@@ -96,6 +96,22 @@ class TestCombinators:
         for i, (x, y) in enumerate(pairs):
             for j, (x2, y2) in enumerate(pairs):
                 assert grid.leq_idx(i, j) == (a.leq(x, x2) and b.leq(y, y2))
+
+    def test_product_suffixes_clashing_pair_names(self):
+        # the lifted diamond of lazy pairs (isEven2's codomain) names its
+        # elements with ".", so ("⊥", "⊥.⊥") and ("⊥.⊥", "⊥") both join
+        # to "⊥.⊥.⊥"; the later one takes "#2"
+        d = get_example("iseven").posets["D"]
+        grid = product(d, d)
+        pairs = [(x, y) for x in d.elements for y in d.elements]
+        assert len(set(grid.elements)) == 25
+        assert [e for e in grid.elements if "#" in e] == \
+            ["⊥.⊥.⊥#2", "⊥.*.⊥#2"]
+        assert [e.removesuffix("#2") for e in grid.elements] == \
+            [f"{x}.{y}" for x, y in pairs]
+        for i, (x, y) in enumerate(pairs):
+            for j, (x2, y2) in enumerate(pairs):
+                assert grid.leq_idx(i, j) == (d.leq(x, x2) and d.leq(y, y2))
 
     def test_chain_total(self):
         c = chain(("x", "y", "z"))
