@@ -8,6 +8,17 @@ reserved characters ``{ } ; : , =`` and may not equal ``<=``, ``->`` or
     fn F : A -> B { x -> y ; ... }
     rel R on A kind=preorder|equiv|raw { a <= b ; c ~ d ; ... }
 
+A relation body lists pairs: ``a <= b`` is the pair (a, b) and ``a ~ b``
+both (a, b) and (b, a).  ``kind=raw`` is exactly those pairs;
+``kind=preorder`` closes them reflexively and transitively;
+``kind=equiv`` reads every entry both ways, as ``~``, and closes the
+same way, which gives their equivalence closure.  Export writes a
+relation by its generators: an equivalence as ``kind=equiv`` with one
+``x ~ rep`` per member that is not its class's least member ``rep``, any
+other preorder as ``kind=preorder`` with those entries plus one
+``rep <= rep'`` per cover of its block order, and anything else as
+``kind=raw`` with every pair.
+
 Every command is deterministic: identical inputs give byte-identical
 output.  Exit codes: 0 = property holds / output produced, 1 = property
 violated (witness printed), 2 = input error (message on stderr).
@@ -27,7 +38,7 @@ from .loi import flow_check, kernel, knowledge_set
 from .poset import (FnTable, Poset, bits, build_poset, check_monotone,
                     row_covers)
 from .powerdomain import DEFAULT_POWERDOMAIN_CAP, plotkin
-from .relation import (Rel, all_rel, block_label, close,
+from .relation import (Rel, _quotient, all_rel, block_label, close,
                        format_relation, identity_rel, order_rel,
                        rel_from_pairs, require, to_ordered_partition)
 from .tini import ti_flow_check
@@ -204,8 +215,9 @@ def _parse_fn(p: _Parser, ws: Workspace) -> tuple[str, FnTable]:
     return name, check_monotone(dom, cod, table)
 
 
-# each relation kind and the closure it takes
-_REL_KINDS = {"preorder": "refl_trans", "equiv": "equivalence", "raw": None}
+# each relation kind and the closure it takes; an equiv body is read
+# both ways, so its reflexive-transitive closure is an equivalence
+_REL_KINDS = {"preorder": "refl_trans", "equiv": "refl_trans", "raw": None}
 
 
 def _parse_rel(p: _Parser, ws: Workspace) -> tuple[str, Rel]:
@@ -219,10 +231,11 @@ def _parse_rel(p: _Parser, ws: Workspace) -> tuple[str, Rel]:
         p.pos -= 1
         raise p._fail(f"relation kind must be one of {', '.join(_REL_KINDS)}")
     p.expect("{")
+    both = kind == "equiv"
     pairs: list[tuple[str, str]] = []
     for a, op, b in _entries(p, ("<=", "~"), ";"):
         pairs.append((a, b))
-        if op == "~":
+        if both or op == "~":
             pairs.append((b, a))
     rel = rel_from_pairs(carrier, pairs)
     closure = _REL_KINDS[kind]
@@ -251,9 +264,22 @@ def export_fn(name: str, f: FnTable, dom: str, cod: str) -> str:
 
 
 def export_rel(name: str, r: Rel, ws: Workspace) -> str:
-    body = " ; ".join(f"{a} <= {b}" for a, b in r.pairs())
+    """``rel`` declaration of r: a preorder by its classes and block
+    covers, anything else by every pair."""
+    if r.is_preorder:
+        _, blocks, block_rows = _quotient(r, r.rows)
+        covers = row_covers(block_rows)
+        kind = "preorder" if covers else "equiv"
+        entries = [f"{x} ~ {block[0]}" for block in blocks
+                   for x in block[1:]]
+        entries += [f"{blocks[i][0]} <= {blocks[j][0]}" for i, j in covers]
+    else:
+        kind = "raw"
+        entries = [f"{a} <= {b}" for a, b in r.pairs()]
+    body = " ; ".join(entries)
     space = f" {body} " if body else " "
-    return f"rel {name} on {_poset_name(ws, r.carrier)} kind=raw {{{space}}}"
+    return (f"rel {name} on {_poset_name(ws, r.carrier)} kind={kind} "
+            f"{{{space}}}")
 
 
 def export_workspace(ws: Workspace) -> str:

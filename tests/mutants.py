@@ -32,6 +32,8 @@ BROKEN_ROWS = ["tests/test_kernels.py::test_flow_check_matches_pairwise",
 ENTRIES = ["tests/test_format.py::"
            "test_entry_bodies_read_as_the_walker_reads_them",
            "tests/test_cli.py::TestParse::test_errors_carry_positions"]
+EXPORT_REL = ["tests/test_format.py::test_relations_export_by_generators",
+              "tests/test_format.py::test_random_workspaces_round_trip"]
 
 MUTANTS = [
     # _monotone_tables: an earlier image below the position is a lower
@@ -294,4 +296,26 @@ MUTANTS = [
      "                and (b := tokens[i + 2]) not in _NOT_NAMES):",
      "                and (b := tokens[i + 2]) is not None):",
      ENTRIES),
+    # _parse_rel: an equiv body's "<=" entries read one way only
+    ("src/infolat/cli.py",
+     '        if both or op == "~":\n',
+     '        if op == "~":\n',
+     ["tests/test_format.py::"
+      "test_equiv_bodies_read_as_their_equivalence_closure"]),
+    # export_rel: the last member of each class not exported
+    ("src/infolat/cli.py",
+     "for x in block[1:]]",
+     "for x in block[1:-1]]",
+     EXPORT_REL),
+    # export_rel: a preorder that is not symmetric exported as kind=equiv
+    ("src/infolat/cli.py",
+     '        kind = "preorder" if covers else "equiv"\n',
+     '        kind = "equiv"\n',
+     EXPORT_REL),
+    # export_rel: the block covers of a preorder dropped
+    ("src/infolat/cli.py",
+     "        entries += [f\"{blocks[i][0]} <= {blocks[j][0]}\""
+     " for i, j in covers]\n",
+     "",
+     EXPORT_REL),
 ]

@@ -119,6 +119,9 @@ class TestParse:
          "2:1: unknown element 'z'"),
         (XY + "rel R on A kind=equiv { x ~ w ; q <= x }",
          "2:1: unknown element 'w'"),
+        # an equiv entry is read both ways, its left name first
+        (XY + "rel R on A kind=equiv { w <= q }",
+         "2:1: unknown element 'w'"),
         (XY + "fn f : A -> A { x -> q ; y -> x }",
          "2:1: unknown element 'q'"),
         # an element list ends at its first token that is not a name

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from infolat import (FnTable, Poset, Rel, Workspace, build_poset, cli,
-                     get_example, iter_monotone_tables, list_examples)
-from infolat.cli import (RESERVED, _position, _token_texts, export_workspace,
-                         parse_workspace, run)
+                     close, get_example, iter_monotone_tables, list_examples,
+                     rel_from_pairs, to_ordered_partition)
+from infolat.cli import (RESERVED, _position, _token_texts, export_poset,
+                         export_rel, export_workspace, parse_workspace, run)
 from infolat.errors import ParseError
+from infolat.poset import row_covers
 from helpers import entries_walker, tokenize_scanner
 
 README = Path(__file__).parent.parent / "README.md"
@@ -391,8 +393,9 @@ def _named_poset(draw):
 @st.composite
 def workspaces(draw):
     """Posets with random element names, tables between them (a random
-    table, or a constant one where that is not monotone) and arbitrary
-    relations, declared in dependency order."""
+    table, or a constant one where that is not monotone) and relations,
+    declared in dependency order: arbitrary rows, or their preorder or
+    equivalence closure, so that export writes every kind."""
     ws = Workspace()
     posets = draw(st.lists(_named_poset(), min_size=1, max_size=3))
     for k, p in enumerate(posets):
@@ -410,7 +413,9 @@ def workspaces(draw):
         n = len(carrier)
         rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n,
                              max_size=n))
-        ws.add_relation(f"R{k}", Rel(carrier, tuple(rows)))
+        r = Rel(carrier, tuple(rows))
+        closure = draw(st.sampled_from([None, "refl_trans", "equivalence"]))
+        ws.add_relation(f"R{k}", r if closure is None else close(r, closure))
     return ws
 
 
@@ -446,6 +451,68 @@ def test_random_workspaces_round_trip(ws):
 @pytest.mark.parametrize("name", list_examples())
 def test_catalog_bundles_round_trip(name):
     assert_round_trips(get_example(name))
+
+
+def _kind_and_ops(line: str) -> tuple[str, list[str]]:
+    """The kind of a ``rel`` line and the operator of each entry."""
+    head, _, body = line.partition(" {")
+    entries = body[:-1].split(" ; ") if body.strip(" }") else []
+    return head.split("kind=")[1], [e.split()[1] for e in entries]
+
+
+@given(workspaces())
+def test_relations_export_by_generators(ws):
+    # an equivalence: one "~" per member that is not its class's least
+    # member; another preorder: those and one "<=" per block cover;
+    # anything else: every pair
+    for name, r in ws.relations.items():
+        kind, ops = _kind_and_ops(export_rel(name, r, ws))
+        if r.is_preorder:
+            op = to_ordered_partition(r)
+            tied = sum(len(block) - 1 for block in op.blocks)
+            covers = len(row_covers(op.block_rows))
+            assert kind == ("equiv" if r.is_equivalence else "preorder")
+            assert ops == ["~"] * tied + ["<="] * covers
+        else:
+            assert kind == "raw"
+            assert ops == ["<="] * r.pair_count()
+
+
+@pytest.mark.parametrize("name,line", [
+    ("three-chain", "rel S on C3 kind=equiv { 2 ~ 0 }"),
+    ("diamond-counterexample",
+     "rel Q_dia on A kind=preorder { ⊥ <= 0 ; ⊥ <= 1 ; 0 <= 2 ; 1 <= 2 }"),
+])
+def test_bundle_relations_export_by_generators(capsys, name, line):
+    assert run(["catalog", "--name", name, "--export"]) == 0
+    out = capsys.readouterr().out
+    assert [row for row in out.splitlines() if row.startswith("rel ")] \
+        == [line]
+
+
+@given(_named_poset(), st.data())
+def test_equiv_bodies_read_as_their_equivalence_closure(carrier, data):
+    # "<=" and "~" entries alike read both ways; in half of the bodies
+    # "zz" and "qq", which are no element, may stand too, and the first
+    # of them read left to right is reported
+    unknowns = ["zz", "qq"] if data.draw(st.booleans()) else []
+    element = st.sampled_from(list(carrier.elements) + unknowns)
+    entries = data.draw(st.lists(
+        st.tuples(element, st.sampled_from(["<=", "~"]), element),
+        max_size=6))
+    body = " ; ".join(f"{a} {op} {b}" for a, op, b in entries)
+    source = (export_poset("P", carrier)
+              + f"\nrel R on P kind=equiv {{ {body} }}")
+    names = [x for a, _, b in entries for x in (a, b)]
+    unknown = [x for x in names if x in ("zz", "qq")]
+    if unknown:
+        with pytest.raises(ParseError) as exc:
+            parse_workspace(source)
+        assert str(exc.value) == f"2:1: unknown element {unknown[0]!r}"
+        return
+    pairs = [(a, b) for a, _, b in entries]
+    assert parse_workspace(source).relations["R"].rows == \
+        close(rel_from_pairs(carrier, pairs), "equivalence").rows
 
 
 # --- README examples ----------------------------------------------------
