@@ -224,13 +224,15 @@ _FIXED = {
     "three-chain": _three_chain,
     "nd-bool": _nd_bool,
 }
+# the size of a sized bundle's integer-like carriers unless one is given
+DEFAULT_CARRIER_SIZE = 10
 
 
 def list_examples() -> list[str]:
     return sorted(_SIZED | _FIXED)
 
 
-def get_example(name: str, n: int = 10) -> Workspace:
+def get_example(name: str, n: int = DEFAULT_CARRIER_SIZE) -> Workspace:
     """Build the named bundle; integer-like carriers get size ``n``."""
     if name in _SIZED:
         if n < 2:

@@ -29,7 +29,8 @@ import functools
 import sys
 from typing import Iterator, Sequence
 
-from .catalog import Workspace, get_example, list_examples
+from .catalog import (DEFAULT_CARRIER_SIZE, Workspace, get_example,
+                      list_examples)
 from .errors import InfolatError, ParseError, ValidationError
 from .loci import (DEFAULT_ENUMERATION_CAP, cp, enumerate_loci, enumerate_loi,
                    er, ordered_kernel, ordered_knowledge_set,
@@ -384,8 +385,7 @@ def _cmd_knowledge(ws: Workspace, args: argparse.Namespace) -> int:
     f = _lookup(ws.functions, "function", args.fn)
     members = (ordered_knowledge_set(f, args.input) if args.ordered
                else knowledge_set(f, args.input))
-    ordered = [x for x in f.dom.elements if x in members]
-    print("{" + " ".join(ordered) + "}")
+    print(block_label([x for x in f.dom.elements if x in members]))
     return 0
 
 
@@ -478,6 +478,48 @@ def _cmd_catalog(_ws: Workspace, args: argparse.Namespace) -> int:
     return 0
 
 
+# options that several subcommands share, as (flag, add_argument keywords)
+_FN = ("--fn", dict(required=True))
+_REL = ("--rel", dict(required=True))
+_POSET = ("--poset", dict())
+_ORDERED = ("--ordered", dict(action="store_true"))
+
+# each subcommand in --help order: its handler, help line and own options
+_SUBCOMMANDS = {
+    "check": (_cmd_check, "flow property f: pre => post", [
+        _FN, ("--pre", dict(required=True)), ("--post", dict(required=True)),
+        ("--ti", dict(action="store_true",
+                      help="termination-insensitive check")),
+        ("--mode", dict(choices=["loi", "loci"], help="validate inputs as "
+                        "equivalences / complete preorders"))]),
+    "kernel": (_cmd_kernel, "kernel or ordered kernel of a function",
+               [_FN, _ORDERED]),
+    "knowledge": (_cmd_knowledge, "knowledge set at an input",
+                  [_FN, ("--input", dict(required=True)), _ORDERED]),
+    "cp": (_cmd_rel_map, "least complete preorder containing an equivalence",
+           [_REL]),
+    "er": (_cmd_rel_map, "underlying equivalence of a preorder", [_REL]),
+    "realisable": (_cmd_realisable,
+                   "is the relation a kernel of some monotone table?", [
+        _REL, ("--witness", dict(action="store_true",
+                                 help="print the quotient witness"))]),
+    "enumerate": (_cmd_enumerate, "count and list a lattice", [
+        _POSET, ("--what", dict(choices=["loci", "loi"], required=True)),
+        ("--cap", dict(type=int, default=DEFAULT_ENUMERATION_CAP))]),
+    "hasse": (_cmd_hasse, "DOT drawing of a poset or a preorder's blocks", [
+        _POSET, ("--rel", dict()),
+        ("--full", dict(action="store_true",
+                        help="all order pairs, not just covers"))]),
+    "powerdomain": (_cmd_powerdomain,
+                    "convex powerdomain of a poset, as a declaration", [
+        _POSET, ("--cap", dict(type=int, default=DEFAULT_POWERDOMAIN_CAP))]),
+    "catalog": (_cmd_catalog, "list or show bundled examples", [
+        ("--list", dict(action="store_true")), ("--name", dict()),
+        ("--export", dict(action="store_true",
+                          help="print the bundle in workspace syntax"))]),
+}
+
+
 @functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
@@ -492,79 +534,14 @@ def _build_argparser() -> argparse.ArgumentParser:
                         help="workspace file (repeatable)")
     common.add_argument("--example", action="append", default=[],
                         metavar="NAME", help="catalog bundle (repeatable)")
-    common.add_argument("--n", type=int, default=10,
-                        help="size for integer-like carriers (default 10)")
-
-    p = sub.add_parser("check", parents=[common],
-                       help="flow property f: pre => post")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--pre", required=True)
-    p.add_argument("--post", required=True)
-    p.add_argument("--ti", action="store_true",
-                   help="termination-insensitive check")
-    p.add_argument("--mode", choices=["loi", "loci"],
-                   help="validate inputs as equivalences / complete preorders")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("kernel", parents=[common],
-                       help="kernel or ordered kernel of a function")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--ordered", action="store_true")
-    p.set_defaults(handler=_cmd_kernel)
-
-    p = sub.add_parser("knowledge", parents=[common],
-                       help="knowledge set at an input")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--ordered", action="store_true")
-    p.set_defaults(handler=_cmd_knowledge)
-
-    p = sub.add_parser("cp", parents=[common],
-                       help="least complete preorder containing an equivalence")
-    p.add_argument("--rel", required=True)
-    p.set_defaults(handler=_cmd_rel_map)
-
-    p = sub.add_parser("er", parents=[common],
-                       help="underlying equivalence of a preorder")
-    p.add_argument("--rel", required=True)
-    p.set_defaults(handler=_cmd_rel_map)
-
-    p = sub.add_parser("realisable", parents=[common],
-                       help="is the relation a kernel of some monotone table?")
-    p.add_argument("--rel", required=True)
-    p.add_argument("--witness", action="store_true",
-                   help="print the quotient witness")
-    p.set_defaults(handler=_cmd_realisable)
-
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="count and list a lattice")
-    p.add_argument("--poset")
-    p.add_argument("--what", choices=["loci", "loi"], required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("hasse", parents=[common],
-                       help="DOT drawing of a poset or a preorder's blocks")
-    p.add_argument("--poset")
-    p.add_argument("--rel")
-    p.add_argument("--full", action="store_true",
-                   help="all order pairs, not just covers")
-    p.set_defaults(handler=_cmd_hasse)
-
-    p = sub.add_parser("powerdomain", parents=[common],
-                       help="convex powerdomain of a poset, as a declaration")
-    p.add_argument("--poset")
-    p.add_argument("--cap", type=int, default=DEFAULT_POWERDOMAIN_CAP)
-    p.set_defaults(handler=_cmd_powerdomain)
-
-    p = sub.add_parser("catalog", parents=[common],
-                       help="list or show bundled examples")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--name")
-    p.add_argument("--export", action="store_true",
-                   help="print the bundle in workspace syntax")
-    p.set_defaults(handler=_cmd_catalog)
-
+    common.add_argument("--n", type=int, default=DEFAULT_CARRIER_SIZE,
+                        help="size for integer-like carriers "
+                             "(default %(default)s)")
+    for name, (handler, summary, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return top
 
 

@@ -397,8 +397,11 @@ def build_poset(names: Iterable[str], covers: Iterable[tuple[str, str]]) -> Pose
     break antisymmetry).
     """
     elems = tuple(names)
-    _check_names(elems)
     index = {name: i for i, name in enumerate(elems)}
+    # Poset checks the names; they are checked here first only when that
+    # decides the error, which an unknown endpoint must not hide
+    if not elems or len(index) < len(elems):
+        _check_names(elems)
     rows = [0] * len(elems)
     for a, b in covers:
         try:

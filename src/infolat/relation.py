@@ -302,7 +302,7 @@ def equivalence_from_blocks(carrier: Poset, blocks: Iterable[Iterable[str]]) -> 
     return preorder_from_blocks(carrier, blocks, ())
 
 
-def block_label(block: tuple[str, ...]) -> str:
+def block_label(block: Sequence[str]) -> str:
     return "{" + " ".join(block) + "}"
 
 

@@ -34,6 +34,20 @@ ENTRIES = ["tests/test_format.py::"
            "tests/test_cli.py::TestParse::test_errors_carry_positions"]
 EXPORT_REL = ["tests/test_format.py::test_relations_export_by_generators",
               "tests/test_format.py::test_random_workspaces_round_trip"]
+SUBCOMMAND_OPTIONS = [
+    "tests/test_cli.py::test_subcommands_list_every_option_of_the_parser"]
+# the subcommand table from the enumerate --cap default to the
+# powerdomain one, with {} where each default stands
+CAPS = ('default={}))]),\n'
+        '    "hasse": (_cmd_hasse, "DOT drawing of a poset or a preorder\'s '
+        'blocks", [\n'
+        '        _POSET, ("--rel", dict()),\n'
+        '        ("--full", dict(action="store_true",\n'
+        '                        help="all order pairs, not just covers"))]),\n'
+        '    "powerdomain": (_cmd_powerdomain,\n'
+        '                    "convex powerdomain of a poset, as a declaration",'
+        ' [\n'
+        '        _POSET, ("--cap", dict(type=int, default={}))]),\n')
 
 MUTANTS = [
     # _monotone_tables: an earlier image below the position is a lower
@@ -318,4 +332,33 @@ MUTANTS = [
      " for i, j in covers]\n",
      "",
      EXPORT_REL),
+    # build_poset: the name check dropped, so an unknown endpoint hides an
+    # empty carrier or a duplicate name
+    ("src/infolat/poset.py",
+     "    if not elems or len(index) < len(elems):\n"
+     "        _check_names(elems)\n",
+     "",
+     ["tests/test_poset.py::TestConstruction::"
+      "test_name_errors_come_before_unknown_endpoints"]),
+    # _build_argparser: every subcommand given the same handler
+    ("src/infolat/cli.py",
+     "        p.set_defaults(handler=handler)\n",
+     "        p.set_defaults(handler=_cmd_check)\n",
+     ["tests/test_cli.py::TestRun"]),
+    # _build_argparser: the last option of each subcommand dropped
+    ("src/infolat/cli.py",
+     "        for flag, keywords in options:\n",
+     "        for flag, keywords in options[:-1]:\n",
+     SUBCOMMAND_OPTIONS),
+    # the subcommand table: the enumerate and powerdomain --cap defaults
+    # swapped
+    ("src/infolat/cli.py",
+     CAPS.format("DEFAULT_ENUMERATION_CAP", "DEFAULT_POWERDOMAIN_CAP"),
+     CAPS.format("DEFAULT_POWERDOMAIN_CAP", "DEFAULT_ENUMERATION_CAP"),
+     ["tests/test_cli.py::test_cap_defaults_are_the_library_defaults"]),
+    # _build_argparser: the common options left off every subcommand
+    ("src/infolat/cli.py",
+     "parents=[common], ",
+     "",
+     SUBCOMMAND_OPTIONS),
 ]

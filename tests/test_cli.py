@@ -15,6 +15,7 @@ from infolat import cli, cp, get_example, kernel, list_examples, plotkin
 from infolat.cli import (Workspace, _build_argparser, _position, _token_texts,
                          emit_dot, export_poset, export_workspace,
                          parse_workspace, run)
+from infolat.catalog import DEFAULT_CARRIER_SIZE
 from infolat.errors import ParseError
 from infolat.loci import DEFAULT_ENUMERATION_CAP
 from infolat.powerdomain import DEFAULT_POWERDOMAIN_CAP
@@ -471,12 +472,28 @@ def test_subcommands_list_every_option_of_the_parser():
     assert found == SUBCOMMANDS
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_subcommand_help_names_its_options(command, capsys):
+    assert run([command, "--help"]) == 0
+    words = set(capsys.readouterr().out.replace("[", " ").replace("]", " ")
+                .split())
+    flags = {flag for part in SUBCOMMANDS[command] for flag in part}
+    assert flags | {"--file", "--example", "--n"} <= words
+
+
 @pytest.mark.parametrize("argv, default", [
     (["enumerate", "--what", "loi"], DEFAULT_ENUMERATION_CAP),
     (["powerdomain"], DEFAULT_POWERDOMAIN_CAP),
 ], ids=["enumerate", "powerdomain"])
 def test_cap_defaults_are_the_library_defaults(argv, default):
     assert _build_argparser().parse_args(argv).cap == default
+
+
+def test_size_default_is_the_catalog_default():
+    assert DEFAULT_CARRIER_SIZE == 10
+    assert _build_argparser().parse_args(["powerdomain"]).n == \
+        DEFAULT_CARRIER_SIZE
+    assert len(get_example("omega").posets["Z"]) == DEFAULT_CARRIER_SIZE
 
 
 @functools.cache

@@ -36,6 +36,17 @@ class TestConstruction:
                            match="^unknown element 'z' in order pair$"):
             build_poset(("a",), (("z", "a"),))
 
+    @pytest.mark.parametrize("names, covers, message", [
+        (["a", "a"], [("a", "z")], "duplicate element name 'a'"),
+        ([], [("a", "b")], "carrier must be non-empty"),
+        (["a", "b"], [("a", "z")], "unknown element 'z' in order pair"),
+    ], ids=["duplicate", "empty", "unknown"])
+    def test_name_errors_come_before_unknown_endpoints(self, names, covers,
+                                                        message):
+        with pytest.raises(ValidationError) as exc:
+            build_poset(names, covers)
+        assert str(exc.value) == message
+
     def test_raw_rows_must_match_carrier_size(self):
         with pytest.raises(ValidationError,
                            match="^order matrix does not match carrier size$"):
