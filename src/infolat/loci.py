@@ -13,12 +13,12 @@ monotone tables.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CapExceededError
 from .loi import _fibre_images, _image_closure, pullback
 from .poset import (FnTable, Poset, _monotone_tables, bits, close_rows,
-                    fibres, row_runs)
+                    row_runs)
 from .relation import (Rel, _block_names, _quotient, close, intersect,
                        invert, order_rel, require, union)
 from .relation import is_complete_preorder  # noqa: F401  (re-exported)
@@ -179,28 +179,72 @@ def iter_equivalences(carrier: Poset) -> Iterator[Rel]:
     """Every equivalence relation on the carrier, restricted-growth order.
 
     This enumeration order is the canonical partition order used by
-    searches; counts follow the Bell numbers.
+    searches; counts follow the Bell numbers.  It is the uncut
+    `_growth_walk`.
     """
-    n = len(carrier.elements)
+    for _, rows in _growth_walk(len(carrier.elements)):
+        yield Rel(carrier, rows)
+
+
+def _completions(n: int) -> list[list[int]]:
+    """``table[r][m]``: the restricted-growth labellings of r more
+    positions after m blocks, T(r, m) = m·T(r−1, m) + T(r−1, m+1) with
+    T(0, m) = 1 (each position joins one of the m blocks or opens the
+    next one), for every r < n and m <= n − r.  T(n−1, 1) is Bell(n)."""
+    table = [[1] * (n + 1)]
+    for r in range(1, n):
+        prev = table[-1]
+        table.append([m * prev[m] + prev[m + 1] for m in range(n + 1 - r)])
+    return table
+
+
+def _growth_walk(n: int, cut: Sequence[int] | None = None
+                ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every restricted-growth labelling of n positions, in lexicographic
+    order (the partitions of ``iter_equivalences``), as its rank from 1
+    in that order and the rows of its equivalence: row x is the block of
+    x.
+
+    The labels are placed one position at a time, each into one of the
+    blocks so far or into a new one, on an explicit stack (the labels
+    themselves), so no carrier is too deep.  With symmetric ``cut`` rows,
+    a prefix that puts a position p into a block meeting ``cut[p]`` is
+    left with all its completions: a later label never splits a block,
+    so each of them holds that pair too.  They are not visited, but the
+    T(r, m) of them (`_completions`) still count in the ranks that
+    follow.
+    """
+    table = None if cut is None else _completions(n)
     labels = [0] * n
-    # blocks_before[i]: the number of blocks among labels[:i], so
-    # labels[i] may range over 0 .. blocks_before[i]
-    blocks_before = [0] + [1] * (n - 1)
+    blocks: list[int] = []  # the positions of each block so far
+    rank = 0
+    p = b = 0  # the position to place, and the first label left to try
     while True:
-        masks = fibres(labels, max(labels) + 1)
-        yield Rel(carrier, tuple(masks[b] for b in labels))
-        # lexicographic successor: bump the last label that can grow and
-        # reset everything after it to block 0
-        i = n - 1
-        while i > 0 and labels[i] == blocks_before[i]:
-            i -= 1
-        if i == 0:
-            return
-        labels[i] += 1
-        width = max(blocks_before[i], labels[i] + 1)
-        for t in range(i + 1, n):
-            labels[t] = 0
-            blocks_before[t] = width
+        m = len(blocks)
+        if p == n or b > m:  # past a leaf, or p's labels all tried: take back p - 1's
+            if p == 0:
+                return
+            p -= 1
+            b = labels[p]
+            blocks[b] ^= 1 << p
+            if not blocks[b]:
+                blocks.pop()
+            b += 1
+            continue
+        if b == m:
+            blocks.append(1 << p)
+        elif cut is not None and cut[p] & blocks[b]:
+            rank += table[n - 1 - p][m]
+            b += 1
+            continue
+        else:
+            blocks[b] |= 1 << p
+        labels[p] = b
+        p += 1
+        b = 0
+        if p == n:
+            rank += 1
+            yield rank, tuple([blocks[c] for c in labels])
 
 
 def enumerate_loi(carrier: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Rel]:
@@ -229,11 +273,12 @@ def _closed_supersets(start: tuple[int, ...], symmetric: bool,
     i already holds row i.  With ``hit = {i, j}`` (``symmetric``) it
     merges two classes of an equivalence, whose rows stay symmetric.
 
-    Decided prefix: a stack node ``(rows, i, low)`` holds closed rows and
-    the first open position (i, j), with ``low = 1 << j``.  Every pair
-    before it in row-major order is decided: it is in a result below the
-    node iff it is in ``rows``.  So no exclusion state is kept, and the
-    node is itself a result, the least below it; each pop yields one.
+    Decided prefix: a stack node ``(rows, i, low, common)`` holds closed
+    rows, the first open position (i, j), with ``low = 1 << j``, and row
+    i's ``common`` (below).  Every pair before it in row-major order is
+    decided: it is in a result below the node iff it is in ``rows``.  So
+    no exclusion state is kept, and the node is itself a result, the
+    least below it; each pop yields one.
 
     Feasibility: the children are the first inclusions (i', j') at or
     after (i, j) and outside ``rows`` that change no decided pair.  Each
@@ -245,7 +290,9 @@ def _closed_supersets(start: tuple[int, ...], symmetric: bool,
     rows x < i' that hold i' are the rest of its class, so the test
     holds iff i' and j' are each the least member of their class: a row
     whose i' is not is skipped, and ``common`` stays all ones.  A child
-    keeps ``rows[:i']`` as it is.
+    keeps ``rows[:i']`` as it is, so its ``common`` is the one its parent
+    computed for row i' and goes on the stack with it: a node ANDs
+    earlier rows only for the rows after its own.
 
     Order: each result below a later first inclusion lacks every earlier
     one, so it comes first; children are pushed in increasing position
@@ -256,11 +303,12 @@ def _closed_supersets(start: tuple[int, ...], symmetric: bool,
         raise CapExceededError(f"carrier has {n} elements, cap is {cap}")
     full = (1 << n) - 1
     last = n - 1
-    stack = [(start, 0, 1)]
+    stack = [(start, 0, 1, -1)]
     pop, push = stack.pop, stack.append
     while stack:
-        rows, i, low = pop()
+        rows, i, low, common = pop()
         yield rows
+        own = i
         for i in range(i, n):
             row = rows[i]
             free = ~row & full & -low
@@ -268,16 +316,16 @@ def _closed_supersets(start: tuple[int, ...], symmetric: bool,
             if not free:
                 continue
             bit_i = 1 << i
-            common = -1
             if symmetric:
                 if row & (bit_i - 1):  # i is not its class's least member
                     continue
                 free &= -(bit_i << 1)
-            else:
-                for x in range(i):
-                    if rows[x] & bit_i:
-                        common &= rows[x]
-                free &= common
+            elif i != own:
+                common = -1
+                for r in rows[:i]:
+                    if r & bit_i:
+                        common &= r
+            free &= common
             if not free:
                 continue
             head = rows[:i]
@@ -289,12 +337,12 @@ def _closed_supersets(start: tuple[int, ...], symmetric: bool,
                 if add & ~(common & (row | -bit_j)):
                     continue
                 if i == last:  # tail is (row,), never symmetric: same child, built faster
-                    push((head + (row | add,), i, bit_j << 1))
+                    push((head + (row | add,), i, bit_j << 1, common))
                     continue
                 hit = bit_i | bit_j if symmetric else bit_i
                 joined = row | add
                 push((head + tuple([r | joined if r & hit else r
-                                    for r in tail]), i, bit_j << 1))
+                                    for r in tail]), i, bit_j << 1, common))
 
 
 def find_monotone_postprocessor(f: FnTable, g: FnTable,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
-from .loci import iter_equivalences
+from .loci import _completions, _growth_walk
 from .loi import Violation, flow_check, loi_join, pullback
 from .poset import FnTable, Poset, broken_rows, compose_rows, image_rows
 from .relation import Rel, equivalence_from_blocks, require
@@ -75,7 +75,8 @@ class ObserverSearch:
 
     ``separating`` is the first observer (canonical partition order)
     that accepts the good function and rejects every bad one, or None
-    when no observer does; ``checked`` counts the candidates examined.
+    when no observer does; ``checked`` counts the candidates up to it,
+    or all Bell(k) of them, whether visited or left with a cut prefix.
     """
 
     separating: Rel | None
@@ -91,6 +92,13 @@ def observer_impossibility_search(
     and fail for each bad table.  Passing several bad tables demands a
     T that defeats all of them at once; this is how symmetric variants
     of a leak are covered.
+
+    The candidates are the restricted-growth labellings of the codomain,
+    walked a value at a time (``loci._growth_walk``).  A prefix that
+    puts two values ``f_ok`` must keep apart into one block fails
+    ``f_ok`` with every completion, so it is cut and its completions are
+    only counted; the rest are tested against the bad tables at the
+    leaves, and a ``Rel`` is built only for the separator returned.
     """
     bads: Sequence[FnTable] = (g_bad,) if isinstance(g_bad, FnTable) else tuple(g_bad)
     if not bads:
@@ -113,15 +121,14 @@ def observer_impossibility_search(
 
     # the encoded check fails for g when t relates g(x) to g(y) for a
     # pair (x, y) of g's broken_rows: when row v of t meets row v of the
-    # image of those pairs under g, so a candidate costs one AND per
-    # codomain value
+    # image of those pairs under g.  Both conditions are equivalences, so
+    # these rows are symmetric: the walk cuts every prefix that puts a
+    # value into a block meeting its ok row, and a leaf costs one AND
+    # per codomain value and bad table
+    k = len(cod)
     ok, *bad = [image_rows(broken_rows(pre.rows, post.rows, g.images),
-                           g.images, len(cod)) for g in (f_ok, *bads)]
-    checked = 0
-    for t in iter_equivalences(cod):
-        checked += 1
-        if any(map(int.__and__, ok, t.rows)):
-            continue
-        if all(any(map(int.__and__, unsafe, t.rows)) for unsafe in bad):
-            return ObserverSearch(t, checked)
-    return ObserverSearch(None, checked)
+                           g.images, k) for g in (f_ok, *bads)]
+    for checked, rows in _growth_walk(k, ok):
+        if all(any(map(int.__and__, unsafe, rows)) for unsafe in bad):
+            return ObserverSearch(Rel(cod, rows), checked)
+    return ObserverSearch(None, _completions(k)[k - 1][1])  # Bell(k)

@@ -17,7 +17,7 @@ from infolat import (FnTable, OrderCycleError, Poset, Rel, ValidationError,
                      order_rel, rel_from_pairs, subset_name,
                      to_ordered_partition, union)
 from infolat.loci import _closed_supersets
-from infolat.poset import bits, compose_rows
+from infolat.poset import bits, broken_rows, compose_rows, image_rows
 from infolat.powerdomain import _all_subset_masks, _em_rows
 from infolat.relation import equivalence_from_blocks
 
@@ -203,8 +203,8 @@ def search_trace(run):
     the trace of every ``loci._closed_supersets`` it drains: one
     ``(node, children)`` per pop, in pop order, where ``children`` are
     the nodes pushed before the next pop.  A node is a stack entry,
-    ``(rows, i, low)``; the profiler sees the stack as the list whose
-    bound ``pop`` and ``append`` the search calls."""
+    ``(rows, i, low, common)``; the profiler sees the stack as the list
+    whose bound ``pop`` and ``append`` the search calls."""
     code = _closed_supersets.__code__
     trace = []
 
@@ -225,12 +225,25 @@ def search_trace(run):
     return result, trace
 
 
-def feasible_inclusions(rows, i, low, symmetric):
+def row_common(rows, i, symmetric):
+    """``common`` of row i by definition: the AND of the rows x < i that
+    hold i, all ones when none does or when ``symmetric``."""
+    common = -1
+    if not symmetric:
+        for x in range(i):
+            if (rows[x] >> i) & 1:
+                common &= rows[x]
+    return common
+
+
+def feasible_inclusions(rows, i, low, common, symmetric):
     """The children ``_closed_supersets`` should push from the node
-    ``(rows, i, low)``, by definition: each candidate pair (x, y) at or
-    after (i, low) in row-major order whose Warshall closure, together
-    with (y, x) when ``symmetric``, leaves every pair before (x, y)
-    unchanged; with the closed rows and the next position in row x."""
+    ``(rows, i, low, common)``, by definition: each candidate pair
+    (x, y) at or after (i, low) in row-major order whose Warshall
+    closure, together with (y, x) when ``symmetric``, leaves every pair
+    before (x, y) unchanged; with the closed rows, the next position in
+    row x and row x's ``common``.  The node's own ``common`` is not
+    read."""
     n = len(rows)
     first = low.bit_length() - 1
     children = []
@@ -246,8 +259,28 @@ def feasible_inclusions(rows, i, low, symmetric):
             below = (1 << y) - 1
             if closed[:x] == rows[:x] and \
                     closed[x] & below == rows[x] & below:
-                children.append((closed, x, 2 << y))
+                children.append((closed, x, 2 << y,
+                                 row_common(closed, x, symmetric)))
     return children
+
+
+def observer_search_exhaustive(f_ok, bads, pre, post):
+    """The observer search with no cut: every equivalence on the
+    codomain in ``iter_equivalences`` order, each tested with one AND per
+    value against the image of each table's ``broken_rows``; the first
+    that passes ``f_ok`` and fails every bad table, and the count of
+    candidates tested up to it."""
+    k = len(f_ok.cod)
+    ok, *bad = [image_rows(broken_rows(pre.rows, post.rows, g.images),
+                           g.images, k) for g in (f_ok, *bads)]
+    checked = 0
+    for t in iter_equivalences(f_ok.cod):
+        checked += 1
+        if any(map(int.__and__, ok, t.rows)):
+            continue
+        if all(any(map(int.__and__, unsafe, t.rows)) for unsafe in bad):
+            return t, checked
+    return None, checked
 
 
 def enumerate_loi_sorted(c: Poset) -> list[Rel]:

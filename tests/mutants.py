@@ -29,6 +29,11 @@ EM_ROWS = ["tests/test_powerdomain.py::TestRowUnionsAgainstPairSets::"
            "test_em_rows_match_the_converse_route_on_plotkin_masks"]
 BROKEN_ROWS = ["tests/test_kernels.py::test_flow_check_matches_pairwise",
                "tests/test_tini.py::TestObserverSearch"]
+GROWTH_WALK = ["tests/test_loci.py::TestEnumeration::"
+               "test_completions_of_one_block_follow_bell",
+               "tests/test_loci.py::TestEnumeration::"
+               "test_cut_walk_is_the_uncut_walk_filtered",
+               "tests/test_tini.py::TestObserverSearch"]
 ENTRIES = ["tests/test_format.py::"
            "test_entry_bodies_read_as_the_walker_reads_them",
            "tests/test_cli.py::TestParse::test_errors_carry_positions"]
@@ -112,10 +117,27 @@ MUTANTS = [
      "compose_rows([up & tops for up in q.rows], q.rows))",
      ["tests/test_tini.py::TestCompatibleExtension",
       "tests/test_tini.py::TestTiFlow"]),
+    # _completions: T's two terms swapped, m·T(r−1, m+1) + T(r−1, m)
+    ("src/infolat/loci.py",
+     "[m * prev[m] + prev[m + 1] for m in",
+     "[prev[m] + m * prev[m + 1] for m in",
+     GROWTH_WALK),
+    # _growth_walk: the observer cut taken one position late, its
+    # completions counted from the next position, T(r − 1, m) for T(r, m)
+    ("src/infolat/loci.py",
+     "            rank += table[n - 1 - p][m]\n",
+     "            rank += table[n - 2 - p][m]\n",
+     GROWTH_WALK),
+    # _growth_walk: no cut at the last position, where a cut taken one
+    # position late has no next position to act at
+    ("src/infolat/loci.py",
+     "        elif cut is not None and cut[p] & blocks[b]:\n",
+     "        elif cut is not None and p < n - 1 and cut[p] & blocks[b]:\n",
+     GROWTH_WALK),
     # the observer search: image rows of the codomain values reversed
     ("src/infolat/tini.py",
-     "g.images, len(cod)) for g in",
-     "g.images, len(cod))[::-1] for g in",
+     "g.images, k) for g in",
+     "g.images, k)[::-1] for g in",
      ["tests/test_tini.py::TestObserverSearch"]),
     # compose_rows: rows fewer than the table left unpadded, so a bit past
     # the last row reads outside them; this breaks plotkin, whose
@@ -234,8 +256,14 @@ MUTANTS = [
      ["tests/test_kernels.py::test_monotone_witness_matches_pairwise"]),
     # _closed_supersets: no AND of the earlier rows that hold i
     ("src/infolat/loci.py",
-     "                        common &= rows[x]\n",
+     "                        common &= r\n",
      "                        common &= -1\n",
+     CLOSED_SUPERSETS),
+    # _closed_supersets: a child pushed with all ones in place of the
+    # common its parent computed for its row
+    ("src/infolat/loci.py",
+     "for r in tail]), i, bit_j << 1, common))",
+     "for r in tail]), i, bit_j << 1, -1))",
      CLOSED_SUPERSETS),
     # _closed_supersets: row i's test one column off
     ("src/infolat/loci.py",

@@ -118,9 +118,10 @@ def test_only_the_converses_transpose():
 def test_only_the_row_kernels_pull_back_and_take_images():
     """Pullbacks go through ``poset.pull_rows`` and direct images
     through ``poset.image_rows``, so outside ``poset.py`` only the
-    kernel and the enumeration of equivalences build fibres, and only
-    the compatible extension, ``compose`` and the powerdomain's set
-    images call the composition kernel itself."""
+    kernel builds fibres (the enumeration of equivalences keeps its
+    blocks as it walks), and only the compatible extension, ``compose``
+    and the powerdomain's set images call the composition kernel
+    itself."""
     callers = {"fibres": set(), "compose_rows": set()}
     for path in MODULES:
         if path.stem == "poset":
@@ -130,7 +131,7 @@ def test_only_the_row_kernels_pull_back_and_take_images():
             if isinstance(node, ast.Call):
                 for name in called_names(node) & set(callers):
                     callers[name].add(f"{path.stem}.{scope}")
-    assert callers == {"fibres": {"loi.kernel", "loci.iter_equivalences"},
+    assert callers == {"fibres": {"loi.kernel"},
                        "compose_rows": {"tini.compatible_extension",
                                         "relation.compose",
                                         "powerdomain._convex_masks",

@@ -21,7 +21,7 @@ from infolat import (CapExceededError, FnTable, Poset, ValidationError,
                      order_rel, ordered_kernel, ordered_knowledge_set,
                      phi_realisability, pushforward, quotient_map,
                      rel_from_pairs, union)
-from infolat.loci import _closed_supersets
+from infolat.loci import _closed_supersets, _completions, _growth_walk
 from helpers import (BELL, BOOLBOT, CHAIN2, CHAIN3, CHAIN4, DIAMOND, DISC2,
                      DISC3, FAMILY, VEE, all_preorder_pair_sets,
                      complete_preorders, enumerate_loci_warshall,
@@ -29,8 +29,8 @@ from helpers import (BELL, BOOLBOT, CHAIN2, CHAIN3, CHAIN4, DIAMOND, DISC2,
                      fn_between_family, idx_pairs,
                      is_complete_preorder_exhaustive, monotone_fns,
                      monotone_tables_pairwise, oracle_close, posets,
-                     preorders, redeclared_posets,
-                     rel_of_pairs, search_trace, set_partitions)
+                     preorders, redeclared_posets, rel_of_pairs,
+                     row_common, search_trace, set_partitions)
 
 # labelled posets on k points, OEIS A001035
 A001035 = (1, 1, 3, 19, 219, 4231)
@@ -110,11 +110,14 @@ class TestEnumeration:
         # the whole-row feasibility rule against its definition, at
         # nodes the search reaches: each child pushed is a Warshall
         # closure that changes no pair before its inclusion, and every
-        # such closure is pushed, in increasing position
+        # such closure is pushed, in increasing position; every node
+        # carries its own row's common
         start = (identity_rel(carrier) if symmetric else order_rel(carrier)).rows
         results, trace = search_trace(
             lambda: list(_closed_supersets(start, symmetric, 5)))
         assert [node[0] for node, _ in trace] == results
+        assert all(common == row_common(rows, i, symmetric)
+                   for (rows, i, _, common), _ in trace)
         for node, children in data.draw(st.lists(st.sampled_from(trace),
                                                  min_size=1, max_size=6)):
             assert children == feasible_inclusions(*node, symmetric)
@@ -207,6 +210,31 @@ class TestEnumeration:
         rels = list(iter_equivalences(VEE))
         assert rels[0] == all_rel(VEE)
         assert rels[-1] == identity_rel(VEE)
+
+    def test_completions_of_one_block_follow_bell(self):
+        # T(n - 1, 1): the labellings after the first position's block 0
+        assert [_completions(n)[n - 1][1] for n in range(1, len(BELL))] == \
+            list(BELL[1:])
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_cut_walk_is_the_uncut_walk_filtered(self, seed):
+        # symmetric cut rows with no diagonal, as the observer search's
+        # ok rows are: the cut walk yields exactly the uncut labellings
+        # none of whose blocks holds a cut pair, each with its rank in
+        # the uncut order
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        cut = [0] * n
+        for _ in range(rng.randrange(n + 1)):
+            x, y = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if x != y:
+                cut[x] |= 1 << y
+                cut[y] |= 1 << x
+        walk = list(_growth_walk(n))
+        assert [rank for rank, _ in walk] == list(range(1, BELL[n] + 1))
+        assert list(_growth_walk(n, cut)) == \
+            [(rank, rows) for rank, rows in walk
+             if not any(map(int.__and__, cut, rows))]
 
     def test_cap_enforced(self):
         from infolat import discrete

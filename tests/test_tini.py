@@ -14,7 +14,8 @@ from infolat import (CapExceededError, FnTable, ValidationError, all_rel,
 from infolat.relation import equivalence_from_blocks
 from helpers import (BOOLBOT, CHAIN3, DISC2, DISC3, VEE, complete_preorders,
                      equivalences, fn_between_family, idx_pairs, monotone_fns,
-                     posets, preorders, random_equivalence, random_poset)
+                     observer_search_exhaustive, posets, preorders,
+                     random_equivalence, random_poset)
 
 KITE = get_example("kite")
 DIA = get_example("diamond-counterexample")
@@ -273,6 +274,41 @@ class TestObserverSearch:
         res = observer_impossibility_search(f_ok, bads, pre, post)
         assert (res.separating, res.checked) == \
             search_by_definition(f_ok, bads, pre, post)
+
+    @pytest.mark.parametrize("k,seed", [(k, seed) for k in range(1, 9)
+                                        for seed in range(6)])
+    def test_matches_exhaustive_oracle(self, k, seed):
+        res = observer_impossibility_search(*observer_case(seed, k))
+        assert (res.separating, res.checked) == \
+            observer_search_exhaustive(*observer_case(seed, k))
+
+    # every seed of 9 points, and of 10 points two separators found
+    # after cutting thousands of candidates, two found early and one walk
+    # to the end (a full 10-point walk costs the oracle almost a second)
+    @pytest.mark.parametrize("k,seed", [(9, seed) for seed in range(12)] +
+                             [(10, seed) for seed in (0, 1, 6, 9, 10)])
+    def test_matches_exhaustive_oracle_with_cap_raised(self, k, seed):
+        case = observer_case(seed, k)
+        with pytest.raises(CapExceededError):
+            observer_impossibility_search(*case)
+        res = observer_impossibility_search(*case, cap=k)
+        assert (res.separating, res.checked) == \
+            observer_search_exhaustive(*case)
+
+
+def observer_case(seed, k):
+    """A seeded search into a k-point codomain: a good table and one to
+    three bad ones from a two- to four-point domain, a random
+    precondition, and the identity or a random postcondition."""
+    rng = random.Random(seed)
+    dom = random_poset(rng, rng.randint(2, 4))
+    cod = random_poset(rng, k)
+    f_ok, *bads = [FnTable(dom, cod, tuple(rng.randrange(k)
+                                           for _ in dom.elements))
+                   for _ in range(rng.randint(2, 4))]
+    pre = random_equivalence(rng, dom)
+    post = rng.choice((identity_rel(cod), random_equivalence(rng, cod)))
+    return f_ok, bads, pre, post
 
 
 def search_by_definition(f_ok, bads, pre, post):
