@@ -336,9 +336,8 @@ class Poset:
         n = len(self.elements)
         if len(self.rows) != n:
             raise ValidationError("order matrix does not match carrier size")
-        full = (1 << n) - 1
         for i, row in enumerate(self.rows):
-            if row & ~full:
+            if row >> n:
                 raise ValidationError("order row mentions an unknown index")
             if not (row >> i) & 1:
                 raise ValidationError(
@@ -465,8 +464,9 @@ class FnTable:
     def __post_init__(self) -> None:
         if len(self.images) != len(self.dom.elements):
             raise ValidationError("function table is not total")
+        k = len(self.cod.elements)
         for v in self.images:
-            if not 0 <= v < len(self.cod.elements):
+            if not 0 <= v < k:
                 raise ValidationError("function table maps outside the codomain")
 
     def __call__(self, name: str) -> str:

@@ -19,7 +19,10 @@ from .poset import (Poset, bits, close_rows, compose_rows, image_rows,
                     rows_transitive, transpose, unique_names)
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Rel:
     """A binary relation on a carrier, one bitmask row per element.
 
@@ -31,13 +34,22 @@ class Rel:
     carrier: Poset
     rows: tuple[int, ...]
 
+    def __init__(self, carrier: Poset, rows: tuple[int, ...]) -> None:
+        _set(self, "carrier", carrier)
+        _set(self, "rows", rows)
+        # the one validation hook, looked up on the class so that a
+        # wrapper put there sees every construction
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        rows = self.rows
         n = len(self.carrier.elements)
-        if len(self.rows) != n:
+        if len(rows) != n:
             raise ValidationError("relation matrix does not match carrier size")
-        full = (1 << n) - 1
-        for row in self.rows:
-            if row & ~full:
+        # a negative row, or one with a bit at index n or above, keeps
+        # bits after the shift
+        for row in rows:
+            if row >> n:
                 raise ValidationError("relation row mentions an unknown index")
 
     def holds(self, x: str, y: str) -> bool:
@@ -95,7 +107,18 @@ class Rel:
 
     @cached_property
     def is_equivalence(self) -> bool:
-        return self.is_preorder and self.is_symmetric
+        """Each class of equal rows (:func:`row_runs`) is its shared row.
+        Then every row holds its own index and exactly the indices whose
+        rows equal it: reflexive, symmetric and transitive at once; and
+        an equivalence's rows are its classes."""
+        rows = self.rows
+        for run in row_runs(rows):
+            mask = 0
+            for m in run:
+                mask |= 1 << m
+            if mask != rows[run[0]]:
+                return False
+        return True
 
     def subset_of(self, other: "Rel") -> bool:
         _same_carrier(self, other)
@@ -141,7 +164,8 @@ def is_complete_preorder(q: Rel) -> bool:
     directed subsets; the tests check that definition literally and
     assert that the two agree.
     """
-    return q.is_preorder and order_rel(q.carrier).subset_of(q)
+    return q.is_preorder and all(
+        c | r == r for c, r in zip(q.carrier.rows, q.rows))
 
 
 _CLASSES = {

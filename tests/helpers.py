@@ -354,6 +354,24 @@ def close_rows_warshall(rows) -> list[int]:
     return out
 
 
+def outside_carrier(row: int, n: int) -> bool:
+    """Does ``row`` mention an index outside ``0 .. n-1``?  The range
+    test as a mask: any bit left after clearing the n carrier bits (a
+    negative row keeps its infinitely many high bits)."""
+    full = (1 << n) - 1
+    return bool(row & ~full)
+
+
+def is_equivalence_pairwise(rows) -> bool:
+    """Reflexive, symmetric and transitive, each by its pair-set
+    definition."""
+    n = len(rows)
+    ps = {(i, j) for i in range(n) for j in range(n) if (rows[i] >> j) & 1}
+    return (all((i, i) in ps for i in range(n))
+            and all((b, a) in ps for a, b in ps)
+            and all((a, d) in ps for a, b in ps for c, d in ps if b == c))
+
+
 def is_transitive_pairwise(rows) -> bool:
     """Every j in row i has row j inside row i, pair by pair."""
     n = len(rows)
@@ -367,9 +385,8 @@ def poset_checks_pairwise(elements, rows) -> None:
     n = len(elements)
     if len(rows) != n:
         raise ValidationError("order matrix does not match carrier size")
-    full = (1 << n) - 1
     for i, row in enumerate(rows):
-        if row & ~full:
+        if outside_carrier(row, n):
             raise ValidationError("order row mentions an unknown index")
         if not (row >> i) & 1:
             raise ValidationError(f"order not reflexive at {elements[i]!r}")

@@ -39,6 +39,10 @@ ENTRIES = ["tests/test_format.py::"
            "tests/test_cli.py::TestParse::test_errors_carry_positions"]
 EXPORT_REL = ["tests/test_format.py::test_relations_export_by_generators",
               "tests/test_format.py::test_random_workspaces_round_trip"]
+REL_VALIDATION = "tests/test_relation.py::TestValidation"
+REL_SHAPE = "tests/test_relation.py::test_matrix_shape_validated"
+IS_EQUIVALENCE = [
+    "tests/test_relation.py::test_is_equivalence_matches_pair_sets"]
 SUBCOMMAND_OPTIONS = [
     "tests/test_cli.py::test_subcommands_list_every_option_of_the_parser"]
 # the subcommand table from the enumerate --cap default to the
@@ -360,6 +364,48 @@ MUTANTS = [
      " for i, j in covers]\n",
      "",
      EXPORT_REL),
+    # Rel: the range test one bit too wide, so a row holding bit n passes
+    ("src/infolat/relation.py",
+     "            if row >> n:\n",
+     "            if row >> (n + 1):\n",
+     [REL_SHAPE, REL_VALIDATION]),
+    # Poset: the same range test one bit too wide
+    ("src/infolat/poset.py",
+     "            if row >> n:\n",
+     "            if row >> (n + 1):\n",
+     ["tests/test_poset.py::TestConstruction::"
+      "test_raw_rows_are_range_checked", REL_VALIDATION]),
+    # FnTable: an image equal to the codomain's size let through
+    ("src/infolat/poset.py",
+     "            if not 0 <= v < k:\n",
+     "            if not 0 <= v <= k:\n",
+     ["tests/test_poset.py::TestFnTable::"
+      "test_direct_construction_checks_images"]),
+    # Rel.__init__: the validation hook not called, so nothing is checked
+    # and a wrapper on the hook counts no build
+    ("src/infolat/relation.py",
+     "        self.__post_init__()\n",
+     "",
+     [REL_SHAPE, REL_VALIDATION]),
+    # is_equivalence: a class accepted when its members lie inside the
+    # row it shares, not equal to it
+    ("src/infolat/relation.py",
+     "            if mask != rows[run[0]]:\n",
+     "            if mask & ~rows[run[0]]:\n",
+     IS_EQUIVALENCE),
+    # is_equivalence: the row compared with the members of its class
+    # minus the first, so a reflexive row reads as a miss
+    ("src/infolat/relation.py",
+     "            for m in run:\n"
+     "                mask |= 1 << m\n",
+     "            for m in run[1:]:\n"
+     "                mask |= 1 << m\n",
+     IS_EQUIVALENCE),
+    # is_complete_preorder: the carrier's down-sets taken for its up-sets
+    ("src/infolat/relation.py",
+     "c | r == r for c, r in zip(q.carrier.rows, q.rows)",
+     "c | r == r for c, r in zip(q.carrier.cols, q.rows)",
+     ["tests/test_loci.py::TestCompleteness"]),
     # build_poset: the name check dropped, so an unknown endpoint hides an
     # empty carrier or a duplicate name
     ("src/infolat/poset.py",

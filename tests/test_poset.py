@@ -52,6 +52,19 @@ class TestConstruction:
                            match="^order matrix does not match carrier size$"):
             Poset(("a", "b"), (0b01,))
 
+    @pytest.mark.parametrize("rows, message", [
+        ((0b111, 0b010), "order row mentions an unknown index"),
+        ((0b01, -2), "order row mentions an unknown index"),
+        ((0b01, 1 << 300 | 0b10), "order row mentions an unknown index"),
+        # rows are checked in order, each for its range, then reflexivity
+        ((0b00, 0b110), "order not reflexive at 'a'"),
+        ((0b101, 0b00), "order row mentions an unknown index"),
+    ], ids=["bit-n", "negative", "huge", "reflexive-first", "range-first"])
+    def test_raw_rows_are_range_checked(self, rows, message):
+        with pytest.raises(ValidationError) as exc:
+            Poset(("a", "b"), rows)
+        assert str(exc.value) == message
+
     def test_raw_rows_must_be_transitive(self):
         # a<=b, b<=c but not a<=c
         rows = (0b011, 0b110, 0b100)
@@ -185,6 +198,13 @@ class TestFnTable:
         with pytest.raises(ValidationError,
                            match="^function table maps outside the codomain$"):
             FnTable(CHAIN2, CHAIN2, (0, 2))
+        with pytest.raises(ValidationError,
+                           match="^function table maps outside the codomain$"):
+            FnTable(CHAIN2, CHAIN2, (-1, 1))
+        # totality is checked before any image
+        with pytest.raises(ValidationError,
+                           match="^function table is not total$"):
+            FnTable(CHAIN2, CHAIN2, (5,))
 
     def test_monotonicity_witness(self):
         with pytest.raises(NotMonotoneError) as exc:

@@ -3,15 +3,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from infolat import (OrderCycleError, OrderedPartition, Rel, ValidationError,
-                     all_rel, block_label, build_poset, check_monotone, close,
-                     compose, discrete, format_relation,
-                     from_ordered_partition, identity_rel, intersect, invert,
-                     order_rel, rel_from_pairs, restrict_rel,
-                     to_ordered_partition, union)
+from infolat import (OrderCycleError, OrderedPartition, Poset, Rel,
+                     ValidationError, all_rel, block_label, build_poset,
+                     check_monotone, close, compose, discrete, enumerate_loci,
+                     format_relation, from_ordered_partition, identity_rel,
+                     intersect, invert, order_rel, rel_from_pairs,
+                     restrict_rel, to_ordered_partition, union)
+from infolat.poset import bits
 from infolat.relation import equivalence_from_blocks, preorder_from_blocks
-from helpers import (CHAIN3, CHAIN4, VEE, idx_pairs, oracle_close,
-                     oracle_compose, preorders, random_poset, random_rows,
+from helpers import (CHAIN3, CHAIN4, VEE, idx_pairs,
+                     is_equivalence_pairwise, oracle_close, oracle_compose,
+                     outside_carrier, poset_checks_pairwise, preorders,
+                     random_equivalence, random_poset, random_rows,
                      rel_of_pairs, seeded)
 
 pair_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -51,11 +54,102 @@ def test_builtin_shapes():
     assert order_rel(VEE).pair_count() == 9
 
 
+UNKNOWN_INDEX = "relation row mentions an unknown index"
+WRONG_SIZE = "relation matrix does not match carrier size"
+
+
 def test_matrix_shape_validated():
-    with pytest.raises(ValidationError):
-        Rel(VEE, (0, 0, 0))  # wrong row count
-    with pytest.raises(ValidationError):
-        Rel(VEE, (1 << 4, 0, 0, 0))  # bit beyond the carrier
+    for rows, message in [
+        ((0, 0, 0), WRONG_SIZE),
+        ((0, 0, 0, 0, 0), WRONG_SIZE),
+        ((-1, 1 << 9), WRONG_SIZE),  # the size is checked before any row
+        ((1 << 4, 0, 0, 0), UNKNOWN_INDEX),  # bit beyond the carrier
+        ((1, -1, 4, 8), UNKNOWN_INDEX),
+        ((-16, 2, 4, 8), UNKNOWN_INDEX),  # negative, no bit inside the carrier
+        ((1, 2, 1 << 200 | 4, 8), UNKNOWN_INDEX),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            Rel(VEE, rows)
+        assert str(exc.value) == message
+
+
+def raised(call):
+    """The type and text of what ``call`` raises, or None."""
+    try:
+        call()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestValidation:
+    def test_post_init_sees_every_rel_once(self, monkeypatch):
+        """``Rel.__post_init__`` is the one validation hook, looked up on
+        the class at each construction, so a wrapper put there (as the
+        benchmark's tracer does) counts every Rel built."""
+        calls = []
+        hook = Rel.__post_init__
+
+        def counted(self):
+            calls.append(self.rows)
+            hook(self)
+
+        monkeypatch.setattr(Rel, "__post_init__", counted)
+        Rel(VEE, (1, 2, 4, 8))
+        assert calls == [(1, 2, 4, 8)]
+        calls.clear()
+        assert len(enumerate_loci(discrete(("p", "q", "r", "s")))) == 355
+        assert len(calls) == 355
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.one_of(st.integers(-3, 1 << n + 1), st.integers()),
+        min_size=n, max_size=n)))
+    def test_range_checks_match_the_mask_oracle(self, rows):
+        n = len(rows)
+        names = tuple(f"e{i}" for i in range(n))
+        want = (ValidationError, UNKNOWN_INDEX) \
+            if any(outside_carrier(row, n) for row in rows) else None
+        assert raised(lambda: Rel(discrete(names), tuple(rows))) == want
+        # each row's own bit set, so no row fails reflexivity: the range
+        # test speaks first, then the order checks
+        reflexive = tuple(row | 1 << i for i, row in enumerate(rows))
+        assert raised(lambda: Poset(names, reflexive)) == \
+            raised(lambda: poset_checks_pairwise(names, reflexive))
+
+
+def with_pair(rows, i, j):
+    out = list(rows)
+    out[i] ^= 1 << j
+    return tuple(out)
+
+
+@given(seeded(), st.integers(1, 8))
+def test_is_equivalence_matches_pair_sets(rng, n):
+    carrier = discrete(tuple(f"e{i}" for i in range(n)))
+    eq = random_equivalence(rng, carrier).rows
+    held = [(i, j) for i in range(n) for j in bits(eq[i])]
+    free = [(i, j) for i in range(n) for j in range(n) if (i, j) not in held]
+    # near misses: one pair removed, or one added
+    misses = [with_pair(eq, *rng.choice(pairs)) for pairs in (held, free)
+              if pairs]
+    assert is_equivalence_pairwise(eq)
+    assert not any(map(is_equivalence_pairwise, misses))
+    cases = [random_rows(rng, n), eq, (0,) * n, *misses]
+    if free:
+        # a pair added both ways: an equivalence again when it joins two
+        # one-point classes
+        i, j = rng.choice(free)
+        cases.append(with_pair(with_pair(eq, i, j), j, i))
+    for rows in cases:
+        r = Rel(carrier, rows)
+        assert r.is_equivalence == is_equivalence_pairwise(rows)
+        assert r.is_equivalence == (r.is_preorder and r.is_symmetric)
+
+
+def test_is_equivalence_on_one_point():
+    one = discrete(("x",))
+    assert Rel(one, (1,)).is_equivalence
+    assert not Rel(one, (0,)).is_equivalence
 
 
 @given(pair_lists)
