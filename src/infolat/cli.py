@@ -37,9 +37,9 @@ from .loci import (DEFAULT_ENUMERATION_CAP, cp, enumerate_loci, enumerate_loi,
                    phi_realisability)
 from .loi import flow_check, kernel, knowledge_set
 from .poset import (FnTable, Poset, bits, build_poset, check_monotone,
-                    row_covers)
+                    preorder_quotient, row_covers)
 from .powerdomain import DEFAULT_POWERDOMAIN_CAP, plotkin
-from .relation import (Rel, _quotient, all_rel, block_label, close,
+from .relation import (Rel, _class_names, all_rel, block_label, close,
                        format_relation, identity_rel, order_rel,
                        rel_from_pairs, require, to_ordered_partition)
 from .tini import ti_flow_check
@@ -267,8 +267,9 @@ def export_fn(name: str, f: FnTable, dom: str, cod: str) -> str:
 def export_rel(name: str, r: Rel, ws: Workspace) -> str:
     """``rel`` declaration of r: a preorder by its classes and block
     covers, anything else by every pair."""
-    if r.is_preorder:
-        _, blocks, block_rows = _quotient(r, r.rows)
+    if (quotient := preorder_quotient(r.rows)) is not None:
+        _, classes, block_rows = quotient
+        blocks = _class_names(r.carrier, classes)
         covers = row_covers(block_rows)
         kind = "preorder" if covers else "equiv"
         entries = [f"{x} ~ {block[0]}" for block in blocks

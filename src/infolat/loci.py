@@ -18,8 +18,8 @@ from typing import Iterator, Sequence
 from .errors import CapExceededError
 from .loi import _fibre_images, _image_closure, pullback
 from .poset import (FnTable, Poset, _monotone_tables, bits, close_rows,
-                    row_runs)
-from .relation import (Rel, _block_names, _quotient, close, intersect,
+                    image_rows, preorder_quotient, row_runs)
+from .relation import (Rel, _block_names, _class_names, close, intersect,
                        invert, order_rel, require, union)
 from .relation import is_complete_preorder  # noqa: F401  (re-exported)
 
@@ -149,19 +149,33 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     obstruction.  It passes each of its blocks once.
     """
     require(r, "equivalence", "argument")
-    labels, blocks, phi = _quotient(r, r.carrier.rows)
+    labels, blocks, phi = _block_steps(r)
     closed = close_rows(phi)
     # the closure is antisymmetric iff its rows are pairwise distinct; the
     # first block on a cycle is the least whose closed row occurs twice
     shared = [run[0] for run in row_runs(closed) if len(run) > 1]
     if shared:
-        b1 = min(shared)
-        cycle = _shortest_cycle(phi, b1)
+        cycle = _shortest_cycle(phi, min(shared))
         return RealisabilityResult(
             False, cycle=tuple(blocks[b] for b in cycle))
     witness = Poset(_block_names(blocks), tuple(closed))
     return RealisabilityResult(True, witness_poset=witness,
                                witness_fn=FnTable(r.carrier, witness, labels))
+
+
+def _block_steps(r: Rel) -> tuple[
+        tuple[int, ...], tuple[tuple[str, ...], ...], tuple[int, ...]]:
+    """Each element's block, the blocks (each row of the equivalence r,
+    led by its lowest bit) and their steps, along the carrier order."""
+    labels, blocks, names = [], [], r.carrier.elements
+    for i, row in enumerate(r.rows):
+        least = (row & -row).bit_length() - 1
+        if least == i:
+            blocks.append([])
+        labels.append(labels[least] if least < i else len(blocks) - 1)
+        blocks[labels[i]].append(names[i])
+    return (tuple(labels), tuple(map(tuple, blocks)),
+            image_rows(r.carrier.rows, labels, len(blocks)))
 
 
 def quotient_map(q: Rel) -> FnTable:
@@ -171,8 +185,9 @@ def quotient_map(q: Rel) -> FnTable:
     is q itself.
     """
     require(q, "complete", "argument")
-    labels, blocks, block_rows = _quotient(q, q.rows)
-    return FnTable(q.carrier, Poset(_block_names(blocks), block_rows), labels)
+    labels, classes, block_rows = preorder_quotient(q.rows)
+    blocks = _block_names(_class_names(q.carrier, classes))
+    return FnTable(q.carrier, Poset(blocks, block_rows), labels)
 
 
 def iter_equivalences(carrier: Poset) -> Iterator[Rel]:

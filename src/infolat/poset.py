@@ -136,6 +136,36 @@ def row_runs(rows: Sequence[int]) -> list[list[int]]:
     return [list(run) for _, run in groupby(order, key)]
 
 
+def preorder_quotient(rows: Sequence[int]) -> tuple[
+        tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+    """None unless the rows are reflexive and transitive; else each
+    index's class (by least member), each class's members and the block
+    rows.  Each distinct row, by increasing value, must hold its class;
+    its other bits are tested in jumps as in :func:`rows_transitive`."""
+    runs = row_runs(rows)[::-1]  # increasing value
+    classes = sorted(runs)  # disjoint ascending runs: by least member
+    labels, block = [0] * len(rows), [0] * len(runs)
+    for b, run in enumerate(classes):
+        for m in run:
+            labels[m] = b
+    for run in runs:
+        row, b, mask = rows[run[0]], labels[run[0]], 0
+        for m in run:
+            mask |= 1 << m
+        if mask | row != row:
+            return None
+        acc, pending = 1 << b, row & ~mask
+        while pending:
+            j = (pending & -pending).bit_length() - 1
+            sub = rows[j]
+            if sub | row != row:
+                return None
+            acc |= block[labels[j]]
+            pending &= ~sub
+        block[b] = acc
+    return tuple(labels), tuple(map(tuple, classes)), tuple(block)
+
+
 def compose_rows(rows: Iterable[int], table: Sequence[int]) -> tuple[int, ...]:
     """Row i of the result is the OR of ``table[j]`` over the set bits j
     of the i-th row; every bit must index the table.  A bit past the

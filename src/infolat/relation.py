@@ -3,9 +3,9 @@
 Provides closure operators, boolean relation algebra, classification
 predicates, and the two-way translation between preorders and ordered
 partitions (blocks of mutually related elements plus a partial order on
-the blocks).  The library reads a preorder's quotient straight off its
-rows (``_quotient``); ``OrderedPartition`` is the public, validated view
-of it, whose block labelling (``labels``) and block order as a ``Poset``
+the blocks).  The library reads a preorder's quotient off its rows
+(``preorder_quotient``); ``OrderedPartition`` is its public, validated
+view, whose block labelling (``labels``) and block order as a ``Poset``
 (``order``) are built once, so its users never map block names back.
 """
 
@@ -14,8 +14,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .poset import (Poset, bits, close_rows, compose_rows, image_rows,
-                    preorder_cols, pull_rows, row_covers, row_runs,
+from .poset import (Poset, bits, close_rows, compose_rows, preorder_cols,
+                    preorder_quotient, pull_rows, row_covers, row_runs,
                     rows_transitive, transpose, unique_names)
 
 
@@ -275,32 +275,16 @@ def to_ordered_partition(q: Rel) -> OrderedPartition:
     Blocks come out in order of least member index; members keep
     declaration order.
     """
-    if not q.is_preorder:
+    if (quotient := preorder_quotient(q.rows)) is None:
         raise ValidationError("only a preorder has an ordered partition")
-    _, blocks, block_rows = _quotient(q, q.rows)
-    return OrderedPartition(q.carrier, blocks, block_rows)
+    _, classes, block_rows = quotient
+    return OrderedPartition(q.carrier, _class_names(q.carrier, classes),
+                            block_rows)
 
 
-def _quotient(q: Rel, rows: Sequence[int]) -> tuple[
-        tuple[int, ...], tuple[tuple[str, ...], ...], tuple[int, ...]]:
-    """The classes of equal rows of q, numbered by least member (in a
-    preorder, its mutual classes), and the relation ``rows`` induces on
-    them: each element's class, each class's member names, and the image
-    of ``rows`` under the labels (per class, the classes a member's row meets);
-    ``rows = q.rows`` gives a preorder's block order.  The realisability
-    test passes the carrier's rows, as its blocks step along the carrier
-    order; those differ within a class, so every member's row counts."""
-    # each run is ascending and no two share a member, so the runs sort
-    # by their least members
-    runs = sorted(row_runs(q.rows))
-    labels = [0] * len(q.rows)
-    for b, run in enumerate(runs):
-        for m in run:
-            labels[m] = b
-    names = q.carrier.elements
-    return (tuple(labels),
-            tuple(tuple(names[j] for j in run) for run in runs),
-            image_rows(rows, labels, len(runs)))
+def _class_names(carrier: Poset, classes) -> tuple[tuple[str, ...], ...]:
+    """Each class of carrier indices as its members' names."""
+    return tuple(tuple(map(carrier.elements.__getitem__, c)) for c in classes)
 
 
 def from_ordered_partition(op: OrderedPartition) -> Rel:
@@ -344,11 +328,11 @@ def format_relation(rel: Rel) -> str:
     equivalence, ``<=``-joined blocks for a chain, and blocks plus cover
     pairs otherwise.  Anything else falls back to a pair list.
     """
-    if not rel.is_preorder:
+    if (quotient := preorder_quotient(rel.rows)) is None:
         return "pairs: " + " ".join(f"({a},{b})" for a, b in rel.pairs())
-    _, blocks, block_rows = _quotient(rel, rel.rows)
-    labels = [block_label(b) for b in blocks]
-    k = len(blocks)
+    _, classes, block_rows = quotient
+    labels = [block_label(b) for b in _class_names(rel.carrier, classes)]
+    k = len(labels)
     if all(block_rows[b] == 1 << b for b in range(k)):
         return " ".join(labels)
     # a finite poset is a chain iff its up-sets have pairwise distinct

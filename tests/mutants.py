@@ -39,6 +39,8 @@ ENTRIES = ["tests/test_format.py::"
            "tests/test_cli.py::TestParse::test_errors_carry_positions"]
 EXPORT_REL = ["tests/test_format.py::test_relations_export_by_generators",
               "tests/test_format.py::test_random_workspaces_round_trip"]
+QUOTIENT = ["tests/test_kernels.py::test_preorder_quotient_of_fixed_rows",
+            "tests/test_kernels.py::test_preorder_quotient_matches_pairwise"]
 REL_VALIDATION = "tests/test_relation.py::TestValidation"
 REL_SHAPE = "tests/test_relation.py::test_matrix_shape_validated"
 IS_EQUIVALENCE = [
@@ -109,12 +111,51 @@ MUTANTS = [
      "for j in bits(up)]",
      ["tests/test_kernels.py::test_covers_match_pairwise",
       "tests/test_poset.py::TestConstruction"]),
-    # _quotient: classes in row_runs order, not by least member
-    ("src/infolat/relation.py",
-     "    runs = sorted(row_runs(q.rows))\n",
-     "    runs = row_runs(q.rows)\n",
-     ["tests/test_kernels.py::test_ordered_partition_block_rows",
+    # preorder_quotient: classes in row_runs order, decreasing value,
+    # not by least member
+    ("src/infolat/poset.py",
+     "    classes = sorted(runs)",
+     "    classes = runs[::-1]",
+     [*QUOTIENT, "tests/test_kernels.py::test_ordered_partition_block_rows",
       "tests/test_relation.py::TestOrderedPartition"]),
+    # preorder_quotient: classes numbered in increasing value
+    ("src/infolat/poset.py",
+     "    classes = sorted(runs)",
+     "    classes = runs",
+     QUOTIENT),
+    # preorder_quotient: the reflexivity check dropped
+    ("src/infolat/poset.py",
+     "        if mask | row != row:\n"
+     "            return None\n",
+     "",
+     QUOTIENT),
+    # preorder_quotient: a jump that skips its check
+    ("src/infolat/poset.py",
+     "            if sub | row != row:\n"
+     "                return None\n",
+     "",
+     QUOTIENT),
+    # preorder_quotient: distinct rows walked in decreasing value, so a
+    # jump reads the block row of a class not yet done
+    ("src/infolat/poset.py",
+     "    for run in runs:\n"
+     "        row, b, mask = rows[run[0]], labels[run[0]], 0\n",
+     "    for run in reversed(runs):\n"
+     "        row, b, mask = rows[run[0]], labels[run[0]], 0\n",
+     QUOTIENT),
+    # preorder_quotient: a row's own class left pending, so the jump to
+    # a member reads its unfinished block row and settles the whole row
+    ("src/infolat/poset.py",
+     "row & ~mask\n",
+     "row\n",
+     QUOTIENT),
+    # _block_steps: a member joins the block opened last, not the block
+    # of its least member
+    ("src/infolat/loci.py",
+     "labels.append(labels[least] if least < i else len(blocks) - 1)",
+     "labels.append(len(blocks) - 1)",
+     ["tests/test_kernels.py::"
+      "test_block_steps_and_realisability_witnesses"]),
     # compatible_extension: composed with the up-sets, not the down-sets
     ("src/infolat/tini.py",
      "compose_rows([up & tops for up in q.rows], q.cols))",

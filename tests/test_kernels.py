@@ -19,11 +19,13 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      quotient_map, ti_flow_check, to_ordered_partition,
                      union)
 from infolat.cli import _quote, emit_dot
+from infolat.loci import _block_steps
 from infolat.poset import (bits, close_rows, compose_rows, fibres,
-                           image_rows, preorder_cols, pull_rows, row_covers,
-                           row_runs, rows_transitive, transpose)
+                           image_rows, preorder_cols, preorder_quotient,
+                           pull_rows, row_covers, row_runs, rows_transitive,
+                           transpose)
 from infolat.powerdomain import _em_rows
-from infolat.relation import _quotient, preorder_from_blocks
+from infolat.relation import preorder_from_blocks
 from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
                      close_rows_warshall, compatible_extension_pairwise,
                      compose_rows_bitwise, covers_pairwise,
@@ -580,6 +582,98 @@ def test_rows_transitive_matches_pairwise(rng, n, closed, flips):
     assert rows_transitive(rows) == is_transitive_pairwise(rows)
 
 
+def quotient_pairwise(rows):
+    """None unless the rows are reflexive and transitive pair by pair;
+    else each index's mutual class, the classes as
+    :func:`mutual_classes_pairwise` orders them, and the order the rows
+    induce on the classes."""
+    n = len(rows)
+    if not (all((rows[i] >> i) & 1 for i in range(n))
+            and is_transitive_pairwise(rows)):
+        return None
+    q = Rel(discrete(str(i) for i in range(n)), rows)
+    classes = tuple(tuple(map(int, c)) for c in mutual_classes_pairwise(q))
+    labels = {m: b for b, c in enumerate(classes) for m in c}
+    return (tuple(labels[i] for i in range(n)), classes,
+            tuple(sum(1 << b for b, d in enumerate(classes)
+                      if q.holds_idx(c[0], d[0])) for c in classes))
+
+
+@pytest.mark.parametrize("rows,want", [
+    ((0b1,), ((0,), ((0,),), (0b1,))),
+    ((0b11, 0b11), ((0, 0), ((0, 1),), (0b1,))),
+    # the class of 1 has a smaller row than the class of 0, and 0 jumps
+    # to it
+    ((0b11, 0b10), ((0, 1), ((0,), (1,)), (0b11, 0b10))),
+    ((0b111, 0b110, 0b110), ((0, 1, 1), ((0,), (1, 2)), (0b11, 0b10))),
+    # transitive, not reflexive
+    ((0b10, 0b10), None),
+    ((0b0, 0b11), None),
+    ((0b110, 0b010, 0b110), None),
+    # reflexive, not transitive: the path 0 -> 1 -> 2
+    ((0b011, 0b110, 0b100), None),
+])
+def test_preorder_quotient_of_fixed_rows(rows, want):
+    assert preorder_quotient(rows) == want == quotient_pairwise(rows)
+
+
+QUOTIENT_SHAPES = ("raw", "reflexive raw", "closure", "flipped closure",
+                   "strict", "duplicated")
+
+
+@settings(max_examples=300)
+@given(seeded(), st.integers(1, 40),
+       st.sampled_from(QUOTIENT_SHAPES + PREORDER_SHAPES + NESTED_SHAPES))
+def test_preorder_quotient_matches_pairwise(rng, n, shape):
+    if shape in PREORDER_SHAPES:
+        rows = preorder_shape(rng, n, shape)
+    elif shape in NESTED_SHAPES:
+        rows = nested_shape(rng, n, shape)
+    else:
+        rows = random_rows(rng, n)
+        if shape != "raw":
+            rows = tuple(row | 1 << i for i, row in enumerate(rows))
+        if shape not in ("raw", "reflexive raw"):
+            rows = tuple(close_rows_warshall(rows))
+        if shape == "flipped closure":
+            rows = flip_bits(rng, rows, rng.randint(1, 3))
+        elif shape in ("strict", "duplicated"):
+            # duplicated: the square rows of line + line, whose second
+            # copy holds none of its own indices
+            rows = tuple(row ^ (rng.random() < 0.3) << i
+                         for i, row in enumerate(rows)) \
+                if shape == "strict" else rows + rows
+    assert preorder_quotient(rows) == quotient_pairwise(rows)
+
+
+def value_quotient(values):
+    """The quotient of ``up_sets(values)``: a class per value, ordered
+    by value, in closed form."""
+    fibre = {}
+    for p, v in enumerate(values):
+        fibre.setdefault(v, []).append(p)
+    classes = tuple(sorted(map(tuple, fibre.values())))
+    labels = [0] * len(values)
+    for b, c in enumerate(classes):
+        for p in c:
+            labels[p] = b
+    return (tuple(labels), classes,
+            up_sets([values[c[0]] for c in classes]))
+
+
+def test_preorder_quotient_at_3000_points():
+    # a chain, a chain of two-point classes, the ordered kernel of
+    # omega's S1, and line + line, whose second copy is not reflexive
+    n = 3000
+    images = get_example("omega", n).functions["S1"].images
+    rng = random.Random(33)
+    shuffled = rng.sample(range(n), n)
+    for values in (range(n), [*range(n // 2)] * 2, images, shuffled):
+        assert preorder_quotient(up_sets(values)) == value_quotient(values)
+    line = up_sets(range(n))
+    assert preorder_quotient(line + line) is None
+
+
 def raised(build):
     """Type, message and pair of the error ``build()`` raises, if any."""
     try:
@@ -790,9 +884,16 @@ def test_format_relation_matches_the_partition_route_on_lattices(carrier):
 @settings(max_examples=200)
 @given(seeded(), st.integers(1, 60))
 def test_format_relation_matches_the_partition_route(rng, n):
+    # besides a preorder and raw rows, rows one step from a preorder:
+    # reflexive but not transitive, or transitive with a diagonal bit
+    # dropped
     carrier = random_poset(rng, n)
-    assert_formats_as_the_partition_route(random_preorder(rng, carrier))
-    assert_formats_as_the_partition_route(Rel(carrier, random_rows(rng, n)))
+    q = random_preorder(rng, carrier)
+    for rows in (q.rows, random_rows(rng, n), flip_bits(rng, q.rows, 1),
+                 nested_shape(rng, n, "strict")):
+        r = Rel(carrier, rows)
+        assert_formats_as_the_partition_route(r)
+        assert format_relation(r).startswith("pairs: ") != r.is_preorder
 
 
 @AT_SCALE
@@ -905,8 +1006,7 @@ def test_block_steps_and_realisability_witnesses(inst):
                 if (mask >> x) & 1:
                     index[x] = b
         steps = block_steps_pairwise(carrier, masks)
-        assert _quotient(r, carrier.rows) == (tuple(index), blocks,
-                                              tuple(steps))
+        assert _block_steps(r) == (tuple(index), blocks, tuple(steps))
         result = phi_realisability(r)
         start = first_block_on_a_cycle(steps)
         assert result.realisable == (start is None)

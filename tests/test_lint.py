@@ -139,6 +139,31 @@ def test_only_the_row_kernels_pull_back_and_take_images():
                                         "powerdomain.kleisli_extend"}}
 
 
+def test_one_kernel_quotients_a_preorder():
+    """A preorder's classes and block rows come from
+    ``poset.preorder_quotient`` alone, so outside ``poset.py`` only the
+    formatting, the export, the ordered partition and the quotient map
+    call it.  The only other classes of equal rows there are the
+    equivalence check's and the realisability cycle test's, from
+    ``row_runs``; the realisability test reads its blocks off the rows
+    of its equivalence."""
+    callers = {"preorder_quotient": set(), "row_runs": set()}
+    for path in MODULES:
+        if path.stem == "poset":
+            continue
+        for scope, node in scoped_nodes(ast.parse(path.read_text(
+                encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                for name in called_names(node) & set(callers):
+                    callers[name].add(f"{path.stem}.{scope}")
+    assert callers == {"preorder_quotient": {"relation.format_relation",
+                                             "relation.to_ordered_partition",
+                                             "cli.export_rel",
+                                             "loci.quotient_map"},
+                       "row_runs": {"relation.Rel.is_equivalence",
+                                    "loci.phi_realisability"}}
+
+
 def test_one_kernel_judges_flows():
     """The pairs that break a flow ``pre ⇒ post`` are formed by
     ``poset.broken_rows`` alone: outside ``poset.py`` only the flow check
