@@ -25,6 +25,7 @@ from .relation import is_complete_preorder  # noqa: F401  (re-exported)
 
 DEFAULT_ENUMERATION_CAP = 6
 DEFAULT_SEARCH_BOUND = 10_000_000
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def loci_leq(p: Rel, q: Rel) -> bool:
@@ -262,31 +263,37 @@ def _growth_walk(n: int, cut: Sequence[int] | None = None
             yield rank, tuple([blocks[c] for c in labels])
 
 
+def _matrix_key(rows: tuple[int, ...]) -> bytes:
+    """Sort key of n rows of n bits that compares as ``Rel.bit_tuple``
+    does: each row's little-endian bytes, each byte's bits reversed."""
+    width = (len(rows) + 7) // 8
+    return b"".join([row.to_bytes(width, "little")
+                     for row in rows]).translate(_REVERSED_BITS)
+
+
 def enumerate_loi(carrier: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Rel]:
     """All equivalence relations, sorted by canonical matrix bits: the
-    closed supersets of the identity under the pairs i < j."""
-    start = tuple(1 << i for i in range(len(carrier.elements)))
-    return [Rel(carrier, rows)
-            for rows in _closed_supersets(start, True, cap)]
+    restricted-growth walk sorted by `_matrix_key`."""
+    n = len(carrier.elements)
+    if n > cap:
+        raise CapExceededError(f"carrier has {n} elements, cap is {cap}")
+    return [Rel(carrier, rows) for rows in sorted(
+        [rows for _, rows in _growth_walk(n)], key=_matrix_key)]
 
 
 def enumerate_loci(a: Poset, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Rel]:
     """All complete preorders on the poset, sorted by canonical matrix
     bits: the closed supersets of the carrier order."""
-    return [Rel(a, rows) for rows in _closed_supersets(a.rows, False, cap)]
+    return [Rel(a, rows) for rows in _closed_supersets(a.rows, cap)]
 
 
-def _closed_supersets(start: tuple[int, ...], symmetric: bool,
-                      cap: int) -> Iterator[tuple[int, ...]]:
-    """Yield the rows of every closure of ``start`` plus some candidate
-    pairs, each once, in increasing ``bit_tuple`` order.
+def _closed_supersets(start: tuple[int, ...], cap: int) -> Iterator[tuple[int, ...]]:
+    """Yield the rows of every closure of the preorder ``start`` plus
+    some candidate pairs, each once, in increasing ``bit_tuple`` order.
 
-    The candidates are the pairs (i, j) outside ``start``; when
-    ``symmetric``, only those with i < j.  Including (i, j) ORs
-    ``rows[i] | rows[j]`` into each row that meets ``hit``.  With
-    ``hit = {i}`` that closes a preorder plus (i, j), since a row holding
-    i already holds row i.  With ``hit = {i, j}`` (``symmetric``) it
-    merges two classes of an equivalence, whose rows stay symmetric.
+    The candidates are the pairs (i, j) outside ``start``.  Including
+    (i, j) ORs ``rows[i] | rows[j]`` into each row that holds i, which
+    closes a preorder plus (i, j): a row holding i already holds row i.
 
     Decided prefix: a stack node ``(rows, i, low, common)`` holds closed
     rows, the first open position (i, j), with ``low = 1 << j``, and row
@@ -301,11 +308,8 @@ def _closed_supersets(start: tuple[int, ...], symmetric: bool,
     ``common``, the AND of those rows (j' itself must be in it, which
     filters the columns of row i' first), and row i' must gain nothing
     below j'.  Together, one whole-row test per candidate: ``rows[j']``
-    inside ``common & (rows[i'] | -bit_j')``.  When ``symmetric`` the
-    rows x < i' that hold i' are the rest of its class, so the test
-    holds iff i' and j' are each the least member of their class: a row
-    whose i' is not is skipped, and ``common`` stays all ones.  A child
-    keeps ``rows[:i']`` as it is, so its ``common`` is the one its parent
+    inside ``common & (rows[i'] | -bit_j')``.  A child keeps
+    ``rows[:i']`` as it is, so its ``common`` is the one its parent
     computed for row i' and goes on the stack with it: a node ANDs
     earlier rows only for the rows after its own.
 
@@ -331,11 +335,7 @@ def _closed_supersets(start: tuple[int, ...], symmetric: bool,
             if not free:
                 continue
             bit_i = 1 << i
-            if symmetric:
-                if row & (bit_i - 1):  # i is not its class's least member
-                    continue
-                free &= -(bit_i << 1)
-            elif i != own:
+            if i != own:
                 common = -1
                 for r in rows[:i]:
                     if r & bit_i:
@@ -351,12 +351,11 @@ def _closed_supersets(start: tuple[int, ...], symmetric: bool,
                 add = rows[bit_j.bit_length() - 1]
                 if add & ~(common & (row | -bit_j)):
                     continue
-                if i == last:  # tail is (row,), never symmetric: same child, built faster
+                if i == last:  # tail is (row,): same child, built faster
                     push((head + (row | add,), i, bit_j << 1, common))
                     continue
-                hit = bit_i | bit_j if symmetric else bit_i
                 joined = row | add
-                push((head + tuple([r | joined if r & hit else r
+                push((head + tuple([r | joined if r & bit_i else r
                                     for r in tail]), i, bit_j << 1, common))
 
 

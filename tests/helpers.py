@@ -225,42 +225,38 @@ def search_trace(run):
     return result, trace
 
 
-def row_common(rows, i, symmetric):
+def row_common(rows, i):
     """``common`` of row i by definition: the AND of the rows x < i that
-    hold i, all ones when none does or when ``symmetric``."""
+    hold i, all ones when none does."""
     common = -1
-    if not symmetric:
-        for x in range(i):
-            if (rows[x] >> i) & 1:
-                common &= rows[x]
+    for x in range(i):
+        if (rows[x] >> i) & 1:
+            common &= rows[x]
     return common
 
 
-def feasible_inclusions(rows, i, low, common, symmetric):
+def feasible_inclusions(rows, i, low, common):
     """The children ``_closed_supersets`` should push from the node
     ``(rows, i, low, common)``, by definition: each candidate pair
     (x, y) at or after (i, low) in row-major order whose Warshall
-    closure, together with (y, x) when ``symmetric``, leaves every pair
-    before (x, y) unchanged; with the closed rows, the next position in
-    row x and row x's ``common``.  The node's own ``common`` is not
-    read."""
+    closure leaves every pair before (x, y) unchanged; with the closed
+    rows, the next position in row x and row x's ``common``.  The node's
+    own ``common`` is not read."""
     n = len(rows)
     first = low.bit_length() - 1
     children = []
     for x in range(i, n):
         for y in range(first if x == i else 0, n):
-            if (rows[x] >> y) & 1 or (symmetric and y < x):
+            if (rows[x] >> y) & 1:
                 continue
             grown = list(rows)
             grown[x] |= 1 << y
-            if symmetric:
-                grown[y] |= 1 << x
             closed = tuple(close_rows_warshall(grown))
             below = (1 << y) - 1
             if closed[:x] == rows[:x] and \
                     closed[x] & below == rows[x] & below:
                 children.append((closed, x, 2 << y,
-                                 row_common(closed, x, symmetric)))
+                                 row_common(closed, x)))
     return children
 
 
@@ -285,7 +281,8 @@ def observer_search_exhaustive(f_ok, bads, pre, post):
 
 def enumerate_loi_sorted(c: Poset) -> list[Rel]:
     """Every equivalence in restricted-growth order, sorted by
-    ``Rel.bit_tuple``; the oracle for the sort-free ``enumerate_loi``."""
+    ``Rel.bit_tuple``; the oracle for ``enumerate_loi``, which sorts the
+    same walk by ``loci._matrix_key`` instead."""
     return sorted(iter_equivalences(c), key=Rel.bit_tuple)
 
 

@@ -17,9 +17,10 @@ CLOSED_SUPERSETS = [
     "tests/test_loci.py::TestEnumeration::"
     "test_matches_warshall_oracle_in_order",
     "tests/test_loci.py::TestEnumeration::"
-    "test_inclusions_keep_exactly_the_decided_pairs",
-    "tests/test_loci.py::TestEnumeration::"
-    "test_loi_matches_sorted_partitions_in_order"]
+    "test_inclusions_keep_exactly_the_decided_pairs"]
+MATRIX_KEY = ["tests/test_kernels.py::test_matrix_key_orders_as_bit_tuple",
+              "tests/test_loci.py::TestEnumeration::"
+              "test_loi_on_discrete_matches_sorted_partitions"]
 TOKENS = ["tests/test_format.py::test_tokenizer_matches_character_scanner"]
 EM_ROWS = ["tests/test_powerdomain.py::TestRowUnionsAgainstPairSets::"
            "test_em_rows_on_raw_relations",
@@ -315,18 +316,24 @@ MUTANTS = [
      "if add & ~(common & (row | -bit_j)):",
      "if add & ~(common & (row | -(bit_j << 1))):",
      CLOSED_SUPERSETS),
-    # _closed_supersets: hit {i} for equivalences
+    # _matrix_key: the bits of each byte left in their order, bit 7 first
     ("src/infolat/loci.py",
-     "                hit = bit_i | bit_j if symmetric else bit_i\n",
-     "                hit = bit_i\n",
-     CLOSED_SUPERSETS),
-    # _closed_supersets: no symmetric row skip
+     "for row in rows]).translate(_REVERSED_BITS)",
+     "for row in rows])",
+     MATRIX_KEY),
+    # _matrix_key: a row's high byte first; alike below 9 points, where a
+    # row is one byte
     ("src/infolat/loci.py",
-     "                if row & (bit_i - 1):"
-     "  # i is not its class's least member\n"
-     "                    continue\n",
-     "",
-     CLOSED_SUPERSETS),
+     'row.to_bytes(width, "little")',
+     'row.to_bytes(width, "big")',
+     MATRIX_KEY),
+    # _matrix_key: each row's width rounded down to whole bytes; only the
+    # kernel test, since tests/test_loci.py enumerates at import and so
+    # would stop at collection
+    ("src/infolat/loci.py",
+     "    width = (len(rows) + 7) // 8\n",
+     "    width = len(rows) // 8\n",
+     MATRIX_KEY[:1]),
     # _token_texts: "<=" left split as "<" and "="
     ("src/infolat/cli.py",
      '    return source.replace("< =", " <= ").split()\n',

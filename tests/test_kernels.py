@@ -19,7 +19,7 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      quotient_map, ti_flow_check, to_ordered_partition,
                      union)
 from infolat.cli import _quote, emit_dot
-from infolat.loci import _block_steps
+from infolat.loci import _block_steps, _matrix_key
 from infolat.poset import (bits, close_rows, compose_rows, fibres,
                            image_rows, preorder_cols, preorder_quotient,
                            pull_rows, row_covers, row_runs, rows_transitive,
@@ -672,6 +672,23 @@ def test_preorder_quotient_at_3000_points():
         assert preorder_quotient(up_sets(values)) == value_quotient(values)
     line = up_sets(range(n))
     assert preorder_quotient(line + line) is None
+
+
+@settings(max_examples=300)
+@given(seeded(), st.integers(1, 20))
+def test_matrix_key_orders_as_bit_tuple(rng, n):
+    # any rows of n bits, not only the relations a search reaches, against
+    # a random second matrix, the first with one bit flipped (so the two
+    # first differ anywhere in row-major order) and the first itself
+    carrier = discrete(tuple(f"e{i}" for i in range(n)))
+    a = Rel(carrier, random_rows(rng, n))
+    flipped = list(a.rows)
+    flipped[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    for rows in (random_rows(rng, n), tuple(flipped), a.rows):
+        b = Rel(carrier, rows)
+        assert (_matrix_key(a.rows) < _matrix_key(b.rows)) == \
+            (a.bit_tuple() < b.bit_tuple())
+        assert (_matrix_key(a.rows) == _matrix_key(b.rows)) == (a == b)
 
 
 def raised(build):

@@ -164,6 +164,30 @@ def test_one_kernel_quotients_a_preorder():
                                     "loci.phi_realisability"}}
 
 
+def test_one_walk_enumerates_the_equivalences():
+    """The equivalences come from ``loci._growth_walk`` alone: outside
+    the tests only ``iter_equivalences``, ``enumerate_loi`` (which sorts
+    the walk) and the observer search (which cuts it) call it.
+    ``loci._closed_supersets`` is the complete-preorder search and has
+    no equivalence mode: only ``enumerate_loci`` calls it, with its
+    start rows and its cap."""
+    callers = {"_growth_walk": set(), "_closed_supersets": set()}
+    arguments = set()
+    for path in MODULES:
+        for scope, node in scoped_nodes(ast.parse(path.read_text(
+                encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                for name in called_names(node) & set(callers):
+                    callers[name].add(f"{path.stem}.{scope}")
+                if "_closed_supersets" in called_names(node):
+                    arguments.add(len(node.args) + len(node.keywords))
+    assert callers == {"_growth_walk": {"loci.iter_equivalences",
+                                        "loci.enumerate_loi",
+                                        "tini.observer_impossibility_search"},
+                       "_closed_supersets": {"loci.enumerate_loci"}}
+    assert arguments == {2}
+
+
 def test_one_kernel_judges_flows():
     """The pairs that break a flow ``pre ⇒ post`` are formed by
     ``poset.broken_rows`` alone: outside ``poset.py`` only the flow check

@@ -104,32 +104,29 @@ class TestEnumeration:
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
     @settings(max_examples=60)
-    @given(st.data(), redeclared_posets(max_size=5), st.booleans())
-    def test_inclusions_keep_exactly_the_decided_pairs(self, data, carrier,
-                                                       symmetric):
+    @given(st.data(), redeclared_posets(max_size=5))
+    def test_inclusions_keep_exactly_the_decided_pairs(self, data, carrier):
         # the whole-row feasibility rule against its definition, at
         # nodes the search reaches: each child pushed is a Warshall
         # closure that changes no pair before its inclusion, and every
         # such closure is pushed, in increasing position; every node
         # carries its own row's common
-        start = (identity_rel(carrier) if symmetric else order_rel(carrier)).rows
         results, trace = search_trace(
-            lambda: list(_closed_supersets(start, symmetric, 5)))
+            lambda: list(_closed_supersets(carrier.rows, 5)))
         assert [node[0] for node, _ in trace] == results
-        assert all(common == row_common(rows, i, symmetric)
+        assert all(common == row_common(rows, i)
                    for (rows, i, _, common), _ in trace)
         for node, children in data.draw(st.lists(st.sampled_from(trace),
                                                  min_size=1, max_size=6)):
-            assert children == feasible_inclusions(*node, symmetric)
+            assert children == feasible_inclusions(*node)
 
-    @pytest.mark.parametrize("carrier,loci,loi", [
-        (discrete(("p", "q", "r", "s")), 355, 15), (VEE, 14, 15)],
+    @pytest.mark.parametrize("carrier,count", [
+        (discrete(("p", "q", "r", "s")), 355), (VEE, 14)],
         ids=["discrete4", "V"])
-    def test_every_node_is_a_result(self, carrier, loci, loi):
-        for enumerate_, count in [(enumerate_loci, loci), (enumerate_loi, loi)]:
-            results, trace = search_trace(lambda: enumerate_(carrier))
-            assert len(results) == len(trace) == count
-            assert sum(len(children) for _, children in trace) == count - 1
+    def test_every_node_is_a_result(self, carrier, count):
+        results, trace = search_trace(lambda: enumerate_loci(carrier))
+        assert len(results) == len(trace) == count
+        assert sum(len(children) for _, children in trace) == count - 1
 
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 29), (4, 355),
                                          (5, 6942), (6, 209527)])
@@ -172,10 +169,11 @@ class TestEnumeration:
     def test_loi_matches_sorted_partitions_in_order(self, carrier):
         assert enumerate_loi(carrier) == enumerate_loi_sorted(carrier)
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_loi_on_discrete_matches_sorted_partitions(self, n):
+        # from 9 points on each row is two bytes of the sort key
         carrier = discrete(tuple(f"e{i}" for i in range(n)))
-        assert enumerate_loi(carrier, cap=7) == enumerate_loi_sorted(carrier)
+        assert enumerate_loi(carrier, cap=9) == enumerate_loi_sorted(carrier)
 
     def test_partitions_match_oracle(self):
         got = {frozenset(idx_pairs(q)) for q in iter_equivalences(CHAIN4)}
