@@ -101,8 +101,8 @@ def cp(r: Rel) -> Rel:
 
 
 def is_realisable(r: Rel) -> bool:
-    """Is r the underlying equivalence of its own completion?"""
-    return er(cp(r)) == r
+    """Is r the underlying equivalence of its own completion (φ decides)?"""
+    return phi_realisability(r).realisable
 
 
 @dataclass(frozen=True)
@@ -122,21 +122,17 @@ def _shortest_cycle(phi: list[int], start: int) -> list[int]:
     on one.  Breadth-first, so no block repeats: a repeat would leave a
     shorter closed walk."""
     parents = {start: start}
-    frontier = [start]
-    while True:
-        nxt = []
-        for b in frontier:
-            for b2 in bits(phi[b]):
-                if b2 == start and b != start:
-                    path = [b]
-                    while path[-1] != start:
-                        path.append(parents[path[-1]])
-                    path.reverse()
-                    return path
-                if b2 not in parents:
-                    parents[b2] = b
-                    nxt.append(b2)
-        frontier = nxt
+    queue = [start]
+    for b in queue:
+        for b2 in bits(phi[b]):
+            if b2 == start and b != start:
+                path = [b]
+                while path[-1] != start:
+                    path.append(parents[path[-1]])
+                return path[::-1]
+            if b2 not in parents:
+                parents[b2] = b
+                queue.append(b2)
 
 
 def phi_realisability(r: Rel) -> RealisabilityResult:
@@ -150,33 +146,19 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     obstruction.  It passes each of its blocks once.
     """
     require(r, "equivalence", "argument")
-    labels, blocks, phi = _block_steps(r)
+    labels, classes = r._classes
+    blocks = _class_names(r.carrier, classes)
+    phi = image_rows(r.carrier.rows, labels, len(blocks))
     closed = close_rows(phi)
     # the closure is antisymmetric iff its rows are pairwise distinct; the
     # first block on a cycle is the least whose closed row occurs twice
     shared = [run[0] for run in row_runs(closed) if len(run) > 1]
     if shared:
-        cycle = _shortest_cycle(phi, min(shared))
-        return RealisabilityResult(
-            False, cycle=tuple(blocks[b] for b in cycle))
+        cycle = tuple(blocks[b] for b in _shortest_cycle(phi, min(shared)))
+        return RealisabilityResult(False, cycle=cycle)
     witness = Poset(_block_names(blocks), tuple(closed))
     return RealisabilityResult(True, witness_poset=witness,
                                witness_fn=FnTable(r.carrier, witness, labels))
-
-
-def _block_steps(r: Rel) -> tuple[
-        tuple[int, ...], tuple[tuple[str, ...], ...], tuple[int, ...]]:
-    """Each element's block, the blocks (each row of the equivalence r,
-    led by its lowest bit) and their steps, along the carrier order."""
-    labels, blocks, names = [], [], r.carrier.elements
-    for i, row in enumerate(r.rows):
-        least = (row & -row).bit_length() - 1
-        if least == i:
-            blocks.append([])
-        labels.append(labels[least] if least < i else len(blocks) - 1)
-        blocks[labels[i]].append(names[i])
-    return (tuple(labels), tuple(map(tuple, blocks)),
-            image_rows(r.carrier.rows, labels, len(blocks)))
 
 
 def quotient_map(q: Rel) -> FnTable:

@@ -136,6 +136,29 @@ def row_runs(rows: Sequence[int]) -> list[list[int]]:
     return [list(run) for _, run in groupby(order, key)]
 
 
+def _equivalence_classes(rows: Sequence[int]) -> tuple[
+        tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+    """None unless the rows are an equivalence, else each index's class
+    (by least member) and the classes' members.  A row in no class yet
+    must hold its index and equal each row it holds: the next class."""
+    labels, classes = [-1] * len(rows), []
+    for i, row in enumerate(rows):
+        if labels[i] >= 0:
+            continue
+        if not (row >> i) & 1:
+            return None
+        b, members, pending = len(classes), [], row
+        while pending:
+            j = (pending & -pending).bit_length() - 1
+            if rows[j] != row:
+                return None
+            labels[j] = b
+            members.append(j)
+            pending &= pending - 1
+        classes.append(tuple(members))
+    return tuple(labels), tuple(classes)
+
+
 def preorder_quotient(rows: Sequence[int]) -> tuple[
         tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
     """None unless the rows are reflexive and transitive; else each

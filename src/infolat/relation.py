@@ -14,9 +14,9 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .poset import (Poset, bits, close_rows, compose_rows, preorder_cols,
-                    preorder_quotient, pull_rows, row_covers, row_runs,
-                    rows_transitive, transpose, unique_names)
+from .poset import (Poset, _equivalence_classes, bits, close_rows,
+                    compose_rows, preorder_cols, preorder_quotient, pull_rows,
+                    row_covers, rows_transitive, transpose, unique_names)
 
 
 _set = object.__setattr__
@@ -106,19 +106,13 @@ class Rel:
         return self.is_reflexive and self.is_transitive
 
     @cached_property
+    def _classes(self) -> tuple[tuple[int, ...],
+                                tuple[tuple[int, ...], ...]] | None:
+        return _equivalence_classes(self.rows)
+
+    @cached_property
     def is_equivalence(self) -> bool:
-        """Each class of equal rows (:func:`row_runs`) is its shared row.
-        Then every row holds its own index and exactly the indices whose
-        rows equal it: reflexive, symmetric and transitive at once; and
-        an equivalence's rows are its classes."""
-        rows = self.rows
-        for run in row_runs(rows):
-            mask = 0
-            for m in run:
-                mask |= 1 << m
-            if mask != rows[run[0]]:
-                return False
-        return True
+        return self._classes is not None
 
     def subset_of(self, other: "Rel") -> bool:
         _same_carrier(self, other)

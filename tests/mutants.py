@@ -44,7 +44,10 @@ QUOTIENT = ["tests/test_kernels.py::test_preorder_quotient_of_fixed_rows",
             "tests/test_kernels.py::test_preorder_quotient_matches_pairwise"]
 REL_VALIDATION = "tests/test_relation.py::TestValidation"
 REL_SHAPE = "tests/test_relation.py::test_matrix_shape_validated"
-IS_EQUIVALENCE = [
+EQUIVALENCE_CLASSES = [
+    "tests/test_kernels.py::test_equivalence_classes_match_pairwise",
+    "tests/test_kernels.py::test_equivalence_classes_refuse_near_misses",
+    "tests/test_kernels.py::test_equivalence_classes_at_3000_points",
     "tests/test_relation.py::test_is_equivalence_matches_pair_sets"]
 SUBCOMMAND_OPTIONS = [
     "tests/test_cli.py::test_subcommands_list_every_option_of_the_parser"]
@@ -150,12 +153,37 @@ MUTANTS = [
      "row & ~mask\n",
      "row\n",
      QUOTIENT),
-    # _block_steps: a member joins the block opened last, not the block
-    # of its least member
-    ("src/infolat/loci.py",
-     "labels.append(labels[least] if least < i else len(blocks) - 1)",
-     "labels.append(len(blocks) - 1)",
-     ["tests/test_kernels.py::"
+    # _equivalence_classes: a row in no class yet opens one without
+    # holding its own index
+    ("src/infolat/poset.py",
+     "        if not (row >> i) & 1:\n"
+     "            return None\n"
+     "        b, members, pending",
+     "        b, members, pending",
+     EQUIVALENCE_CLASSES),
+    # _equivalence_classes: a member's row only inside the class's row,
+    # not equal to it
+    ("src/infolat/poset.py",
+     "if rows[j] != row:",
+     "if rows[j] | row != row:",
+     EQUIVALENCE_CLASSES),
+    # _equivalence_classes: members labelled with the previous class
+    ("src/infolat/poset.py",
+     "            labels[j] = b\n",
+     "            labels[j] = b - 1\n",
+     EQUIVALENCE_CLASSES),
+    # _equivalence_classes: a row already in a class opens another
+    ("src/infolat/poset.py",
+     "        if labels[i] >= 0:\n"
+     "            continue\n",
+     "",
+     EQUIVALENCE_CLASSES),
+    # _equivalence_classes: labels returned as a list, so the φ witness
+    # table gets list images and cannot be hashed
+    ("src/infolat/poset.py",
+     "    return tuple(labels), tuple(classes)\n",
+     "    return labels, tuple(classes)\n",
+     [*EQUIVALENCE_CLASSES, "tests/test_kernels.py::"
       "test_block_steps_and_realisability_witnesses"]),
     # compatible_extension: composed with the up-sets, not the down-sets
     ("src/infolat/tini.py",
@@ -435,20 +463,6 @@ MUTANTS = [
      "        self.__post_init__()\n",
      "",
      [REL_SHAPE, REL_VALIDATION]),
-    # is_equivalence: a class accepted when its members lie inside the
-    # row it shares, not equal to it
-    ("src/infolat/relation.py",
-     "            if mask != rows[run[0]]:\n",
-     "            if mask & ~rows[run[0]]:\n",
-     IS_EQUIVALENCE),
-    # is_equivalence: the row compared with the members of its class
-    # minus the first, so a reflexive row reads as a miss
-    ("src/infolat/relation.py",
-     "            for m in run:\n"
-     "                mask |= 1 << m\n",
-     "            for m in run[1:]:\n"
-     "                mask |= 1 << m\n",
-     IS_EQUIVALENCE),
     # is_complete_preorder: the carrier's down-sets taken for its up-sets
     ("src/infolat/relation.py",
      "c | r == r for c, r in zip(q.carrier.rows, q.rows)",

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infolat import cli, cp, get_example, kernel, list_examples, plotkin
+from infolat import (ValidationError, cli, constant_fn, cp, discrete,
+                     get_example, kernel, list_examples, plotkin)
 from infolat.cli import (Workspace, _build_argparser, _position, _token_texts,
                          emit_dot, export_poset, export_workspace,
                          parse_workspace, run)
@@ -161,6 +162,15 @@ class TestParse:
         ws = get_example(name)
         text = export_workspace(ws)
         assert export_workspace(parse_workspace(text)) == text
+
+    def test_export_refuses_a_codomain_not_in_the_workspace(self):
+        v = get_example("V").posets["V"]
+        one = discrete(("x",))
+        ws = Workspace(posets={"V": v},
+                       functions={"f": constant_fn(v, one, "x")})
+        with pytest.raises(ValidationError,
+                           match="^poset is not named in the workspace$"):
+            export_workspace(ws)
 
 
 def test_emit_dot_full_adds_transitive_edges():

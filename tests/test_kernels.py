@@ -14,16 +14,16 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      compose, cp, discrete, enumerate_loci, enumerate_loi,
                      er, flow_check, format_relation,
                      from_ordered_partition, get_example, identity_rel,
-                     invert, kernel, lift, order_rel, ordered_kernel,
-                     phi_realisability, plotkin, product, pullback,
-                     quotient_map, ti_flow_check, to_ordered_partition,
-                     union)
+                     invert, is_realisable, kernel, lift, order_rel,
+                     ordered_kernel, phi_realisability, plotkin, product,
+                     pullback, quotient_map, ti_flow_check,
+                     to_ordered_partition, union)
 from infolat.cli import _quote, emit_dot
-from infolat.loci import _block_steps, _matrix_key
-from infolat.poset import (bits, close_rows, compose_rows, fibres,
-                           image_rows, preorder_cols, preorder_quotient,
-                           pull_rows, row_covers, row_runs, rows_transitive,
-                           transpose)
+from infolat.loci import _matrix_key
+from infolat.poset import (_equivalence_classes, bits, close_rows,
+                           compose_rows, fibres, image_rows, preorder_cols,
+                           preorder_quotient, pull_rows, row_covers, row_runs,
+                           rows_transitive, transpose)
 from infolat.powerdomain import _em_rows
 from infolat.relation import preorder_from_blocks
 from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
@@ -32,6 +32,7 @@ from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
                      em_rows_by_converse, flow_check_pairwise,
                      format_relation_via_partition,
                      is_antisymmetric_pairwise, is_chain_pairwise,
+                     is_equivalence_pairwise,
                      is_transitive_pairwise, monotone_witness_pairwise,
                      mutual_classes_pairwise, oracle_compose,
                      poset_checks_pairwise, pullback_pairwise,
@@ -1023,11 +1024,17 @@ def test_block_steps_and_realisability_witnesses(inst):
                 if (mask >> x) & 1:
                     index[x] = b
         steps = block_steps_pairwise(carrier, masks)
-        assert _block_steps(r) == (tuple(index), blocks, tuple(steps))
+        labels, classes = _equivalence_classes(r.rows)
+        assert labels == tuple(index)
+        assert classes == tuple(tuple(bits(mask)) for mask in masks)
+        assert image_rows(carrier.rows, labels, len(classes)) == tuple(steps)
         result = phi_realisability(r)
         start = first_block_on_a_cycle(steps)
         assert result.realisable == (start is None)
         if result.realisable:
+            # a hashable witness: its images are the reader's tuple
+            assert type(result.witness_fn.images) is tuple
+            assert hash(result.witness_fn) == hash(quotient_map(cp(r)))
             assert result.witness_poset.elements == \
                 tuple("+".join(b) for b in blocks)
             assert kernel(result.witness_fn) == r
@@ -1038,6 +1045,94 @@ def test_block_steps_and_realisability_witnesses(inst):
             assert result.cycle[0] == blocks[start]
             assert_simple_cycle(blocks, result.cycle, steps)
     assert phi_realisability(er(cp(raw))).realisable
+
+
+def classes_pairwise(rows):
+    """Each index's class by least member and each class's members, read
+    off the pairwise classes of mutually related indices; None unless
+    the rows are an equivalence by the pair-set definition."""
+    if not is_equivalence_pairwise(rows):
+        return None
+    n = len(rows)
+    carrier = discrete(tuple(f"e{i}" for i in range(n)))
+    classes = tuple(tuple(map(carrier.index, block)) for block in
+                    mutual_classes_pairwise(Rel(carrier, tuple(rows))))
+    labels = [0] * n
+    for b, members in enumerate(classes):
+        for m in members:
+            labels[m] = b
+    return tuple(labels), classes
+
+
+def with_bit_flipped(rows, i, j):
+    out = list(rows)
+    out[i] ^= 1 << j
+    return tuple(out)
+
+
+@given(seeded(), st.integers(1, 9))
+def test_equivalence_classes_match_pairwise(rng, n):
+    carrier = discrete(tuple(f"e{i}" for i in range(n)))
+    identity = tuple(1 << i for i in range(n))
+    full = ((1 << n) - 1,) * n
+    eq = random_equivalence(rng, carrier).rows
+    x = rng.randrange(n)
+    cases = [random_rows(rng, n), eq, identity, full,
+             *(with_bit_flipped(rows, x, x) for rows in (eq, identity, full))]
+    for rows in cases:
+        expected = classes_pairwise(rows)
+        assert _equivalence_classes(rows) == expected
+        assert Rel(carrier, rows).is_equivalence == (expected is not None)
+
+
+@pytest.mark.parametrize("rows", [
+    # each row's least member is its own index, so a reader that checks
+    # only that accepts it; but row 0 holds 1, whose row is smaller
+    (0b11, 0b10),
+    # row 1 holds 0, whose row lacks 1
+    (0b01, 0b11),
+    # the rows of 1 and 2 overlap and differ
+    (0b011, 0b011, 0b110),
+    # row 2 lacks its own index
+    (0b101, 0b010, 0b001)])
+def test_equivalence_classes_refuse_near_misses(rows):
+    assert not is_equivalence_pairwise(rows)
+    assert _equivalence_classes(rows) is None
+
+
+@pytest.mark.parametrize("k", [3000, 1, 60], ids=["identity", "one-class",
+                                                  "60-classes"])
+def test_equivalence_classes_at_3000_points(k):
+    n = 3000
+    masks = [0] * k
+    for i in range(n):
+        masks[i % k] |= 1 << i
+    rows = tuple(masks[i % k] for i in range(n))
+    assert _equivalence_classes(rows) == (
+        tuple(i % k for i in range(n)),
+        tuple(tuple(range(b, n, k)) for b in range(k)))
+    assert _equivalence_classes(with_bit_flipped(rows, n - 1, n - 1)) is None
+    assert _equivalence_classes(with_bit_flipped(rows, 0, n - 1)) is None
+
+
+def test_one_reading_of_classes_per_relation(monkeypatch):
+    """The equivalence check, the φ test and ``is_realisable`` share one
+    reading of a relation's classes."""
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return _equivalence_classes(rows)
+
+    monkeypatch.setattr("infolat.relation._equivalence_classes", counted)
+    carrier = get_example("V").posets["V"]
+    for blocks in ([["⊥"], ["c"], ["a", "b"]], [["⊥", "a"], ["c"], ["b"]]):
+        r = preorder_from_blocks(carrier, blocks, ())
+        calls.clear()
+        assert r.is_equivalence
+        phi_realisability(r)
+        is_realisable(r)
+        assert calls == [r.rows]
 
 
 @pytest.mark.parametrize("seed", [20, 99])

@@ -143,10 +143,10 @@ def test_one_kernel_quotients_a_preorder():
     """A preorder's classes and block rows come from
     ``poset.preorder_quotient`` alone, so outside ``poset.py`` only the
     formatting, the export, the ordered partition and the quotient map
-    call it.  The only other classes of equal rows there are the
-    equivalence check's and the realisability cycle test's, from
-    ``row_runs``; the realisability test reads its blocks off the rows
-    of its equivalence."""
+    call it.  The only other classes of equal rows there are those of
+    the realisability test's closed block steps, from ``row_runs``; the
+    classes of an equivalence come from its own reader (see
+    :func:`test_one_reader_of_an_equivalence`)."""
     callers = {"preorder_quotient": set(), "row_runs": set()}
     for path in MODULES:
         if path.stem == "poset":
@@ -160,8 +160,32 @@ def test_one_kernel_quotients_a_preorder():
                                              "relation.to_ordered_partition",
                                              "cli.export_rel",
                                              "loci.quotient_map"},
-                       "row_runs": {"relation.Rel.is_equivalence",
-                                    "loci.phi_realisability"}}
+                       "row_runs": {"loci.phi_realisability"}}
+
+
+def test_one_reader_of_an_equivalence():
+    """An equivalence's classes are read by ``poset._equivalence_classes``
+    alone, and only ``Rel._classes``, cached, calls it: the equivalence
+    check and the φ test read that attribute, and ``is_realisable`` is
+    the φ test's verdict, with no completion (``cp``) or underlying
+    equivalence (``er``) built."""
+    callers, readers, realisable_calls = set(), set(), set()
+    for path in MODULES:
+        for scope, node in scoped_nodes(ast.parse(path.read_text(
+                encoding="utf-8"))):
+            where = f"{path.stem}.{scope}"
+            if isinstance(node, ast.Call):
+                if "_equivalence_classes" in called_names(node):
+                    callers.add(where)
+                if where == "loci.is_realisable":
+                    realisable_calls |= called_names(node)
+            if isinstance(node, ast.Attribute) and node.attr == "_classes":
+                readers.add(where)
+    assert callers == {"relation.Rel._classes"}
+    assert readers == {"relation.Rel.is_equivalence",
+                       "loci.phi_realisability"}
+    assert "phi_realisability" in realisable_calls
+    assert not realisable_calls & {"cp", "er"}
 
 
 def test_one_walk_enumerates_the_equivalences():

@@ -29,8 +29,9 @@ from helpers import (BELL, BOOLBOT, CHAIN2, CHAIN3, CHAIN4, DIAMOND, DISC2,
                      fn_between_family, idx_pairs,
                      is_complete_preorder_exhaustive, monotone_fns,
                      monotone_tables_pairwise, oracle_close, posets,
-                     preorders, redeclared_posets, rel_of_pairs,
-                     row_common, search_trace, set_partitions)
+                     preorders, random_equivalence, random_poset,
+                     redeclared_posets, rel_of_pairs, row_common,
+                     search_trace, seeded, set_partitions)
 
 # labelled posets on k points, OEIS A001035
 A001035 = (1, 1, 3, 19, 219, 4231)
@@ -338,6 +339,14 @@ class TestRealisability:
         from infolat.loci import _block_names
         assert _block_names([("x",), ("x#2",), ("x",), ("y",), ("x",)]) \
             == ("x", "x#2", "x#3", "y", "x#4")
+
+    @given(seeded(), st.integers(7, 8))
+    def test_is_realisable_is_the_er_cp_fixpoint(self, rng, n):
+        carrier = random_poset(rng, n)
+        for _ in range(10):
+            r = random_equivalence(rng, carrier)
+            for s in (r, er(cp(r))):
+                assert is_realisable(s) == (er(cp(s)) == s)
 
     def test_realisable_count_on_vee(self):
         assert sum(1 for r in iter_equivalences(VEE)
