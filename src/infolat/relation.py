@@ -55,18 +55,12 @@ class Rel:
     def holds(self, x: str, y: str) -> bool:
         return bool((self.rows[self.carrier.index(x)] >> self.carrier.index(y)) & 1)
 
-    def holds_idx(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
-
     def pairs(self) -> Iterator[tuple[str, str]]:
         """Related pairs in row-major canonical order."""
         names = self.carrier.elements
         for i, row in enumerate(self.rows):
             for j in bits(row):
                 yield names[i], names[j]
-
-    def pair_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
 
     def bit_tuple(self) -> tuple[int, ...]:
         """Row-major matrix bits; the canonical sort key for relations."""
@@ -85,21 +79,11 @@ class Rel:
             return preorder_cols(self.rows)
         return transpose(self.rows, len(self.rows))
 
-    @cached_property
-    def is_symmetric(self) -> bool:
-        return self.cols == self.rows
-
     # left uncached: the library reaches it only through the cached
     # is_preorder, and benchmarks/tracing.py wraps this property's getter.
     @property
     def is_transitive(self) -> bool:
         return rows_transitive(self.rows)
-
-    @property
-    def is_antisymmetric(self) -> bool:
-        # row i meets column i in nothing but i itself
-        return all(not (row & col & ~(1 << i)) for i, (row, col)
-                   in enumerate(zip(self.rows, self.cols)))
 
     @cached_property
     def is_preorder(self) -> bool:
@@ -255,12 +239,6 @@ class OrderedPartition:
                       self.block_rows)
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "order", order)
-
-    def block_of(self, name: str) -> int:
-        return self.labels[self.carrier.index(name)]
-
-    def block_leq(self, b1: int, b2: int) -> bool:
-        return bool((self.block_rows[b1] >> b2) & 1)
 
 
 def to_ordered_partition(q: Rel) -> OrderedPartition:

@@ -45,7 +45,7 @@ BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 def idx_pairs(rel: Rel) -> set[tuple[int, int]]:
     n = len(rel.carrier.elements)
     return {(i, j) for i in range(n) for j in range(n)
-            if rel.holds_idx(i, j)}
+            if (rel.rows[i] >> j) & 1}
 
 
 def oracle_close(pairs, n, symmetric=False):
@@ -152,11 +152,11 @@ def is_complete_preorder_exhaustive(q: Rel) -> bool:
     n = len(q.carrier.elements)
     for mask, top in directed_subsets(q.carrier):
         for x in bits(mask):
-            if not q.holds_idx(x, top):
+            if not (q.rows[x] >> top) & 1:
                 return False
         for a in range(n):
-            if all(q.holds_idx(x, a) for x in bits(mask)):
-                if not q.holds_idx(top, a):
+            if all((q.rows[x] >> a) & 1 for x in bits(mask)):
+                if not (q.rows[top] >> a) & 1:
                     return False
     return True
 
@@ -423,7 +423,7 @@ def mutual_classes_pairwise(q: Rel) -> tuple[tuple[str, ...], ...]:
     names, classes = q.carrier.elements, []
     for i in range(len(names)):
         mutual = tuple(names[j] for j in range(len(names))
-                       if q.holds_idx(i, j) and q.holds_idx(j, i))
+                       if (q.rows[i] >> j) & 1 and (q.rows[j] >> i) & 1)
         if mutual[0] == names[i]:
             classes.append(mutual)
     return tuple(classes)
@@ -488,7 +488,7 @@ def flow_check_pairwise(f: FnTable, pre: Rel, post: Rel) -> Violation | None:
     names = f.dom.elements
     for i, row in enumerate(pre.rows):
         for j in bits(row):
-            if not post.holds_idx(f.images[i], f.images[j]):
+            if not (post.rows[f.images[i]] >> f.images[j]) & 1:
                 return Violation(names[i], names[j],
                                  f.cod.elements[f.images[i]],
                                  f.cod.elements[f.images[j]])

@@ -497,4 +497,18 @@ MUTANTS = [
      "parents=[common], ",
      "",
      SUBCOMMAND_OPTIONS),
+    # phi_realisability: a block cycle reported as realisable, so φ
+    # disagrees with er(cp(r)) == r
+    ("src/infolat/loci.py",
+     "RealisabilityResult(False, cycle=cycle)",
+     "RealisabilityResult(True, cycle=cycle)",
+     ["tests/test_loci.py::TestRealisability::"
+      "test_phi_agrees_with_galois_test"]),
+    # Poset validation: equal rows looked for among declared neighbours,
+    # not sorted ones, so a two-element cycle hides in some orders
+    ("src/infolat/poset.py",
+     "        ordered = sorted(self.rows)\n",
+     "        ordered = self.rows\n",
+     ["tests/test_declaration_order.py::"
+      "test_declaration_order_changes_no_verdict"]),
 ]

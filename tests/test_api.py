@@ -1,5 +1,7 @@
 """The public surface: a change to it shows up here as a deliberate diff."""
 
+from dataclasses import fields
+
 import infolat
 import infolat.catalog
 import infolat.cli
@@ -31,10 +33,35 @@ PUBLIC = [
     "to_ordered_partition", "union",
 ]
 
+# bit_tuple and is_transitive stay although no library code calls them:
+# benchmarks/tracing.py wraps both
+REL_MEMBERS = [
+    "bit_tuple", "carrier", "cols", "holds", "is_equivalence",
+    "is_preorder", "is_reflexive", "is_transitive", "pairs", "rows",
+    "subset_of",
+]
+ORDERED_PARTITION_MEMBERS = [
+    "block_rows", "blocks", "carrier", "labels", "order",
+]
+
 
 def test_all_is_pinned_sorted_and_unique():
     assert PUBLIC == sorted(set(PUBLIC))
     assert infolat.__all__ == PUBLIC
+
+
+def public_members(cls) -> list[str]:
+    """Fields, methods and properties without a leading underscore."""
+    names = {f.name for f in fields(cls)} | set(dir(cls))
+    return sorted(name for name in names if not name.startswith("_"))
+
+
+def test_class_members_are_pinned():
+    assert REL_MEMBERS == sorted(set(REL_MEMBERS))
+    assert ORDERED_PARTITION_MEMBERS == sorted(set(ORDERED_PARTITION_MEMBERS))
+    assert public_members(infolat.Rel) == REL_MEMBERS
+    assert public_members(infolat.OrderedPartition) == \
+        ORDERED_PARTITION_MEMBERS
 
 
 def test_every_public_name_resolves():
