@@ -18,9 +18,9 @@ from typing import Iterator, Sequence
 from .errors import CapExceededError
 from .loi import _fibre_images, _image_closure, pullback
 from .poset import (FnTable, Poset, _monotone_tables, bits, close_rows,
-                    image_rows, preorder_quotient, row_runs)
+                    image_rows, kernel_rows, row_runs)
 from .relation import (Rel, _block_names, _class_names, close, intersect,
-                       invert, order_rel, require, union)
+                       order_rel, require, union)
 from .relation import is_complete_preorder  # noqa: F401  (re-exported)
 
 DEFAULT_ENUMERATION_CAP = 6
@@ -86,7 +86,8 @@ def loci_pushforward(f: FnTable, p: Rel) -> Rel:
 def er(p: Rel) -> Rel:
     """Underlying equivalence of a preorder: the mutually related pairs."""
     require(p, "preorder", "argument")
-    return intersect(p, invert(p))
+    labels, classes, _ = p._quotient
+    return Rel(p.carrier, kernel_rows(labels, len(classes)))
 
 
 def cp(r: Rel) -> Rel:
@@ -168,7 +169,7 @@ def quotient_map(q: Rel) -> FnTable:
     is q itself.
     """
     require(q, "complete", "argument")
-    labels, classes, block_rows = preorder_quotient(q.rows)
+    labels, classes, block_rows = q._quotient
     blocks = _block_names(_class_names(q.carrier, classes))
     return FnTable(q.carrier, Poset(blocks, block_rows), labels)
 

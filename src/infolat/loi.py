@@ -10,7 +10,7 @@ union.  Kernels, knowledge sets, flow checking and the two image maps
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .poset import FnTable, broken_rows, fibres, image_rows, pull_rows
+from .poset import FnTable, broken_rows, image_rows, kernel_rows, pull_rows
 from .relation import Rel, close, identity_rel, intersect, require, union
 
 
@@ -42,8 +42,7 @@ def loi_meet(p: Rel, q: Rel) -> Rel:
 
 def kernel(f: FnTable) -> Rel:
     """Indistinguishability under f: relates x, y with f(x) = f(y)."""
-    preimage = fibres(f.images, len(f.cod.elements))
-    return Rel(f.dom, tuple(preimage[v] for v in f.images))
+    return Rel(f.dom, kernel_rows(f.images, len(f.cod.elements)))
 
 
 def knowledge_set(f: FnTable, a: str) -> frozenset[str]:

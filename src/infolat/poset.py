@@ -276,6 +276,54 @@ def image_rows(rows: Sequence[int], images: Sequence[int],
     return tuple(out)
 
 
+def kernel_rows(labels: Sequence[int], k: int) -> tuple[int, ...]:
+    """Row i holds every j with the label of i, each in ``0 .. k-1``:
+    the kernel of a table, or a preorder's mutual classes."""
+    masks = fibres(labels, k)
+    return tuple(masks[b] for b in labels)
+
+
+def compatible_rows(labels: Sequence[int],
+                    block_rows: Sequence[int]) -> tuple[int, ...]:
+    """Row x holds every y that shares an upper bound with x in the
+    preorder with classes ``labels`` and block order ``block_rows``.
+
+    Two up-sets of a finite order meet exactly when they share a top, a
+    block whose row is only itself.  Points whose blocks have equal sets
+    of tops above them are one group (:func:`row_runs`), so each row is
+    computed once: each top's down-set is the OR of the groups that hold
+    it, and a group's row the OR of its tops' down-sets.  A lone top
+    lies above every point, so then every row is full.
+    """
+    tops = 0
+    for b, row in enumerate(block_rows):
+        if row == 1 << b:
+            tops |= 1 << b
+    if not tops & (tops - 1):
+        return ((1 << len(labels)) - 1,) * len(labels)
+    above = [block_rows[b] & tops for b in labels]
+    groups = row_runs(above)
+    down = [0] * len(block_rows)
+    for run in groups:
+        mask, pending = 0, above[run[0]]
+        for x in run:
+            mask |= 1 << x
+        while pending:
+            low = pending & -pending
+            down[low.bit_length() - 1] |= mask
+            pending ^= low
+    out = [0] * len(labels)
+    for run in groups:
+        row, pending = 0, above[run[0]]
+        while pending:
+            low = pending & -pending
+            row |= down[low.bit_length() - 1]
+            pending ^= low
+        for x in run:
+            out[x] = row
+    return tuple(out)
+
+
 def transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
     """Converse of an m × n matrix: bit i of ``out[j]`` iff bit j of ``rows[i]``.
 

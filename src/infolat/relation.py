@@ -79,15 +79,20 @@ class Rel:
             return preorder_cols(self.rows)
         return transpose(self.rows, len(self.rows))
 
-    # left uncached: the library reaches it only through the cached
-    # is_preorder, and benchmarks/tracing.py wraps this property's getter.
+    # left uncached and unreached by the library, whose preorder check
+    # is the cached quotient; benchmarks/tracing.py wraps this getter.
     @property
     def is_transitive(self) -> bool:
         return rows_transitive(self.rows)
 
     @cached_property
+    def _quotient(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                                 tuple[int, ...]] | None:
+        return preorder_quotient(self.rows)
+
+    @cached_property
     def is_preorder(self) -> bool:
-        return self.is_reflexive and self.is_transitive
+        return self._quotient is not None
 
     @cached_property
     def _classes(self) -> tuple[tuple[int, ...],
@@ -247,9 +252,9 @@ def to_ordered_partition(q: Rel) -> OrderedPartition:
     Blocks come out in order of least member index; members keep
     declaration order.
     """
-    if (quotient := preorder_quotient(q.rows)) is None:
+    if q._quotient is None:
         raise ValidationError("only a preorder has an ordered partition")
-    _, classes, block_rows = quotient
+    _, classes, block_rows = q._quotient
     return OrderedPartition(q.carrier, _class_names(q.carrier, classes),
                             block_rows)
 

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from .errors import CapExceededError, ValidationError
 from .loci import _completions, _growth_walk
 from .loi import Violation, flow_check, loi_join, pullback
-from .poset import FnTable, Poset, broken_rows, compose_rows, image_rows
+from .poset import FnTable, Poset, broken_rows, compatible_rows, image_rows
 from .relation import Rel, equivalence_from_blocks, require
 
 
@@ -25,14 +25,8 @@ def compatible_extension(q: Rel) -> Rel:
     transitive.
     """
     require(q, "preorder", "argument")
-    # Two up-sets of a finite preorder meet exactly when they share a
-    # maximal element z (everything above z is also below it), so row x
-    # is the OR of the down-sets of the maximal z above x.
-    tops = 0
-    for z, (up, down) in enumerate(zip(q.rows, q.cols)):
-        if not up & ~down:
-            tops |= 1 << z
-    return Rel(q.carrier, compose_rows([up & tops for up in q.rows], q.cols))
+    labels, _, block_rows = q._quotient
+    return Rel(q.carrier, compatible_rows(labels, block_rows))
 
 
 def ti_flow_check(f: FnTable, pre: Rel, post: Rel) -> Violation | None:

@@ -17,7 +17,8 @@ from infolat import (FnTable, OrderCycleError, Poset, Rel, ValidationError,
                      order_rel, rel_from_pairs, subset_name,
                      to_ordered_partition, union)
 from infolat.loci import _closed_supersets
-from infolat.poset import bits, broken_rows, compose_rows, image_rows
+from infolat.poset import (bits, broken_rows, compose_rows, image_rows,
+                           preorder_cols)
 from infolat.powerdomain import _all_subset_masks, _em_rows
 from infolat.relation import equivalence_from_blocks
 
@@ -501,6 +502,18 @@ def compatible_extension_pairwise(q: Rel) -> Rel:
         sum(1 << j for j in range(len(q.rows)) if q.rows[i] & q.rows[j])
         for i in range(len(q.rows)))
     return Rel(q.carrier, rows)
+
+
+def compatible_extension_by_converse(q: Rel) -> Rel:
+    """The compatible extension of a preorder through its converse: z is
+    maximal when its up-set lies inside its down-set, and row x is the
+    composition of the maximal z above x with the down-sets."""
+    cols = preorder_cols(q.rows)
+    tops = 0
+    for z, (up, down) in enumerate(zip(q.rows, cols)):
+        if not up & ~down:
+            tops |= 1 << z
+    return Rel(q.carrier, compose_rows([up & tops for up in q.rows], cols))
 
 
 def block_steps_pairwise(carrier: Poset, block_masks) -> list[int]:

@@ -40,6 +40,11 @@ ENTRIES = ["tests/test_format.py::"
            "tests/test_cli.py::TestParse::test_errors_carry_positions"]
 EXPORT_REL = ["tests/test_format.py::test_relations_export_by_generators",
               "tests/test_format.py::test_random_workspaces_round_trip"]
+COMPATIBLE_ROWS = [
+    "tests/test_kernels.py::"
+    "test_compatible_rows_group_points_by_the_tops_above_them",
+    "tests/test_kernels.py::test_quotient_readers_match_their_definitions",
+    "tests/test_tini.py::TestCompatibleExtension"]
 QUOTIENT = ["tests/test_kernels.py::test_preorder_quotient_of_fixed_rows",
             "tests/test_kernels.py::test_preorder_quotient_matches_pairwise"]
 REL_VALIDATION = "tests/test_relation.py::TestValidation"
@@ -185,12 +190,43 @@ MUTANTS = [
      "    return labels, tuple(classes)\n",
      [*EQUIVALENCE_CLASSES, "tests/test_kernels.py::"
       "test_block_steps_and_realisability_witnesses"]),
-    # compatible_extension: composed with the up-sets, not the down-sets
-    ("src/infolat/tini.py",
-     "compose_rows([up & tops for up in q.rows], q.cols))",
-     "compose_rows([up & tops for up in q.rows], q.rows))",
-     ["tests/test_tini.py::TestCompatibleExtension",
-      "tests/test_tini.py::TestTiFlow"]),
+    # compatible_rows: every block taken for a top, which gives the same
+    # rows from every up-set instead of the maximal blocks alone
+    ("src/infolat/poset.py",
+     "        if row == 1 << b:\n",
+     "        if row & 1 << b:\n",
+     [COMPATIBLE_ROWS[0]]),
+    # compatible_rows: two tops taken for a lone top, so every row full
+    ("src/infolat/poset.py",
+     "    if not tops & (tops - 1):\n",
+     "    if tops.bit_count() <= 2:\n",
+     COMPATIBLE_ROWS),
+    # compatible_rows: a group's first point left out of the down-sets
+    ("src/infolat/poset.py",
+     "        for x in run:\n"
+     "            mask |= 1 << x\n",
+     "        for x in run[1:]:\n"
+     "            mask |= 1 << x\n",
+     COMPATIBLE_ROWS),
+    # compatible_rows: a group's row only the down-set of its first top
+    ("src/infolat/poset.py",
+     "            row |= down[low.bit_length() - 1]\n"
+     "            pending ^= low\n",
+     "            row |= down[low.bit_length() - 1]\n"
+     "            pending = 0\n",
+     COMPATIBLE_ROWS),
+    # kernel_rows: each row only its label's bit, not its class's members,
+    # which er shows on a preorder with a class of two or more
+    ("src/infolat/poset.py",
+     "    masks = fibres(labels, k)\n",
+     "    masks = [1 << b for b in range(k)]\n",
+     [COMPATIBLE_ROWS[1], "tests/test_loci.py::TestGaloisRoundTrip"]),
+    # Rel.is_preorder: reflexive rows taken for a preorder
+    ("src/infolat/relation.py",
+     "        return self._quotient is not None\n",
+     "        return self.is_reflexive\n",
+     ["tests/test_kernels.py::"
+      "test_format_relation_matches_the_partition_route"]),
     # _completions: T's two terms swapped, m·T(r−1, m+1) + T(r−1, m)
     ("src/infolat/loci.py",
      "[m * prev[m] + prev[m + 1] for m in",

@@ -5,9 +5,9 @@ verdict."""
 from hypothesis import given, strategies as st
 
 from infolat import (Poset, Rel, ValidationError, build_poset, close,
-                     get_example, is_complete_preorder, is_realisable,
-                     list_examples, order_rel, rel_from_pairs,
-                     to_ordered_partition, union)
+                     compatible_extension, er, get_example,
+                     is_complete_preorder, is_realisable, list_examples,
+                     order_rel, rel_from_pairs, to_ordered_partition, union)
 from infolat.poset import bits
 from helpers import (random_equivalence, random_preorder, random_rows,
                      redeclared_posets, seeded)
@@ -50,7 +50,8 @@ def validates_as_order(r: Rel) -> bool:
 def verdicts(r: Rel) -> list:
     """Every verdict on r, in terms of names only.  A preorder's ordered
     partition is its block order as pairs of blocks, each block a set of
-    names; the reflexive pairs list every block."""
+    names; the reflexive pairs list every block.  Its compatible
+    extension and underlying equivalence are sets of pairs of names."""
     out = [validates_as_order(r), r.is_preorder, r.is_equivalence,
            is_complete_preorder(r)]
     if r.is_equivalence:
@@ -60,6 +61,7 @@ def verdicts(r: Rel) -> list:
         blocks = [frozenset(block) for block in op.blocks]
         out.append({(blocks[a], blocks[b])
                     for a, row in enumerate(op.block_rows) for b in bits(row)})
+        out += [set(compatible_extension(r).pairs()), set(er(r).pairs())]
     return out
 
 

@@ -13,22 +13,24 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      check_monotone, cli, close, compatible_extension,
                      compose, cp, discrete, enumerate_loci, enumerate_loi,
                      er, flow_check, format_relation,
-                     from_ordered_partition, get_example, identity_rel,
-                     invert, is_realisable, kernel, lift, order_rel,
-                     ordered_kernel, phi_realisability, plotkin, product,
-                     pullback, quotient_map, ti_flow_check,
+                     from_ordered_partition, get_example, identity_fn,
+                     identity_rel, intersect, invert, is_realisable, kernel,
+                     lift, order_rel, ordered_kernel, phi_realisability,
+                     plotkin, product, pullback, quotient_map, ti_flow_check,
                      to_ordered_partition, union)
 from infolat.cli import _quote, emit_dot
 from infolat.loci import _matrix_key
+from infolat import poset as poset_module
 from infolat.poset import (_equivalence_classes, bits, close_rows,
-                           compose_rows, fibres, image_rows, preorder_cols,
-                           preorder_quotient, pull_rows, row_covers, row_runs,
-                           rows_transitive, transpose)
+                           compatible_rows, compose_rows, fibres, image_rows,
+                           preorder_cols, preorder_quotient, pull_rows,
+                           row_covers, row_runs, rows_transitive, transpose)
 from infolat.powerdomain import _em_rows
 from infolat.relation import preorder_from_blocks
 from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
-                     close_rows_warshall, compatible_extension_pairwise,
-                     compose_rows_bitwise, covers_pairwise,
+                     close_rows_warshall, compatible_extension_by_converse,
+                     compatible_extension_pairwise, compose_rows_bitwise,
+                     covers_pairwise,
                      em_rows_by_converse, flow_check_pairwise,
                      format_relation_via_partition, is_chain_pairwise,
                      is_equivalence_pairwise,
@@ -36,8 +38,8 @@ from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
                      mutual_classes_pairwise, oracle_compose,
                      poset_checks_pairwise, pullback_pairwise,
                      random_equivalence, random_poset, random_preorder,
-                     random_rows, seeded, strict_pairs_pairwise,
-                     transpose_pairwise)
+                     random_rows, redeclared_posets, seeded,
+                     strict_pairs_pairwise, transpose_pairwise)
 
 SIZES = st.integers(50, 300)
 AT_SCALE = settings(max_examples=20)
@@ -550,6 +552,124 @@ def test_converses_at_3000_points():
     assert fan.cols == (1,) + tuple(1 | 1 << i for i in range(1, n))
     assert compatible_extension(order_rel(fan)).rows == \
         (full,) + tuple(1 | 1 << i for i in range(1, n))
+
+
+TOPPED_SHAPES = ("top class", "shared tops", "flow")
+
+
+def topped_shape(rng, n, shape):
+    """Reflexive, transitive rows on n points, relabelled at random: a
+    window DAG under one class of two to five points ("top class"), or
+    under two to five single tops that each DAG point reaches in a
+    random subset, all of them half the time ("shared tops"); the shape
+    of the flow benchmark's complete preorders, each point covering up
+    to two of the next six, with n // 10 extra pairs at most five apart
+    ("flow"); or a shape of :func:`preorder_shape`."""
+    if shape not in TOPPED_SHAPES:
+        return preorder_shape(rng, n, shape)
+    rows = [0] * n
+    if shape == "flow":
+        for i in range(n - 1):
+            for j in rng.sample(range(i + 1, min(n, i + 7)),
+                                min(2, n - 1 - i)):
+                rows[i] |= 1 << j
+        for _ in range(n // 10):
+            i = rng.randrange(n)
+            rows[i] |= 1 << rng.randrange(max(0, i - 5), min(n, i + 6))
+    else:
+        crown = min(n, rng.randint(2, 5))
+        base = n - crown
+        for i in range(base - 1):
+            for j in rng.sample(range(i + 1, min(base, i + 9)),
+                                min(3, base - 1 - i)):
+                rows[i] |= 1 << j
+        tops = (1 << n) - (1 << base)
+        for i in range(base):
+            if shape == "top class":
+                rows[i] |= 1 << rng.randrange(base, n)
+            else:
+                rows[i] |= tops if rng.random() < 0.5 else \
+                    rng.getrandbits(n) & tops
+        if shape == "top class":
+            # a cycle through the crown makes it one class
+            for t in range(base, n):
+                rows[t] |= 1 << (t + 1 if t + 1 < n else base)
+    perm = rng.sample(range(n), n)
+    return tuple(relabel(close_rows(rows), perm))
+
+
+def check_quotient_readers(q: Rel) -> None:
+    """The compatible extension and ``er`` of the preorder q against the
+    definitions they replace, with no converse of q taken."""
+    ext, eq = compatible_extension(q), er(q)
+    assert "cols" not in vars(q)
+    assert ext == compatible_extension_pairwise(q)
+    assert ext == compatible_extension_by_converse(q)
+    assert eq == intersect(q, invert(q))
+
+
+def check_ti_flow_reads_no_converse(pre: Rel, post: Rel) -> None:
+    """The TI check of the identity table between two complete preorders
+    of one carrier against the pair-set flow check of their pairwise
+    compatible extensions, with no converse of either side taken."""
+    f = identity_fn(pre.carrier)
+    got = ti_flow_check(f, pre, post)
+    assert "cols" not in vars(pre) and "cols" not in vars(post)
+    assert got == flow_check_pairwise(f, compatible_extension_pairwise(pre),
+                                      compatible_extension_pairwise(post))
+
+
+@given(seeded(), redeclared_posets(max_size=6))
+def test_quotient_readers_match_their_definitions(rng, p):
+    for _ in range(4):
+        check_quotient_readers(random_preorder(rng, p))
+    complete = [close(union(random_preorder(rng, p), order_rel(p)),
+                      "refl_trans") for _ in range(2)]
+    check_ti_flow_reads_no_converse(*complete)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeded(), st.sampled_from(PREORDER_SHAPES + TOPPED_SHAPES),
+       st.sampled_from(PREORDER_SHAPES + TOPPED_SHAPES))
+def test_quotient_readers_match_their_definitions_at_400_points(
+        rng, shape, other):
+    # over a discrete carrier, every preorder is complete
+    carrier = discrete(f"e{i}" for i in range(400))
+    q = Rel(carrier, topped_shape(rng, 400, shape))
+    check_quotient_readers(q)
+    check_ti_flow_reads_no_converse(
+        Rel(carrier, topped_shape(rng, 400, shape)),
+        Rel(carrier, topped_shape(rng, 400, other)))
+
+
+@pytest.mark.parametrize("shape", ["antichain", "equivalence", "ranked",
+                                   "large classes", "window dag",
+                                   "preorder", *TOPPED_SHAPES])
+def test_compatible_rows_group_points_by_the_tops_above_them(
+        monkeypatch, shape):
+    """Points are grouped by the set of top blocks above their block, a
+    top being a block with no other block above it, so no row is built
+    from a block that is not maximal; with one top nothing is grouped,
+    and every row is full."""
+    rng = random.Random(shape)
+    keys = []
+    monkeypatch.setattr(poset_module, "row_runs",
+                        lambda rows: keys.append(list(rows)) or row_runs(rows))
+    for n in (1, 2, 3, 7, 60):
+        rows = topped_shape(rng, n, shape)
+        labels, _, block = preorder_quotient(rows)
+        keys.clear()
+        got = compatible_rows(labels, block)
+        assert got == compatible_extension_pairwise(
+            Rel(discrete(f"e{i}" for i in range(n)), rows)).rows
+        k = len(block)
+        tops = sum(1 << b for b in range(k)
+                   if not any((block[b] >> c) & 1
+                              for c in range(k) if c != b))
+        if tops.bit_count() == 1:
+            assert keys == [] and got == ((1 << n) - 1,) * n
+        else:
+            assert keys == [[block[b] & tops for b in labels]]
 
 
 def test_preorder_from_blocks_rejects_unknown_indices():

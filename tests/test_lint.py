@@ -119,10 +119,11 @@ def test_only_the_row_kernels_pull_back_and_take_images():
     """Pullbacks go through ``poset.pull_rows`` and direct images
     through ``poset.image_rows``, so outside ``poset.py`` only the
     kernel builds fibres (the enumeration of equivalences keeps its
-    blocks as it walks), and only the compatible extension, ``compose``
-    and the powerdomain's set images call the composition kernel
-    itself."""
-    callers = {"fibres": set(), "compose_rows": set()}
+    blocks as it walks, and a kernel or a preorder's mutual classes are
+    ``poset.kernel_rows``), and only ``compose`` and the powerdomain's
+    set images call the composition kernel itself: the compatible
+    extension reads its preorder's quotient instead."""
+    callers = {"fibres": set(), "kernel_rows": set(), "compose_rows": set()}
     for path in MODULES:
         if path.stem == "poset":
             continue
@@ -131,9 +132,9 @@ def test_only_the_row_kernels_pull_back_and_take_images():
             if isinstance(node, ast.Call):
                 for name in called_names(node) & set(callers):
                     callers[name].add(f"{path.stem}.{scope}")
-    assert callers == {"fibres": {"loi.kernel"},
-                       "compose_rows": {"tini.compatible_extension",
-                                        "relation.compose",
+    assert callers == {"fibres": set(),
+                       "kernel_rows": {"loi.kernel", "loci.er"},
+                       "compose_rows": {"relation.compose",
                                         "powerdomain._convex_masks",
                                         "powerdomain._em_rows",
                                         "powerdomain.kleisli_extend"}}
@@ -142,11 +143,12 @@ def test_only_the_row_kernels_pull_back_and_take_images():
 def test_one_kernel_quotients_a_preorder():
     """A preorder's classes and block rows come from
     ``poset.preorder_quotient`` alone, so outside ``poset.py`` only the
-    formatting, the export, the ordered partition and the quotient map
-    call it.  The only other classes of equal rows there are those of
-    the realisability test's closed block steps, from ``row_runs``; the
-    classes of an equivalence come from its own reader (see
-    :func:`test_one_reader_of_an_equivalence`)."""
+    cached ``Rel._quotient`` (see :func:`test_one_reader_of_a_preorder`),
+    the formatting and the export call it; the last two keep no
+    quotient on a relation they only print.  The only other classes of
+    equal rows there are those of the realisability test's closed block
+    steps, from ``row_runs``; the classes of an equivalence come from
+    its own reader (see :func:`test_one_reader_of_an_equivalence`)."""
     callers = {"preorder_quotient": set(), "row_runs": set()}
     for path in MODULES:
         if path.stem == "poset":
@@ -156,11 +158,36 @@ def test_one_kernel_quotients_a_preorder():
             if isinstance(node, ast.Call):
                 for name in called_names(node) & set(callers):
                     callers[name].add(f"{path.stem}.{scope}")
-    assert callers == {"preorder_quotient": {"relation.format_relation",
-                                             "relation.to_ordered_partition",
-                                             "cli.export_rel",
-                                             "loci.quotient_map"},
+    assert callers == {"preorder_quotient": {"relation.Rel._quotient",
+                                             "relation.format_relation",
+                                             "cli.export_rel"},
                        "row_runs": {"loci.phi_realisability"}}
+
+
+def test_one_reader_of_a_preorder():
+    """A preorder is read once, by the cached ``Rel._quotient``: the
+    preorder check is whether it found a quotient, and the ordered
+    partition, the quotient map, the underlying equivalence (``er``)
+    and the compatible extension read its labels, classes and block
+    rows, with no converse (``cols``) or ``rows_transitive`` taken."""
+    readers, calls = set(), set()
+    for path in MODULES:
+        for scope, node in scoped_nodes(ast.parse(path.read_text(
+                encoding="utf-8"))):
+            where = f"{path.stem}.{scope}"
+            if isinstance(node, ast.Attribute) and node.attr == "_quotient":
+                readers.add(where)
+            if where in {"loci.er", "tini.compatible_extension",
+                         "relation.Rel.is_preorder"}:
+                if isinstance(node, ast.Call):
+                    calls |= called_names(node)
+                if isinstance(node, ast.Attribute):
+                    calls.add(node.attr)
+    assert readers == {"relation.Rel.is_preorder",
+                       "relation.to_ordered_partition", "loci.er",
+                       "loci.quotient_map", "tini.compatible_extension"}
+    assert not calls & {"cols", "invert", "intersect", "compose_rows",
+                        "rows_transitive", "is_transitive"}
 
 
 def test_one_reader_of_an_equivalence():
