@@ -147,7 +147,7 @@ def phi_realisability(r: Rel) -> RealisabilityResult:
     obstruction.  It passes each of its blocks once.
     """
     require(r, "equivalence", "argument")
-    labels, classes = r._classes
+    labels, classes, _ = r._quotient
     blocks = _class_names(r.carrier, classes)
     phi = image_rows(r.carrier.rows, labels, len(blocks))
     closed = close_rows(phi)

@@ -136,29 +136,6 @@ def row_runs(rows: Sequence[int]) -> list[list[int]]:
     return [list(run) for _, run in groupby(order, key)]
 
 
-def _equivalence_classes(rows: Sequence[int]) -> tuple[
-        tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
-    """None unless the rows are an equivalence, else each index's class
-    (by least member) and the classes' members.  A row in no class yet
-    must hold its index and equal each row it holds: the next class."""
-    labels, classes = [-1] * len(rows), []
-    for i, row in enumerate(rows):
-        if labels[i] >= 0:
-            continue
-        if not (row >> i) & 1:
-            return None
-        b, members, pending = len(classes), [], row
-        while pending:
-            j = (pending & -pending).bit_length() - 1
-            if rows[j] != row:
-                return None
-            labels[j] = b
-            members.append(j)
-            pending &= pending - 1
-        classes.append(tuple(members))
-    return tuple(labels), tuple(classes)
-
-
 def preorder_quotient(rows: Sequence[int]) -> tuple[
         tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
     """None unless the rows are reflexive and transitive; else each
@@ -327,10 +304,10 @@ def compatible_rows(labels: Sequence[int],
 def transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
     """Converse of an m × n matrix: bit i of ``out[j]`` iff bit j of ``rows[i]``.
 
-    Whole-matrix: each of the m >= 1 rows fits in n bits and becomes an
-    n-character binary string, and ``zip`` reads the n columns off those
-    strings.  Taking the rows last to first puts row i at bit i of each
-    column; the columns come out from bit n-1 down to bit 0.
+    Whole-matrix, for m >= 1 rows and n >= 1: each row, 0 <= row < 2**n,
+    becomes an n-character binary string, and ``zip`` reads the n columns
+    off those strings.  Taking the rows last to first puts row i at bit i
+    of each column; the columns come out from bit n-1 down to bit 0.
     """
     width = f"0{n}b"
     strs = [format(row, width) for row in reversed(rows)]

@@ -14,9 +14,9 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
-from .poset import (Poset, _equivalence_classes, bits, close_rows,
-                    compose_rows, preorder_cols, preorder_quotient, pull_rows,
-                    row_covers, rows_transitive, transpose, unique_names)
+from .poset import (Poset, bits, close_rows, compose_rows, preorder_cols,
+                    preorder_quotient, pull_rows, row_covers, rows_transitive,
+                    transpose, unique_names)
 
 
 _set = object.__setattr__
@@ -95,17 +95,17 @@ class Rel:
         return self._quotient is not None
 
     @cached_property
-    def _classes(self) -> tuple[tuple[int, ...],
-                                tuple[tuple[int, ...], ...]] | None:
-        return _equivalence_classes(self.rows)
-
-    @cached_property
     def is_equivalence(self) -> bool:
-        return self._classes is not None
+        return self._quotient is not None and _discrete(self._quotient)
 
     def subset_of(self, other: "Rel") -> bool:
         _same_carrier(self, other)
         return all(r | o == o for r, o in zip(self.rows, other.rows))
+
+
+def _discrete(quotient) -> bool:
+    """Whether each block of a preorder's quotient is below itself alone."""
+    return all(row == 1 << b for b, row in enumerate(quotient[2]))
 
 
 def _same_carrier(r: Rel, s: Rel) -> None:
@@ -309,14 +309,13 @@ def format_relation(rel: Rel) -> str:
         return "pairs: " + " ".join(f"({a},{b})" for a, b in rel.pairs())
     _, classes, block_rows = quotient
     labels = [block_label(b) for b in _class_names(rel.carrier, classes)]
-    k = len(labels)
-    if all(block_rows[b] == 1 << b for b in range(k)):
+    if _discrete(quotient):
         return " ".join(labels)
     # a finite poset is a chain iff its up-sets have pairwise distinct
     # sizes; the largest goes first
     sizes = [row.bit_count() for row in block_rows]
-    if len(set(sizes)) == k:
-        by_height = sorted(range(k), key=lambda b: -sizes[b])
+    if len(set(sizes)) == len(sizes):
+        by_height = sorted(range(len(sizes)), key=lambda b: -sizes[b])
         return " <= ".join(labels[b] for b in by_height)
     covers = ", ".join(f"{labels[i]} <= {labels[j]}"
                        for i, j in row_covers(block_rows))

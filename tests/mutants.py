@@ -49,7 +49,7 @@ QUOTIENT = ["tests/test_kernels.py::test_preorder_quotient_of_fixed_rows",
             "tests/test_kernels.py::test_preorder_quotient_matches_pairwise"]
 REL_VALIDATION = "tests/test_relation.py::TestValidation"
 REL_SHAPE = "tests/test_relation.py::test_matrix_shape_validated"
-EQUIVALENCE_CLASSES = [
+EQUIVALENCE = [
     "tests/test_kernels.py::test_equivalence_classes_match_pairwise",
     "tests/test_kernels.py::test_equivalence_classes_refuse_near_misses",
     "tests/test_kernels.py::test_equivalence_classes_at_3000_points",
@@ -158,38 +158,6 @@ MUTANTS = [
      "row & ~mask\n",
      "row\n",
      QUOTIENT),
-    # _equivalence_classes: a row in no class yet opens one without
-    # holding its own index
-    ("src/infolat/poset.py",
-     "        if not (row >> i) & 1:\n"
-     "            return None\n"
-     "        b, members, pending",
-     "        b, members, pending",
-     EQUIVALENCE_CLASSES),
-    # _equivalence_classes: a member's row only inside the class's row,
-    # not equal to it
-    ("src/infolat/poset.py",
-     "if rows[j] != row:",
-     "if rows[j] | row != row:",
-     EQUIVALENCE_CLASSES),
-    # _equivalence_classes: members labelled with the previous class
-    ("src/infolat/poset.py",
-     "            labels[j] = b\n",
-     "            labels[j] = b - 1\n",
-     EQUIVALENCE_CLASSES),
-    # _equivalence_classes: a row already in a class opens another
-    ("src/infolat/poset.py",
-     "        if labels[i] >= 0:\n"
-     "            continue\n",
-     "",
-     EQUIVALENCE_CLASSES),
-    # _equivalence_classes: labels returned as a list, so the φ witness
-    # table gets list images and cannot be hashed
-    ("src/infolat/poset.py",
-     "    return tuple(labels), tuple(classes)\n",
-     "    return labels, tuple(classes)\n",
-     [*EQUIVALENCE_CLASSES, "tests/test_kernels.py::"
-      "test_block_steps_and_realisability_witnesses"]),
     # compatible_rows: every block taken for a top, which gives the same
     # rows from every up-set instead of the maximal blocks alone
     ("src/infolat/poset.py",
@@ -221,6 +189,17 @@ MUTANTS = [
      "    masks = fibres(labels, k)\n",
      "    masks = [1 << b for b in range(k)]\n",
      [COMPATIBLE_ROWS[1], "tests/test_loci.py::TestGaloisRoundTrip"]),
+    # _discrete: a block taken for discrete when it is merely below
+    # itself, so every preorder is taken for an equivalence
+    ("src/infolat/relation.py",
+     "row == 1 << b",
+     "row & 1 << b",
+     EQUIVALENCE),
+    # _discrete: the labels read in place of the block rows
+    ("src/infolat/relation.py",
+     "enumerate(quotient[2])",
+     "enumerate(quotient[0])",
+     EQUIVALENCE),
     # Rel.is_preorder: reflexive rows taken for a preorder
     ("src/infolat/relation.py",
      "        return self._quotient is not None\n",
@@ -275,12 +254,13 @@ MUTANTS = [
      "                        out[w] = acc\n",
      "                    out[v] = acc\n",
      ["tests/test_kernels.py::test_close_rows_matches_warshall"]),
-    # close_rows: an open row treated as closed; the closure loops
-    # without end, so the run ends at the time limit
+    # close_rows: an open row treated as closed, its negative depth
+    # ORed in; the fixed cycles fail at once, and the Warshall test loops
     ("src/infolat/poset.py",
      "                if done > 0:\n",
      "                if done:\n",
-     ["tests/test_kernels.py::test_close_rows_matches_warshall"]),
+     ["tests/test_kernels.py::test_close_rows_of_fixed_cycles",
+      "tests/test_kernels.py::test_close_rows_matches_warshall"]),
     # close_rows: a finished row does not hand its low to its parent
     ("src/infolat/poset.py",
      "            if child_low < low:\n"

@@ -20,11 +20,11 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      to_ordered_partition, union)
 from infolat.cli import _quote, emit_dot
 from infolat.loci import _matrix_key
-from infolat import poset as poset_module
-from infolat.poset import (_equivalence_classes, bits, close_rows,
-                           compatible_rows, compose_rows, fibres, image_rows,
-                           preorder_cols, preorder_quotient, pull_rows,
-                           row_covers, row_runs, rows_transitive, transpose)
+from infolat import poset as poset_module, powerdomain, relation
+from infolat.poset import (bits, close_rows, compatible_rows, compose_rows,
+                           fibres, image_rows, preorder_cols,
+                           preorder_quotient, pull_rows, row_covers,
+                           row_runs, rows_transitive, transpose)
 from infolat.powerdomain import _em_rows
 from infolat.relation import preorder_from_blocks
 from helpers import (CHAIN3, FAMILY, block_steps_pairwise,
@@ -71,6 +71,18 @@ def test_transpose_matches_pairwise(rng, m, n):
     cols = transpose(rows, n)
     assert cols == transpose_pairwise(rows, n)
     assert transpose(cols, m) == rows
+
+
+@pytest.mark.parametrize("rows, n", [((8,), 2), ((0,), 0), ((), 3)])
+def test_transpose_checker_refuses_calls_outside_its_precondition(
+        checked_transpose, rows, n):
+    # unchecked, these give 4 columns, 1 column and no columns
+    for module in (poset_module, relation, powerdomain):
+        assert module.transpose is checked_transpose
+    assert checked_transpose.__name__ == "transpose"
+    assert checked_transpose.__module__ == "infolat.poset"
+    with pytest.raises(AssertionError):
+        checked_transpose(rows, n)
 
 
 @AT_SCALE
@@ -192,6 +204,15 @@ def lay_cycles(rng, rows):
         walked.extend(walk)
     for i in rng.sample(range(n), rng.randint(0, n // 10)):
         rows[i] |= 1 << i
+
+
+@pytest.mark.parametrize("rows, want", [
+    # a two-cycle: row 0, entered from the root 1, finds row 1 open
+    ((0b10, 0b01), [0b11, 0b11]),
+    # a three-cycle, closed through its last row
+    ((0b010, 0b100, 0b001), [0b111, 0b111, 0b111])])
+def test_close_rows_of_fixed_cycles(rows, want):
+    assert close_rows(rows) == want == close_rows_warshall(rows)
 
 
 @AT_SCALE
@@ -1132,7 +1153,7 @@ def test_block_steps_and_realisability_witnesses(inst):
                 if (mask >> x) & 1:
                     index[x] = b
         steps = block_steps_pairwise(carrier, masks)
-        labels, classes = _equivalence_classes(r.rows)
+        labels, classes, _ = r._quotient
         assert labels == tuple(index)
         assert classes == tuple(tuple(bits(mask)) for mask in masks)
         assert image_rows(carrier.rows, labels, len(classes)) == tuple(steps)
@@ -1184,13 +1205,19 @@ def test_equivalence_classes_match_pairwise(rng, n):
     identity = tuple(1 << i for i in range(n))
     full = ((1 << n) - 1,) * n
     eq = random_equivalence(rng, carrier).rows
+    # a chain's order, a preorder and (past one point) no equivalence:
+    # the discrete-block test refuses it, not the preorder check
+    order = chain(carrier.elements).rows
+    assert Rel(carrier, order).is_preorder
     x = rng.randrange(n)
-    cases = [random_rows(rng, n), eq, identity, full,
+    cases = [random_rows(rng, n), eq, identity, full, order,
              *(with_bit_flipped(rows, x, x) for rows in (eq, identity, full))]
     for rows in cases:
         expected = classes_pairwise(rows)
-        assert _equivalence_classes(rows) == expected
-        assert Rel(carrier, rows).is_equivalence == (expected is not None)
+        r = Rel(carrier, rows)
+        assert r.is_equivalence == (expected is not None)
+        if expected is not None:
+            assert r._quotient[:2] == expected
 
 
 @pytest.mark.parametrize("rows", [
@@ -1205,7 +1232,8 @@ def test_equivalence_classes_match_pairwise(rng, n):
     (0b101, 0b010, 0b001)])
 def test_equivalence_classes_refuse_near_misses(rows):
     assert not is_equivalence_pairwise(rows)
-    assert _equivalence_classes(rows) is None
+    carrier = discrete(tuple(f"e{i}" for i in range(len(rows))))
+    assert not Rel(carrier, rows).is_equivalence
 
 
 @pytest.mark.parametrize("k", [3000, 1, 60], ids=["identity", "one-class",
@@ -1216,30 +1244,36 @@ def test_equivalence_classes_at_3000_points(k):
     for i in range(n):
         masks[i % k] |= 1 << i
     rows = tuple(masks[i % k] for i in range(n))
-    assert _equivalence_classes(rows) == (
+    carrier = discrete(tuple(f"e{i}" for i in range(n)))
+    r = Rel(carrier, rows)
+    assert r.is_equivalence
+    assert r._quotient[:2] == (
         tuple(i % k for i in range(n)),
         tuple(tuple(range(b, n, k)) for b in range(k)))
-    assert _equivalence_classes(with_bit_flipped(rows, n - 1, n - 1)) is None
-    assert _equivalence_classes(with_bit_flipped(rows, 0, n - 1)) is None
+    for i, j in ((n - 1, n - 1), (0, n - 1)):
+        assert not Rel(carrier, with_bit_flipped(rows, i, j)).is_equivalence
 
 
 def test_one_reading_of_classes_per_relation(monkeypatch):
-    """The equivalence check, the φ test and ``is_realisable`` share one
-    reading of a relation's classes."""
+    """The preorder and equivalence checks, the φ test,
+    ``is_realisable``, ``er`` and the ordered partition share one reading
+    of a relation's classes."""
     calls = []
 
     def counted(rows):
         calls.append(rows)
-        return _equivalence_classes(rows)
+        return preorder_quotient(rows)
 
-    monkeypatch.setattr("infolat.relation._equivalence_classes", counted)
+    monkeypatch.setattr("infolat.relation.preorder_quotient", counted)
     carrier = get_example("V").posets["V"]
     for blocks in ([["⊥"], ["c"], ["a", "b"]], [["⊥", "a"], ["c"], ["b"]]):
         r = preorder_from_blocks(carrier, blocks, ())
         calls.clear()
-        assert r.is_equivalence
+        assert r.is_preorder and r.is_equivalence
         phi_realisability(r)
         is_realisable(r)
+        assert er(r) == r
+        to_ordered_partition(r)
         assert calls == [r.rows]
 
 

@@ -147,8 +147,8 @@ def test_one_kernel_quotients_a_preorder():
     the formatting and the export call it; the last two keep no
     quotient on a relation they only print.  The only other classes of
     equal rows there are those of the realisability test's closed block
-    steps, from ``row_runs``; the classes of an equivalence come from
-    its own reader (see :func:`test_one_reader_of_an_equivalence`)."""
+    steps, from ``row_runs``; an equivalence is a preorder, and its
+    classes are those of its quotient."""
     callers = {"preorder_quotient": set(), "row_runs": set()}
     for path in MODULES:
         if path.stem == "poset":
@@ -165,52 +165,44 @@ def test_one_kernel_quotients_a_preorder():
 
 
 def test_one_reader_of_a_preorder():
-    """A preorder is read once, by the cached ``Rel._quotient``: the
-    preorder check is whether it found a quotient, and the ordered
-    partition, the quotient map, the underlying equivalence (``er``)
-    and the compatible extension read its labels, classes and block
-    rows, with no converse (``cols``) or ``rows_transitive`` taken."""
-    readers, calls = set(), set()
+    """A relation's classes are read once, by the cached ``Rel._quotient``:
+    the preorder check is whether it found a quotient, and the
+    equivalence check whether that quotient's blocks are discrete, by
+    the one predicate ``relation._discrete`` that the formatting shares.
+    The ordered partition, the quotient map, the underlying equivalence
+    (``er``), the compatible extension and the φ test read its labels,
+    classes and block rows, with no converse (``cols``) or
+    ``rows_transitive`` taken; ``is_realisable`` is the φ test's
+    verdict, with no completion (``cp``) or underlying equivalence
+    (``er``) built."""
+    readers, calls, discrete, realisable_calls = set(), set(), set(), set()
     for path in MODULES:
         for scope, node in scoped_nodes(ast.parse(path.read_text(
                 encoding="utf-8"))):
             where = f"{path.stem}.{scope}"
             if isinstance(node, ast.Attribute) and node.attr == "_quotient":
                 readers.add(where)
+            if isinstance(node, ast.Call):
+                if "_discrete" in called_names(node):
+                    discrete.add(where)
+                if where == "loci.is_realisable":
+                    realisable_calls |= called_names(node)
             if where in {"loci.er", "tini.compatible_extension",
-                         "relation.Rel.is_preorder"}:
+                         "relation.Rel.is_preorder",
+                         "relation.Rel.is_equivalence"}:
                 if isinstance(node, ast.Call):
                     calls |= called_names(node)
                 if isinstance(node, ast.Attribute):
                     calls.add(node.attr)
     assert readers == {"relation.Rel.is_preorder",
+                       "relation.Rel.is_equivalence",
                        "relation.to_ordered_partition", "loci.er",
-                       "loci.quotient_map", "tini.compatible_extension"}
+                       "loci.quotient_map", "loci.phi_realisability",
+                       "tini.compatible_extension"}
     assert not calls & {"cols", "invert", "intersect", "compose_rows",
                         "rows_transitive", "is_transitive"}
-
-
-def test_one_reader_of_an_equivalence():
-    """An equivalence's classes are read by ``poset._equivalence_classes``
-    alone, and only ``Rel._classes``, cached, calls it: the equivalence
-    check and the φ test read that attribute, and ``is_realisable`` is
-    the φ test's verdict, with no completion (``cp``) or underlying
-    equivalence (``er``) built."""
-    callers, readers, realisable_calls = set(), set(), set()
-    for path in MODULES:
-        for scope, node in scoped_nodes(ast.parse(path.read_text(
-                encoding="utf-8"))):
-            where = f"{path.stem}.{scope}"
-            if isinstance(node, ast.Call):
-                if "_equivalence_classes" in called_names(node):
-                    callers.add(where)
-                if where == "loci.is_realisable":
-                    realisable_calls |= called_names(node)
-            if isinstance(node, ast.Attribute) and node.attr == "_classes":
-                readers.add(where)
-    assert callers == {"relation.Rel._classes"}
-    assert readers == {"relation.Rel.is_equivalence",
-                       "loci.phi_realisability"}
+    assert discrete == {"relation.Rel.is_equivalence",
+                        "relation.format_relation"}
     assert "phi_realisability" in realisable_calls
     assert not realisable_calls & {"cp", "er"}
 
