@@ -165,28 +165,20 @@ def test_one_kernel_quotients_a_preorder():
 
 
 def test_one_reader_of_a_preorder():
-    """A relation's classes are read once, by the cached ``Rel._quotient``:
-    the preorder check is whether it found a quotient, and the
-    equivalence check whether that quotient's blocks are discrete, by
-    the one predicate ``relation._discrete`` that the formatting shares.
-    The ordered partition, the quotient map, the underlying equivalence
-    (``er``), the compatible extension and the φ test read its labels,
-    classes and block rows, with no converse (``cols``) or
-    ``rows_transitive`` taken; ``is_realisable`` is the φ test's
-    verdict, with no completion (``cp``) or underlying equivalence
-    (``er``) built."""
-    readers, calls, discrete, realisable_calls = set(), set(), set(), set()
+    """A preorder is read once, by the cached ``Rel._quotient``: the
+    preorder check is whether it found a quotient, and the ordered
+    partition, the quotient map, the underlying equivalence (``er``),
+    the compatible extension and the equivalence check and φ test (see
+    :func:`test_one_reader_of_an_equivalence`) read its labels, classes
+    and block rows, with no converse (``cols``) or ``rows_transitive``
+    taken."""
+    readers, calls = set(), set()
     for path in MODULES:
         for scope, node in scoped_nodes(ast.parse(path.read_text(
                 encoding="utf-8"))):
             where = f"{path.stem}.{scope}"
             if isinstance(node, ast.Attribute) and node.attr == "_quotient":
                 readers.add(where)
-            if isinstance(node, ast.Call):
-                if "_discrete" in called_names(node):
-                    discrete.add(where)
-                if where == "loci.is_realisable":
-                    realisable_calls |= called_names(node)
             if where in {"loci.er", "tini.compatible_extension",
                          "relation.Rel.is_preorder",
                          "relation.Rel.is_equivalence"}:
@@ -201,8 +193,38 @@ def test_one_reader_of_a_preorder():
                        "tini.compatible_extension"}
     assert not calls & {"cols", "invert", "intersect", "compose_rows",
                         "rows_transitive", "is_transitive"}
+
+
+def test_one_reader_of_an_equivalence():
+    """An equivalence is the preorder whose quotient is discrete: the
+    equivalence check reads the cached ``Rel._quotient`` through the one
+    predicate ``relation._discrete``, which only the formatting shares,
+    and the φ test takes its labels and classes from the same quotient,
+    with no classes of their own kept.  ``is_realisable`` is the φ
+    test's verdict, with no completion (``cp``) or underlying
+    equivalence (``er``) built."""
+    discrete, quotient, own, realisable_calls = set(), set(), set(), set()
+    for path in MODULES:
+        for scope, node in scoped_nodes(ast.parse(path.read_text(
+                encoding="utf-8"))):
+            where = f"{path.stem}.{scope}"
+            if isinstance(node, ast.Call):
+                if "_discrete" in called_names(node):
+                    discrete.add(where)
+                if "_equivalence_classes" in called_names(node):
+                    own.add(where)
+                if where == "loci.is_realisable":
+                    realisable_calls |= called_names(node)
+            if isinstance(node, ast.Attribute):
+                if node.attr == "_quotient":
+                    quotient.add(where)
+                if node.attr == "_classes":
+                    own.add(where)
     assert discrete == {"relation.Rel.is_equivalence",
                         "relation.format_relation"}
+    assert {"relation.Rel.is_equivalence",
+            "loci.phi_realisability"} <= quotient
+    assert not own
     assert "phi_realisability" in realisable_calls
     assert not realisable_calls & {"cp", "er"}
 
