@@ -299,6 +299,13 @@ def _closed_supersets(start: tuple[int, ...], cap: int) -> Iterator[tuple[int, .
     Order: each result below a later first inclusion lacks every earlier
     one, so it comes first; children are pushed in increasing position
     and the last pushed pops first.
+
+    Last row: an inclusion changes no row before its own, so every
+    result below a node's last-row children differs from the node only
+    in that row, and they are pushed last, so they pop next.  That
+    subtree is walked at once on ``(row, low)`` pairs of its own LIFO
+    list, in the same order, each result ``head + (row,)`` with the
+    node's ``head`` and ``common``.
     """
     n = len(start)
     if n > cap:
@@ -327,15 +334,27 @@ def _closed_supersets(start: tuple[int, ...], cap: int) -> Iterator[tuple[int, .
             if not free:
                 continue
             head = rows[:i]
+            if i == last:  # below here only row i changes: walk it on ints
+                walk = []
+                while True:
+                    while free:
+                        bit_j = free & -free
+                        free ^= bit_j
+                        add = head[bit_j.bit_length() - 1]
+                        if not add & ~(common & (row | -bit_j)):
+                            walk.append((row | add, bit_j << 1))
+                    if not walk:
+                        break
+                    row, low = walk.pop()
+                    yield head + (row,)
+                    free = ~row & full & -low & common
+                break
             tail = rows[i:]
             while free:
                 bit_j = free & -free
                 free ^= bit_j
                 add = rows[bit_j.bit_length() - 1]
                 if add & ~(common & (row | -bit_j)):
-                    continue
-                if i == last:  # tail is (row,): same child, built faster
-                    push((head + (row | add,), i, bit_j << 1, common))
                     continue
                 joined = row | add
                 push((head + tuple([r | joined if r & bit_i else r

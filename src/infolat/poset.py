@@ -141,7 +141,8 @@ def preorder_quotient(rows: Sequence[int]) -> tuple[
     """None unless the rows are reflexive and transitive; else each
     index's class (by least member), each class's members and the block
     rows.  Each distinct row, by increasing value, must hold its class;
-    its other bits are tested in jumps as in :func:`rows_transitive`."""
+    its other bits are tested in jumps as in :func:`rows_transitive`.
+    When every class is a singleton the block rows are the rows."""
     runs = row_runs(rows)[::-1]  # increasing value
     classes = sorted(runs)  # disjoint ascending runs: by least member
     labels, block = [0] * len(rows), [0] * len(runs)
@@ -163,6 +164,8 @@ def preorder_quotient(rows: Sequence[int]) -> tuple[
             acc |= block[labels[j]]
             pending &= ~sub
         block[b] = acc
+    if len(runs) == len(rows):
+        block = rows
     return tuple(labels), tuple(map(tuple, classes)), tuple(block)
 
 

@@ -205,18 +205,28 @@ def search_trace(run):
     ``(node, children)`` per pop, in pop order, where ``children`` are
     the nodes pushed before the next pop.  A node is a stack entry,
     ``(rows, i, low, common)``; the profiler sees the stack as the list
-    whose bound ``pop`` and ``append`` the search calls."""
+    whose bound ``pop`` and ``append`` the search calls.  An entry
+    ``(row, low)`` of the last row's walk stands for the node
+    ``(head + (row,), last, low, common)``, read from the search's
+    locals, so its children are checked as the stack's are."""
     code = _closed_supersets.__code__
     trace = []
+
+    def node(frame, entry):
+        if len(entry) == 4:
+            return entry
+        local = frame.f_locals
+        row, low = entry
+        return (local["head"] + (row,), local["last"], low, local["common"])
 
     def profile(frame, event, arg):
         if frame.f_code is not code:
             return
         name = getattr(arg, "__name__", None)
         if event == "c_call" and name == "pop":
-            trace.append((arg.__self__[-1], []))
+            trace.append((node(frame, arg.__self__[-1]), []))
         elif event == "c_return" and name == "append":
-            trace[-1][1].append(arg.__self__[-1])
+            trace[-1][1].append(node(frame, arg.__self__[-1]))
 
     sys.setprofile(profile)
     try:

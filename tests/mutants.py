@@ -17,6 +17,8 @@ CLOSED_SUPERSETS = [
     "tests/test_loci.py::TestEnumeration::"
     "test_matches_warshall_oracle_in_order",
     "tests/test_loci.py::TestEnumeration::"
+    "test_matches_warshall_oracle_in_order_on_six_points",
+    "tests/test_loci.py::TestEnumeration::"
     "test_inclusions_keep_exactly_the_decided_pairs"]
 MATRIX_KEY = ["tests/test_kernels.py::test_matrix_key_orders_as_bit_tuple",
               "tests/test_loci.py::TestEnumeration::"
@@ -158,6 +160,18 @@ MUTANTS = [
      "row & ~mask\n",
      "row\n",
      QUOTIENT),
+    # preorder_quotient: the rows taken for the block rows whatever the
+    # classes are
+    ("src/infolat/poset.py",
+     "    if len(runs) == len(rows):\n",
+     "    if True:\n",
+     QUOTIENT),
+    # preorder_quotient: a partial order's block rows ORed afresh, a
+    # second row set alive beside the rows in every cached quotient
+    ("src/infolat/poset.py",
+     "    if len(runs) == len(rows):\n",
+     "    if False:\n",
+     ["tests/test_kernels.py::test_partial_order_block_rows_are_its_rows"]),
     # compatible_rows: every block taken for a top, which gives the same
     # rows from every up-set instead of the maximal blocks alone
     ("src/infolat/poset.py",
@@ -359,6 +373,23 @@ MUTANTS = [
     ("src/infolat/loci.py",
      "if add & ~(common & (row | -bit_j)):",
      "if add & ~(common & (row | -(bit_j << 1))):",
+     CLOSED_SUPERSETS),
+    # _closed_supersets, the last row's walk: every column of the row
+    # open again, not only those after the inclusion that made it
+    ("src/infolat/loci.py",
+     "free = ~row & full & -low & common",
+     "free = ~row & full & common",
+     CLOSED_SUPERSETS),
+    # _closed_supersets, the last row's walk: its test one column off
+    ("src/infolat/loci.py",
+     "if not add & ~(common & (row | -bit_j)):",
+     "if not add & ~(common & (row | -(bit_j << 1))):",
+     CLOSED_SUPERSETS),
+    # _closed_supersets, the last row's walk: children pushed in
+    # decreasing column, so the smallest pops first
+    ("src/infolat/loci.py",
+     "                        bit_j = free & -free\n",
+     "                        bit_j = 1 << (free.bit_length() - 1)\n",
      CLOSED_SUPERSETS),
     # _matrix_key: the bits of each byte left in their order, bit 7 first
     ("src/infolat/loci.py",

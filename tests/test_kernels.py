@@ -20,7 +20,8 @@ from infolat import (FnTable, NotMonotoneError, OrderCycleError, Poset, Rel,
                      to_ordered_partition, union)
 from infolat.cli import _quote, emit_dot
 from infolat.loci import _matrix_key
-from infolat import poset as poset_module, powerdomain, relation
+from infolat import (loci, loi, poset as poset_module, powerdomain,
+                     relation, tini)
 from infolat.poset import (bits, close_rows, compatible_rows, compose_rows,
                            fibres, image_rows, preorder_cols,
                            preorder_quotient, pull_rows, row_covers,
@@ -83,6 +84,31 @@ def test_transpose_checker_refuses_calls_outside_its_precondition(
     assert checked_transpose.__module__ == "infolat.poset"
     with pytest.raises(AssertionError):
         checked_transpose(rows, n)
+
+
+def test_fibres_checker_refuses_a_label_outside_its_range(checked_fibres):
+    # unchecked, label -1 lands in the fibre of label 1: [0b10, 0b01]
+    assert poset_module.fibres is checked_fibres
+    assert checked_fibres.__name__ == "fibres"
+    assert checked_fibres.__module__ == "infolat.poset"
+    assert checked_fibres((1, 0), 2) == [0b10, 0b01]
+    with pytest.raises(AssertionError):
+        checked_fibres((-1, 0), 2)
+
+
+@pytest.mark.parametrize("rows, images, k", [
+    ((0b01, 0b11), (0,), 1),  # one image for two rows
+    ((0b01, 0b110), (0, 0), 1),  # a row past two bits
+    ((0b01, 0b11), (0, -1), 2)],  # an image below 0
+    ids=["short images", "wide row", "negative image"])
+def test_image_rows_checker_refuses_calls_outside_its_precondition(
+        checked_image_rows, rows, images, k):
+    for module in (poset_module, loci, loi, tini):
+        assert module.image_rows is checked_image_rows
+    assert checked_image_rows.__name__ == "image_rows"
+    assert checked_image_rows.__module__ == "infolat.poset"
+    with pytest.raises(AssertionError):
+        checked_image_rows(rows, images, k)
 
 
 @AT_SCALE
@@ -773,6 +799,19 @@ def test_preorder_quotient_matches_pairwise(rng, n, shape):
                          for i, row in enumerate(rows)) \
                 if shape == "strict" else rows + rows
     assert preorder_quotient(rows) == quotient_pairwise(rows)
+
+
+@AT_SCALE
+@given(seeded(), SIZES)
+def test_partial_order_block_rows_are_its_rows(rng, n):
+    # every class is a singleton, so the cached quotient keeps no second
+    # row set: the block rows are the very ints of the rows
+    rows = random_poset(rng, n).rows
+    labels, classes, block_rows = preorder_quotient(rows)
+    assert labels == tuple(range(n))
+    assert classes == tuple((x,) for x in range(n))
+    assert len(block_rows) == n
+    assert all(block is row for block, row in zip(block_rows, rows))
 
 
 def value_quotient(values):

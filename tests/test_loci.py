@@ -104,6 +104,19 @@ class TestEnumeration:
         keys = [q.bit_tuple() for q in got]
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_warshall_oracle_in_order_on_six_points(self, seed):
+        # the drawn carriers stop at 5 points; these 6-point ones, each
+        # pair ordered with probability 1/2 and declared in a shuffled
+        # order, have 32 to 3,707 results, so the oracle stays quick
+        rng = random.Random(seed)
+        names = [f"e{i}" for i in range(6)]
+        covers = [(names[i], names[j])
+                  for j in range(6) for i in range(j) if rng.random() < 0.5]
+        rng.shuffle(names)
+        carrier = build_poset(names, covers)
+        assert enumerate_loci(carrier) == enumerate_loci_warshall(carrier)
+
     @settings(max_examples=60)
     @given(st.data(), redeclared_posets(max_size=5))
     def test_inclusions_keep_exactly_the_decided_pairs(self, data, carrier):
